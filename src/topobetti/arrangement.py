@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .exactgeom import (
     BoxDomain,
@@ -99,12 +99,6 @@ class PolyhedralComplex:
             out[c].append(f)
         return out
 
-    def coface_map(self):
-        out = {cid: [] for cid in self.cells}
-        for f, c in self.faces:
-            out[f].append(c)
-        return out
-
     def euler_cells(self) -> int:
         return sum((-1) ** c.dim for c in self.cells.values())
 
@@ -115,8 +109,15 @@ class PolyhedralComplex:
         return replace(self, cells=cells, faces=faces)
 
 
+@dataclass(frozen=True)
 class SignedComplex(PolyhedralComplex):
-    """A complex whose every cell is labeled negative / zero / positive."""
+    """A complex whose every cell is labeled negative / zero / positive.
+
+    violations are the stability events the build recorded, as
+    (NeuronId, region-id, reason) triples in build order.
+    """
+
+    violations: tuple
 
 
 class _Registry:
@@ -148,9 +149,6 @@ class _Region:
         self.out_affine = out_affine  # (grad, const) once the output is reached
 
 
-Observer = Callable[[str, NeuronId, int], None]
-
-
 def _restrict_functional(affine, wrow, b):
     rows, consts = affine
     d = len(rows[0]) if rows else 0
@@ -170,14 +168,14 @@ def _prune_constraints(region: _Region, registry: _Registry, d: int):
 
 
 class _Builder:
-    def __init__(self, net: ReluNetwork, box: BoxDomain, observer: Optional[Observer] = None):
+    def __init__(self, net: ReluNetwork, box: BoxDomain):
         if net.input_dim != box.dimension:
             raise ValueError("box dimension does not match network input")
         self.net = net
         self.box = box
         self.d = box.dimension
         self.registry = _Registry()
-        self.observer = observer
+        self.violations = []  # (NeuronId, region id, reason) stability events
         self.cap = _max_cells()
         self._next_rid = 0
         base = self._new_region(
@@ -201,8 +199,7 @@ class _Builder:
         return r
 
     def _record(self, reason: str, neuron: NeuronId, rid: int):
-        if self.observer is not None:
-            self.observer(reason, neuron, rid)
+        self.violations.append((neuron, rid, reason))
 
     def run_hidden(self):
         for ell, layer in enumerate(self.net.layers[:-1], start=1):
@@ -308,7 +305,8 @@ def _label(value) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
 
 
-def _assemble(regions, box: BoxDomain, registry: _Registry, signed: bool) -> PolyhedralComplex:
+def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
+    regions, box, registry = b.regions, b.box, b.registry
     d = box.dimension
     cap = _max_cells()
     info = {}  # frozenset(vertices) -> (dim, owner region)
@@ -366,56 +364,46 @@ def _assemble(regions, box: BoxDomain, registry: _Registry, signed: bool) -> Pol
             affine_map=affine_map,
             sign_label=label,
         )
-    faces = frozenset((ids[f], ids[c]) for f, c in incid)
-    cls = SignedComplex if signed else PolyhedralComplex
-    return cls(
+    fields = dict(
         cells=cells,
-        faces=faces,
+        faces=frozenset((ids[f], ids[c]) for f, c in incid),
         ambient_dim=d,
         box=box,
         constraints=tuple(registry.hyperplanes),
     )
+    if signed:
+        return SignedComplex(**fields, violations=tuple(b.violations))
+    return PolyhedralComplex(**fields)
 
 
-def canonical_complex(
-    net: ReluNetwork, box: BoxDomain, observer: Optional[Observer] = None
-) -> PolyhedralComplex:
+def canonical_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
     """Face lattice of the network's linear pieces within the box.
 
-    Cells carry the network's affine restriction but no sign labels; use
-    refine_by_output to split along the output zero-set and label cells.
+    Cells carry the network's affine restriction but no sign labels, and the
+    network may have any output dimension; for a scalar-output network,
+    signed_complex also splits along the output zero-set and labels cells.
     """
-    b = _Builder(net, box, observer)
+    b = _Builder(net, box)
     b.run_hidden()
     b.attach_output_affine()
-    return _assemble(b.regions, box, b.registry, signed=False)
+    return _assemble(b, signed=False)
 
 
-def refine_by_output(complex: PolyhedralComplex, net: ReluNetwork) -> SignedComplex:
-    """Split full cells by the output zero-set and label every cell by sign."""
-    b = _Builder(net, box=complex.box)
-    b.run_hidden()
-    b.run_output()
-    return _assemble(b.regions, complex.box, b.registry, signed=True)
-
-
-def signed_complex(
-    net: ReluNetwork, box: BoxDomain, observer: Optional[Observer] = None
-) -> SignedComplex:
+def signed_complex(net: ReluNetwork, box: BoxDomain) -> SignedComplex:
     """One-pass construction of the output-refined, sign-labeled complex."""
-    b = _Builder(net, box, observer)
+    b = _Builder(net, box)
     b.run_hidden()
     b.run_output()
-    return _assemble(b.regions, box, b.registry, signed=True)
+    return _assemble(b, signed=True)
 
 
 def sublevel_subcomplex(sc: SignedComplex) -> PolyhedralComplex:
     """Subcomplex of cells labeled negative or zero; support is F⁻¹((−∞,0]) ∩ box."""
-    ids = {cid for cid, c in sc.cells.items() if c.sign_label in ("negative", "zero")}
-    for cid in ids:
-        if sc.cells[cid].sign_label == "unsigned":
-            raise ValueError("sublevel_subcomplex requires a signed complex")
-    return sc.restrict(ids)
+    if any(c.sign_label == "unsigned" for c in sc.cells.values()):
+        raise ValueError("sublevel_subcomplex requires a signed complex")
+    return sc.restrict(
+        cid for cid, c in sc.cells.items() if c.sign_label in ("negative", "zero")
+    )
 
 
 def linear_region_count(complex: PolyhedralComplex) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .constructions import (
     CuttingSpec,
@@ -21,7 +20,7 @@ from .constructions import (
     predict_betti,
     serra_region_bound,
 )
-from .exactgeom import BoxDomain, format_rational, parse_rational
+from .exactgeom import BoxDomain, parse_rational
 from .homology import analyze_network
 from .relunet import load_network, save_network
 from .report import SCHEMA_VERSION

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactgeom import Scalar
 from .relunet import AffineLayer, ReluNetwork, compose
 
 
@@ -309,29 +308,3 @@ def betti_upper_bound(architecture: Sequence[int], k: int, s: int = 0) -> int:
     if j < 0 or j > r:
         return 0
     return math.comb(r, j)
-
-
-def pad_hidden_layer(net: ReluNetwork, layer: int, extra: int) -> ReluNetwork:
-    """Insert `extra` zero neurons into hidden layer `layer` (1-based).
-
-    The added neurons compute the zero map and are ignored downstream, so the
-    padded network evaluates identically; useful for hitting a prescribed
-    architecture.
-    """
-    if extra < 0:
-        raise ValueError("extra must be ≥ 0")
-    if not 1 <= layer <= net.num_hidden_layers:
-        raise ValueError("not a hidden layer")
-    if extra == 0:
-        return net
-    zero = Fraction(0)
-    lay = net.layers[layer - 1]
-    nxt = net.layers[layer]
-    padded = AffineLayer(
-        lay.weights + tuple((zero,) * lay.in_dim for _ in range(extra)),
-        lay.bias + (zero,) * extra,
-    )
-    widened = AffineLayer(
-        tuple(row + (zero,) * extra for row in nxt.weights), nxt.bias
-    )
-    return ReluNetwork(net.layers[: layer - 1] + (padded, widened) + net.layers[layer + 1 :])

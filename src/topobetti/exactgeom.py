@@ -119,11 +119,6 @@ class Hyperplane:
         return vdot(self.normal, x) + self.offset
 
 
-def evaluate_sign(h: Hyperplane, x: Sequence) -> int:
-    """Exact sign of normal·x + offset in {−1, 0, +1}."""
-    return sign(h.eval_at(x))
-
-
 @dataclass(frozen=True)
 class BoxDomain:
     """An axis-aligned box, the compact domain all analysis is restricted to."""

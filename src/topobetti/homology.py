@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .arrangement import (
     PolyhedralComplex,
-    canonical_complex,
     linear_region_count,
-    refine_by_output,
     signed_complex,
     sublevel_subcomplex,
 )
@@ -32,7 +30,7 @@ from .constructions import (
     euler_characteristic,
     serra_region_bound,
 )
-from .exactgeom import BoxDomain, matrix_rank
+from .exactgeom import BoxDomain
 from .relunet import ReluNetwork, network_fingerprint
 from .report import AnalysisReport
 
@@ -46,19 +44,8 @@ class SimplicialComplex:
     def count(self, k: int) -> int:
         return len(self.simplices[k]) if k < len(self.simplices) else 0
 
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
     def euler(self) -> int:
         return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
-
-
-@dataclass(frozen=True)
-class ChainBoundary:
-    """Integer boundary matrices; matrices[k] maps k-chains to (k−1)-chains."""
-
-    matrices: tuple  # matrices[k] = list of rows, entries in {−1,0,+1}
 
 
 def _poset_successors(pc: PolyhedralComplex):
@@ -100,21 +87,6 @@ def order_complex(pc: PolyhedralComplex) -> SimplicialComplex:
     return SimplicialComplex(
         tuple(tuple(sorted(by_dim.get(k, []))) for k in range(top + 1))
     )
-
-
-def boundary_matrices(sc: SimplicialComplex) -> ChainBoundary:
-    mats = [[]]
-    for k in range(1, sc.dim + 1):
-        index = {s: i for i, s in enumerate(sc.simplices[k - 1])}
-        rows = []
-        for simplex in sc.simplices[k]:
-            row = [0] * len(index)
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1 :]
-                row[index[face]] = (-1) ** i
-            rows.append(row)
-        mats.append(rows)  # stored transposed: row per k-simplex
-    return ChainBoundary(tuple(mats))
 
 
 def _collapse(simplices):
@@ -203,6 +175,21 @@ def _sparse_rank(rows) -> int:
     return rank
 
 
+def _boundary_rows(simplices, faces):
+    """Sparse rows of ∂ on k-simplices, over the given (k−1)-simplices.
+
+    Row i is the boundary of simplices[i] as a dict from face index to ±1.
+    """
+    index = {s: i for i, s in enumerate(faces)}
+    rows = []
+    for simplex in simplices:
+        row = {}
+        for i in range(len(simplex)):
+            row[index[simplex[:i] + simplex[i + 1 :]]] = (-1) ** i
+        rows.append(row)
+    return rows
+
+
 def _component_betti(simplices, max_k: int):
     """Betti numbers of one simplicial complex given as dict k -> list of chains."""
     reduced = _collapse(simplices)
@@ -210,14 +197,7 @@ def _component_betti(simplices, max_k: int):
     counts = [len(reduced.get(k, [])) for k in range(top + 1)]
     ranks = [0] * (max(top, max_k) + 2)
     for k in range(1, top + 1):
-        index = {s: i for i, s in enumerate(reduced.get(k - 1, []))}
-        rows = []
-        for simplex in reduced.get(k, []):
-            row = {}
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1 :]
-                row[index[face]] = (-1) ** i
-            rows.append(row)
+        rows = _boundary_rows(reduced.get(k, []), reduced.get(k - 1, []))
         ranks[k] = _sparse_rank(rows)
     betas = []
     for k in range(max_k + 1):
@@ -250,14 +230,13 @@ def _component_cells(pc: PolyhedralComplex):
     return list(groups.values())
 
 
-def betti_numbers(pc: PolyhedralComplex, max_k: Optional[int] = None) -> BettiVector:
-    """Exact rational Betti numbers of the complex's support.
+def betti_numbers(pc: PolyhedralComplex) -> BettiVector:
+    """Exact rational Betti numbers β_0 … β_{d−1} of the complex's support.
 
     Computed per connected component (order complex, collapse, boundary ranks)
-    and summed.  max_k defaults to ambient dimension − 1.
+    and summed; d is the ambient dimension.
     """
-    if max_k is None:
-        max_k = pc.ambient_dim - 1
+    max_k = pc.ambient_dim - 1
     totals = [0] * (max_k + 1)
     for comp in _component_cells(pc):
         sub = pc.restrict(comp)
@@ -292,7 +271,7 @@ def analyze_network(
     timings["arrangement"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     sub = sublevel_subcomplex(sc)
-    betti = betti_numbers(sub, d - 1)
+    betti = betti_numbers(sub)
     timings["homology"] = time.perf_counter() - t0
     regions = linear_region_count(sc)
     serra = serra_region_bound(net.architecture)
@@ -319,4 +298,5 @@ def analyze_network(
         euler_cells=sub.euler_cells(),
         oracle_beta0=oracle_beta0,
         timings=timings,
+        violations=sc.violations,
     )

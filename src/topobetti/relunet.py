@@ -71,10 +71,6 @@ class ReluNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    @property
-    def num_hidden_layers(self) -> int:
-        return len(self.layers) - 1
-
 
 @dataclass(frozen=True)
 class NeuronId:
@@ -82,12 +78,6 @@ class NeuronId:
 
     layer: int
     index: int
-
-    def validate(self, net: ReluNetwork):
-        if not 1 <= self.layer <= len(net.layers):
-            raise ValueError(f"layer {self.layer} out of range")
-        if not 1 <= self.index <= net.layers[self.layer - 1].out_dim:
-            raise ValueError(f"neuron index {self.index} out of range in layer {self.layer}")
 
 
 def _relu(v: Sequence) -> tuple:
@@ -107,16 +97,6 @@ def eval_scalar(net: ReluNetwork, x: Sequence) -> Fraction:
     if len(out) != 1:
         raise ValueError("network output is not scalar")
     return out[0]
-
-
-def eval_preactivation(net: ReluNetwork, nid: NeuronId, x: Sequence) -> Fraction:
-    """Value of neuron (index, layer) before its ReLU."""
-    nid.validate(net)
-    v = tuple(Fraction(c) for c in x)
-    for layer in net.layers[: nid.layer - 1]:
-        v = _relu(layer.apply(v))
-    pre = net.layers[nid.layer - 1].apply(v)
-    return pre[nid.index - 1]
 
 
 def compose(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:

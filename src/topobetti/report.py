@@ -27,6 +27,9 @@ class AnalysisReport:
     euler_cells: int  # alternating cell count of the sublevel subcomplex
     oracle_beta0: Optional[int]
     timings: dict
+    # stability events of the arrangement build, (NeuronId, region-id, reason);
+    # like timings they stay out of the JSON, so reports keep their schema
+    violations: tuple
 
     @property
     def bounds_satisfied(self) -> bool:

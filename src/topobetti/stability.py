@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .arrangement import _Builder
-from .constructions import BettiVector
 from .exactgeom import BoxDomain, format_rational
-from .relunet import AffineLayer, NeuronId, ReluNetwork
+from .relunet import AffineLayer, ReluNetwork
+
+DELTA_HALVINGS = 8  # times perturbation_test may halve delta before it gives up
 
 
 @dataclass(frozen=True)
@@ -54,34 +55,33 @@ class StabilityReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
+def _classify(net: ReluNetwork, violations) -> StabilityReport:
+    """Stability verdicts from the build's (NeuronId, region-id, reason) events."""
+    output_layer = len(net.layers)
+    comb = all(nid.layer == output_layer for nid, _, _ in violations)
+    return StabilityReport(
+        combinatorially_stable=comb,
+        topologically_stable=comb and not violations,
+        violations=tuple(violations),
+    )
+
+
 def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
-    """Replay the canonical-complex construction, collecting violations.
+    """Build the canonical complex's regions and classify the build's events.
 
     Hidden neurons violate stability when their pullback hyperplane passes
     through a vertex of a region it properly splits, or when their pullback is
     identically zero on a region; supporting hyperplanes that merely touch a
     region's boundary do not count, since they do not split anything.  The
     output neuron's zero-set must avoid every vertex of the final complex.
+    The face lattice is not assembled.
     """
     if net.output_dim != 1:
         raise ValueError("stability check requires a scalar-output network")
-    events = []
-
-    def observer(reason: str, nid: NeuronId, rid: int):
-        events.append((nid, rid, reason))
-
-    b = _Builder(net, box, observer)
+    b = _Builder(net, box)
     b.run_hidden()
     b.run_output()
-    output_layer = len(net.layers)
-    hidden_violations = [e for e in events if e[0].layer != output_layer]
-    comb = not hidden_violations
-    top = comb and not events
-    return StabilityReport(
-        combinatorially_stable=comb,
-        topologically_stable=top,
-        violations=tuple(events),
-    )
+    return _classify(net, b.violations)
 
 
 def _perturbed(net: ReluNetwork, delta: Fraction, rng: random.Random) -> ReluNetwork:
@@ -104,16 +104,17 @@ def perturbation_test(
     delta: Fraction,
     trials: int,
     seed: int,
-    max_halvings: int = 8,
 ) -> StabilityReport:
     """Check that seeded weight perturbations leave the Betti vector unchanged.
 
     Each trial perturbs every weight and bias by an independent uniform
     rational in [−delta, +delta] and recomputes the exact Betti vector.  If
     any trial disagrees with the baseline, delta is halved (up to
-    max_halvings) and all trials rerun; the report carries the largest delta
-    at which every trial agreed, or no certificate if none was found.  The
-    result is evidence at the tested scale, not a proof.
+    DELTA_HALVINGS times) and all trials rerun; the report carries the largest
+    delta at which every trial agreed, or no certificate if none was found.
+    The result is evidence at the tested scale, not a proof.  One analysis of
+    the base network gives both its stability events and the baseline; an
+    unstable network gets no trials.
     """
     from .homology import analyze_network
 
@@ -121,18 +122,11 @@ def perturbation_test(
         raise ValueError("trials must be positive")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    base = check_stability(net, box)
-    if not base.topologically_stable:
-        return StabilityReport(
-            combinatorially_stable=base.combinatorially_stable,
-            topologically_stable=base.topologically_stable,
-            violations=base.violations,
-            certified_delta=None,
-            trials=trials,
-            seed=seed,
-            applicable=False,
-        )
-    baseline = analyze_network(net, box).betti
+    base = analyze_network(net, box)
+    stability = _classify(net, base.violations)
+    if not stability.topologically_stable:
+        return replace(stability, trials=trials, seed=seed, applicable=False)
+    baseline = base.betti
 
     def all_agree(cur: Fraction) -> bool:
         for t in range(trials):
@@ -144,18 +138,11 @@ def perturbation_test(
 
     certified = None
     cur = Fraction(delta)
-    for _ in range(max_halvings + 1):
+    for _ in range(DELTA_HALVINGS + 1):
         if all_agree(cur):
             certified = cur
             break
         if cur == 0:
             break
         cur = cur / 2
-    return StabilityReport(
-        combinatorially_stable=True,
-        topologically_stable=True,
-        violations=(),
-        certified_delta=certified,
-        trials=trials,
-        seed=seed,
-    )
+    return replace(stability, certified_delta=certified, trials=trials, seed=seed)

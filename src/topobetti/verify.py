@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
@@ -155,10 +154,11 @@ class Reconciliation:
     serra_ok: bool
     binomial_ok: tuple  # per-k booleans
     complement_ok: tuple  # per-k booleans
+    euler_ok: bool  # χ(Betti vector) equals the alternating cell count
 
     @property
     def all_agree(self) -> bool:
-        checks = [self.serra_ok, *self.binomial_ok, *self.complement_ok]
+        checks = [self.serra_ok, *self.binomial_ok, *self.complement_ok, self.euler_ok]
         if self.predicted_agreement is not None:
             checks.extend(self.predicted_agreement)
         if self.oracle_agrees is not None:
@@ -177,6 +177,7 @@ class Reconciliation:
             "serra_ok": self.serra_ok,
             "binomial_ok": list(self.binomial_ok),
             "complement_ok": list(self.complement_ok),
+            "euler_ok": self.euler_ok,
             "all_agree": self.all_agree,
         }
 
@@ -216,6 +217,7 @@ def reconcile(
         complement_ok=tuple(
             b <= bound for b, bound in zip(betti, report.complement_cell_bounds)
         ),
+        euler_ok=report.euler == report.euler_cells,
     )
 
 

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import box_complex, ring_cubes_2d
 from topobetti.arrangement import (
     ComplexSizeError,
     canonical_complex,
     cell_volume,
     linear_region_count,
-    refine_by_output,
     signed_complex,
     sublevel_subcomplex,
     validate_complex,
@@ -137,14 +137,11 @@ class TestSignedAndSublevel:
             label = {-1: "negative", 0: "zero", 1: "positive"}[expected]
             assert cell.sign_label == label
 
-    def test_refine_matches_one_pass(self):
-        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        box = BoxDomain.unit_cube(2)
-        one_pass = signed_complex(net, box)
-        two_pass = refine_by_output(canonical_complex(net, box), net)
-        assert {c.vertices for c in one_pass.cells.values()} == {
-            c.vertices for c in two_pass.cells.values()
-        }
+    def test_sublevel_rejects_unsigned_complexes(self):
+        with pytest.raises(ValueError):
+            sublevel_subcomplex(canonical_complex(_tent(2, d=2), BoxDomain.unit_cube(2)))
+        with pytest.raises(ValueError):
+            sublevel_subcomplex(box_complex(ring_cubes_2d(), 2))
 
     def test_sublevel_of_constant_positive_is_empty(self):
         sc = signed_complex(_constant(1), BoxDomain.unit_cube(2))

@@ -17,7 +17,6 @@ from topobetti.constructions import (
     closure_offset,
     cutting_points,
     euler_characteristic,
-    pad_hidden_layer,
     predict_betti,
     serra_region_bound,
 )
@@ -254,22 +253,3 @@ class TestBounds:
         assert betti_upper_bound(arch, 1, s=2) == 0  # negative index
         with pytest.raises(ValueError):
             betti_upper_bound(arch, 2)
-
-
-class TestPadding:
-    def test_padded_network_evaluates_identically(self):
-        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        padded = pad_hidden_layer(net, 1, 3)
-        assert padded.architecture == (2, 7, 3, 1)
-        rng = random.Random("pad")
-        for _ in range(50):
-            x = tuple(Fraction(rng.randint(0, 128), 128) for _ in range(2))
-            assert eval_scalar(padded, x) == eval_scalar(net, x)
-
-    def test_validation(self):
-        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        with pytest.raises(ValueError):
-            pad_hidden_layer(net, 3, 1)
-        with pytest.raises(ValueError):
-            pad_hidden_layer(net, 1, -1)
-        assert pad_hidden_layer(net, 1, 0) == net

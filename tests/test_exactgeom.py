@@ -10,7 +10,6 @@ from topobetti.exactgeom import (
     Hyperplane,
     affine_rank,
     centroid,
-    evaluate_sign,
     format_rational,
     matrix_rank,
     parse_rational,
@@ -100,7 +99,7 @@ class TestHyperplane:
             return
         h, orient = Hyperplane.from_coefficients(tuple(normal), offset)
         raw = sign(vdot(normal, x) + offset)
-        assert raw == orient * evaluate_sign(h, x)
+        assert raw == orient * sign(h.eval_at(x))
 
     def test_equal_hyperplanes_dedupe_structurally(self):
         h1, _ = Hyperplane.from_coefficients((2, -2), 1)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from topobetti.constructions import build_folding_layer
 from topobetti.relunet import (
     AffineLayer,
-    NeuronId,
     ReluNetwork,
     compose,
     eval_network,
-    eval_preactivation,
     eval_scalar,
     load_network,
     network_fingerprint,
@@ -36,7 +34,6 @@ class TestLayersAndNetworks:
         net = _tent(2)
         assert net.architecture == (1, 2, 1)
         assert net.input_dim == 1 and net.output_dim == 1
-        assert net.num_hidden_layers == 1
 
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
@@ -48,14 +45,6 @@ class TestLayersAndNetworks:
                     AffineLayer(((Fraction(1), Fraction(1)),), (Fraction(0),)),
                 )
             )
-
-    def test_neuron_id_validation(self):
-        net = _tent(2)
-        NeuronId(1, 2).validate(net)
-        with pytest.raises(ValueError):
-            NeuronId(1, 3).validate(net)
-        with pytest.raises(ValueError):
-            NeuronId(3, 1).validate(net)
 
 
 class TestEvaluation:
@@ -72,14 +61,6 @@ class TestEvaluation:
         assert eval_scalar(net, (Fraction(1, 8),)) == Fraction(1, 2)
         assert eval_scalar(net, (Fraction(1, 4),)) == 1
         assert eval_scalar(net, (Fraction(1, 2),)) == 0
-
-    def test_preactivation(self):
-        net = _tent(2)
-        # hidden unit 2 computes 4(x − 1/2) before the ReLU
-        assert eval_preactivation(net, NeuronId(1, 2), (Fraction(3, 4),)) == 1
-        assert eval_preactivation(net, NeuronId(1, 2), (Fraction(1, 4),)) == -1
-        # output neuron: the tent value itself
-        assert eval_preactivation(net, NeuronId(2, 1), (Fraction(1, 2),)) == 1
 
     @given(rationals)
     def test_tent_is_piecewise_linear_hat(self, x):

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from topobetti import arrangement, stability
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
+from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.stability import check_stability, perturbation_test
 
@@ -72,6 +74,19 @@ class TestCheckStability:
         with pytest.raises(ValueError):
             check_stability(net, BoxDomain.unit_cube(2))
 
+    @pytest.mark.parametrize(
+        "net",
+        [
+            build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,))),
+            _linear((1, 0)),
+            build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)), with_offset=False),
+        ],
+        ids=["offset", "output-through-corners", "no-offset"],
+    )
+    def test_violations_match_the_analysis_build(self, net):
+        box = BoxDomain.unit_cube(2)
+        assert check_stability(net, box).violations == analyze_network(net, box).violations
+
     def test_report_serializes(self):
         report = check_stability(_linear((1, 0)), BoxDomain.unit_cube(2))
         data = report.to_json()
@@ -98,11 +113,32 @@ class TestPerturbationTest:
         assert a == b
 
     def test_not_applicable_when_unstable(self):
-        report = perturbation_test(
-            _linear((1, 0)), BoxDomain.unit_cube(2), Fraction(1, 10**6), trials=2, seed=0
-        )
+        net, box = _linear((1, 0)), BoxDomain.unit_cube(2)
+        report = perturbation_test(net, box, Fraction(1, 10**6), trials=2, seed=0)
         assert not report.applicable
         assert report.certified_delta is None
+        check = check_stability(net, box)
+        assert report.violations == check.violations
+        assert not report.topologically_stable and report.combinatorially_stable
+
+    def test_stable_network_builds_base_once(self, monkeypatch):
+        # one build for the base network (stability and baseline) and one per
+        # trial; a separate stability build would make it three
+        builds = []
+        real = arrangement._Builder
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arrangement, "_Builder", counting)
+        monkeypatch.setattr(stability, "_Builder", counting)
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        report = perturbation_test(
+            net, BoxDomain.unit_cube(2), Fraction(1, 10**6), trials=1, seed=7
+        )
+        assert report.certified_delta == Fraction(1, 10**6)
+        assert len(builds) == 2
 
     def test_argument_validation(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,15 @@ class TestReconcile:
         assert not rec.all_agree
         assert rec.oracle_agrees is False
         assert rec.oracle_beta0 == 99 and rec.betti[0] == 2
+
+    def test_euler_mismatch_breaks_agreement(self):
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        report = analyze_network(net, predicted=predict_betti(2, (1,), 2))
+        assert reconcile(report).euler_ok
+        rec = reconcile(dataclasses.replace(report, euler_cells=report.euler_cells + 1))
+        assert not rec.euler_ok
+        assert not rec.all_agree
+        assert rec.to_json()["euler_ok"] is False
 
 
 class TestDumps:
