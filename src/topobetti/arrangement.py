@@ -10,17 +10,23 @@ adjacent pieces with equal affine maps), and a final refinement by the output
 zero-set yields a signed complex whose negative/zero part is the decision
 region F⁻¹((−∞,0]) ∩ box.
 
-Everything is exact: hyperplanes are primitive-integer, vertices are rational,
-and cells are deduplicated by canonical keys, so the construction is
-deterministic.
+Everything is exact and runs on integers: hyperplanes are primitive-integer,
+vertices are homogeneous integer points that carry the ids of the hyperplanes
+they lie on, and affine maps are integer rows over a common denominator.
+Cells are deduplicated by canonical keys, so the construction is
+deterministic.  Fraction appears only at the public boundary (Cell.vertices,
+Cell.affine_map) and in the independent checks validate_complex and
+cell_volume.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exactgeom import (
@@ -28,8 +34,11 @@ from .exactgeom import (
     Hyperplane,
     affine_rank,
     centroid,
+    dehomogenize,
+    homogenize,
+    matrix_rank,
     sign,
-    solve_vertex,
+    intersect_hyperplanes,
     vdot,
 )
 from .relunet import NeuronId, ReluNetwork
@@ -123,6 +132,7 @@ class SignedComplex(PolyhedralComplex):
 class _Registry:
     def __init__(self):
         self.hyperplanes = []
+        self.rows = []  # hid -> (normal…, offset), to dot with homogeneous vertices
         self._index = {}
 
     def intern(self, h: Hyperplane) -> int:
@@ -131,6 +141,7 @@ class _Registry:
         if hid is None:
             hid = len(self.hyperplanes)
             self.hyperplanes.append(h)
+            self.rows.append(h.normal + (h.offset,))
             self._index[key] = hid
         return hid
 
@@ -141,33 +152,76 @@ class _Registry:
 class _Region:
     __slots__ = ("rid", "constraints", "vertices", "affine", "out_affine")
 
-    def __init__(self, rid, constraints, vertices, affine, out_affine=None):
+    def __init__(self, rid, constraints, vertices, affine):
         self.rid = rid
         self.constraints = constraints  # {hid: sign}, region ⊆ {sign·h ≥ 0}
-        self.vertices = vertices  # set of rational points
-        self.affine = affine  # (rows, consts): input -> current layer output
-        self.out_affine = out_affine  # (grad, const) once the output is reached
+        self.vertices = vertices  # set of vertex ids
+        # (rows, consts, den) over ints: input x -> (rows·x + consts) / den,
+        # the current layer's output
+        self.affine = affine
+        self.out_affine = None  # Cell.affine_map, set once the output is reached
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 def _restrict_functional(affine, wrow, b):
-    rows, consts = affine
+    """The functional wrow·y + b of the layer output y on a region.
+
+    wrow and b are a row of AffineLayer.scaled, so the functional is
+    (grad·x + const) / (layer den · affine den), with grad and const integers.
+    """
+    rows, consts, den = affine
     d = len(rows[0]) if rows else 0
-    grad = tuple(sum(w * rows[j][t] for j, w in enumerate(wrow) if w) for t in range(d))
-    const = sum(w * consts[j] for j, w in enumerate(wrow) if w) + b
+    grad = tuple(sum(w * row[t] for w, row in zip(wrow, rows) if w) for t in range(d))
+    const = sum(w * c for w, c in zip(wrow, consts) if w) + b * den
     return grad, const
 
 
-def _prune_constraints(region: _Region, registry: _Registry, d: int):
-    keep = {}
-    for hid, s in region.constraints.items():
-        h = registry.hp(hid)
-        tight = [v for v in region.vertices if h.eval_at(v) == 0]
-        if len(tight) >= d and affine_rank(tight) == d - 1:
-            keep[hid] = s
-    region.constraints = keep
+def _centroid_sign(hrow, verts, coords) -> int:
+    """Sign of the functional hrow = (grad…, const) at the centroid of verts.
+
+    Σ_v (grad·x_v + const·w_v) / w_v has the sign of the value at the centroid;
+    scaling each term by lcm(w) / w_v keeps the sum integral.
+    """
+    scale = math.lcm(*(coords[v][-1] for v in verts))
+    total = sum(_dot(hrow, coords[v]) * (scale // coords[v][-1]) for v in verts)
+    return sign(total)
+
+
+def _spans(verts, k: int, coords) -> bool:
+    """Whether the face of a polytope with these vertex ids has dimension ≥ k.
+
+    A face of dimension at most 1 has at most 2 vertices, so for k ≤ 2 the
+    vertex count decides.  Beyond that the rank decides: the homogeneous
+    coordinates of points with affine rank r have rank r + 1.
+    """
+    if len(verts) <= k:
+        return False
+    return k <= 2 or matrix_rank([coords[v] for v in verts]) > k
+
+
+def _tight_sets(constraints, verts, incidence) -> dict:
+    """hid -> the set of vertices among verts lying on it, for each hid in constraints."""
+    tight = {hid: set() for hid in constraints}
+    for v in verts:
+        for hid in incidence[v]:
+            group = tight.get(hid)
+            if group is not None:
+                group.add(v)
+    return tight
 
 
 class _Builder:
+    """Splits the box neuron by neuron into the network's linear regions.
+
+    Vertices are stored once, as homogeneous integer coordinates (see
+    exactgeom.homogenize) with the set of hyperplane ids each lies on.  Every
+    constraint of a region has been evaluated on every vertex of that region,
+    so tightness is set membership and the face lattice needs no arithmetic.
+    """
+
     def __init__(self, net: ReluNetwork, box: BoxDomain):
         if net.input_dim != box.dimension:
             raise ValueError("box dimension does not match network input")
@@ -175,56 +229,67 @@ class _Builder:
         self.box = box
         self.d = box.dimension
         self.registry = _Registry()
+        self.coords = []  # vertex id -> homogeneous int coordinates
+        self.incidence = []  # vertex id -> ids of the hyperplanes it lies on
+        self._vertex_ids = {}
         self.violations = []  # (NeuronId, region id, reason) stability events
         self.cap = _max_cells()
         self._next_rid = 0
-        base = self._new_region(
-            {},
-            set(box.corners()),
-            (
-                tuple(
-                    tuple(Fraction(1 if i == j else 0) for j in range(self.d))
-                    for i in range(self.d)
-                ),
-                (Fraction(0),) * self.d,
-            ),
-        )
+        identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
+        base = self._new_region({}, set(), (identity, (0,) * self.d, 1))
         for h, s in box.facet_halfspaces():
             base.constraints[self.registry.intern(h)] = s
+        rows = self.registry.rows
+        for corner in box.corners():
+            p = homogenize(corner)
+            vid = self._vertex(p)
+            self.incidence[vid].update(k for k in base.constraints if _dot(rows[k], p) == 0)
+            base.vertices.add(vid)
         self.regions = [base]
 
-    def _new_region(self, constraints, vertices, affine, out_affine=None) -> _Region:
-        r = _Region(self._next_rid, constraints, vertices, affine, out_affine)
+    def _new_region(self, constraints, vertices, affine) -> _Region:
+        r = _Region(self._next_rid, constraints, vertices, affine)
         self._next_rid += 1
         return r
+
+    def _vertex(self, coords) -> int:
+        """Id of the vertex with these homogeneous coordinates, new or not."""
+        vid = self._vertex_ids.get(coords)
+        if vid is None:
+            vid = len(self.coords)
+            self.coords.append(coords)
+            self.incidence.append(set())
+            self._vertex_ids[coords] = vid
+        return vid
 
     def _record(self, reason: str, neuron: NeuronId, rid: int):
         self.violations.append((neuron, rid, reason))
 
     def run_hidden(self):
         for ell, layer in enumerate(self.net.layers[:-1], start=1):
-            for i, (wrow, b) in enumerate(zip(layer.weights, layer.bias), start=1):
+            weights, bias, _ = layer.scaled
+            for i, (wrow, b) in enumerate(zip(weights, bias), start=1):
                 self._split_all(NeuronId(ell, i), wrow, b, output=False)
             self._apply_relu(layer)
 
     def run_output(self):
         if self.net.output_dim != 1:
             raise ValueError("output refinement requires a scalar-output network")
-        layer = self.net.layers[-1]
+        weights, bias, _ = self.net.layers[-1].scaled
         nid = NeuronId(len(self.net.layers), 1)
-        self._split_all(nid, layer.weights[0], layer.bias[0], output=True)
+        self._split_all(nid, weights[0], bias[0], output=True)
         self.attach_output_affine()
 
     def attach_output_affine(self):
-        layer = self.net.layers[-1]
+        """Move every region's map to the network output, in ints and in Fraction."""
+        weights, bias, layer_den = self.net.layers[-1].scaled
         for r in self.regions:
-            pairs = [
-                _restrict_functional(r.affine, wrow, b)
-                for wrow, b in zip(layer.weights, layer.bias)
-            ]
+            pairs = [_restrict_functional(r.affine, wrow, b) for wrow, b in zip(weights, bias)]
+            den = layer_den * r.affine[2]
+            r.affine = (tuple(g for g, _ in pairs), tuple(c for _, c in pairs), den)
             r.out_affine = (
-                tuple(g for g, _ in pairs),
-                tuple(c for _, c in pairs),
+                tuple(tuple(Fraction(x, den) for x in g) for g, _ in pairs),
+                tuple(Fraction(c, den) for _, c in pairs),
             )
 
     def _split_all(self, nid: NeuronId, wrow, b, output: bool):
@@ -245,82 +310,109 @@ class _Builder:
             return [r]
         h, orient = Hyperplane.from_coefficients(grad, const)
         hid = self.registry.intern(h)
-        vals = [(v, vdot(grad, v) + const) for v in r.vertices]
-        zeros = [v for v, t in vals if t == 0]
-        has_pos = any(t > 0 for _, t in vals)
-        has_neg = any(t < 0 for _, t in vals)
+        hrow = self.registry.rows[hid]
+        coords, incidence = self.coords, self.incidence
+        pos, neg, zeros = set(), set(), set()
+        for v in r.vertices:
+            t = _dot(hrow, coords[v]) * orient
+            if t > 0:
+                pos.add(v)
+            elif t < 0:
+                neg.add(v)
+            else:
+                zeros.add(v)
+                incidence[v].add(hid)
         if output and zeros:
             # the output zero-set through a vertex of the canonical complex is
             # a topological-stability violation whether or not it splits
             self._record("vertex-on-hyperplane", nid, r.rid)
-        if not (has_pos and has_neg):
+        if not (pos and neg):
             return [r]
         if zeros and not output:
             self._record("vertex-on-hyperplane", nid, r.rid)
-        facet = set(zeros)
-        d = self.d
-        hps = self.registry.hp
-        keys = sorted(r.constraints)
-        for combo in itertools.combinations(keys, d - 1):
-            p = solve_vertex([hps(k) for k in combo] + [h], d)
-            if p is None or p in facet:
+        facet = zeros
+        hps, rows = self.registry.hp, self.registry.rows
+        # A new vertex lies inside an edge of the region that h crosses, and
+        # d − 1 of the constraints tight on that edge meet h there; so only
+        # combinations tight on both a positive and a negative vertex are solved.
+        on = _tight_sets(r.constraints, r.vertices, incidence)
+        for combo in itertools.combinations(sorted(r.constraints), self.d - 1):
+            edge = r.vertices.intersection(*(on[k] for k in combo))
+            if pos.isdisjoint(edge) or neg.isdisjoint(edge):
                 continue
-            if all(hps(k).eval_at(p) * s >= 0 for k, s in r.constraints.items()):
-                facet.add(p)
-        pos_side = self._new_region(
-            dict(r.constraints),
-            {v for v, t in vals if t > 0} | facet,
-            r.affine,
-            r.out_affine,
-        )
+            p = intersect_hyperplanes([hps(k) for k in combo] + [h])
+            if p is None or self._vertex_ids.get(p) in facet:
+                continue
+            # evaluate every constraint, so the new vertex's incidence is complete
+            tight = [hid]
+            for k, s in r.constraints.items():
+                t = _dot(rows[k], p) * s
+                if t < 0:
+                    break
+                if t == 0:
+                    tight.append(k)
+            else:
+                vid = self._vertex(p)
+                incidence[vid].update(tight)
+                facet.add(vid)
+        pos_side = self._new_region(dict(r.constraints), pos | facet, r.affine)
         pos_side.constraints[hid] = orient
-        neg_side = self._new_region(
-            dict(r.constraints),
-            {v for v, t in vals if t < 0} | facet,
-            r.affine,
-            r.out_affine,
-        )
+        neg_side = self._new_region(dict(r.constraints), neg | facet, r.affine)
         neg_side.constraints[hid] = -orient
         for child in (pos_side, neg_side):
-            _prune_constraints(child, self.registry, d)
+            self._prune_constraints(child)
         return [pos_side, neg_side]
 
+    def _prune_constraints(self, region: _Region):
+        """Keep only the constraints that define a facet of the region."""
+        tight = _tight_sets(region.constraints, region.vertices, self.incidence)
+        region.constraints = {
+            hid: s
+            for hid, s in region.constraints.items()
+            if _spans(tight[hid], self.d - 1, self.coords)
+        }
+
     def _apply_relu(self, layer):
+        weights, bias, layer_den = layer.scaled
+        zero = (0,) * self.d
         for r in self.regions:
-            cen = centroid(r.vertices)
+            den = layer_den * r.affine[2]
             rows, consts = [], []
-            for wrow, b in zip(layer.weights, layer.bias):
+            for wrow, b in zip(weights, bias):
                 grad, const = _restrict_functional(r.affine, wrow, b)
-                if vdot(grad, cen) + const > 0:
+                if _centroid_sign(grad + (const,), r.vertices, self.coords) > 0:
                     rows.append(grad)
                     consts.append(const)
                 else:
-                    rows.append((Fraction(0),) * self.d)
-                    consts.append(Fraction(0))
-            r.affine = (tuple(rows), tuple(consts))
+                    rows.append(zero)
+                    consts.append(0)
+            g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
+            r.affine = (
+                tuple(tuple(x // g for x in row) for row in rows),
+                tuple(c // g for c in consts),
+                den // g,
+            )
 
 
-def _label(value) -> str:
-    s = sign(value)
+def _label(s: int) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
 
 
 def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
     regions, box, registry = b.regions, b.box, b.registry
+    coords, incidence = b.coords, b.incidence
     d = box.dimension
     cap = _max_cells()
-    info = {}  # frozenset(vertices) -> (dim, owner region)
+    info = {}  # frozenset(vertex ids) -> (dim, owner region)
     incid = set()  # (face key, coface key)
 
     def descend(key, verts, dim, owner):
         if dim == 0:
             return
-        for hid in owner.constraints:
-            h = registry.hp(hid)
-            tight = tuple(v for v in verts if h.eval_at(v) == 0)
-            if not tight or len(tight) > len(verts) - 1:
+        for tight in _tight_sets(owner.constraints, verts, incidence).values():
+            if not tight or len(tight) == len(verts):
                 continue
-            if affine_rank(tight) != dim - 1:
+            if not _spans(tight, dim - 1, coords):
                 continue
             subkey = frozenset(tight)
             incid.add((subkey, key))
@@ -336,32 +428,34 @@ def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
         key = frozenset(r.vertices)
         if key not in info:
             info[key] = (d, r)
-            descend(key, tuple(r.vertices), d, r)
+            descend(key, r.vertices, d, r)
 
-    ordered = sorted(info.items(), key=lambda kv: (kv[1][0], sorted(kv[0])))
+    # cells, and the vertices within each, are ordered by their rational points
+    points = {v: dehomogenize(coords[v]) for r in regions for v in r.vertices}
+    rank = {v: i for i, v in enumerate(sorted(points, key=points.__getitem__))}
+    ordered = sorted(
+        info.items(), key=lambda kv: (kv[1][0], sorted(map(rank.__getitem__, kv[0])))
+    )
     ids = {key: i for i, (key, _) in enumerate(ordered)}
     cells = {}
     for key, (dim, owner) in ordered:
         cid = ids[key]
-        verts = tuple(sorted(key))
-        affine_map = owner.out_affine
+        verts = sorted(key, key=rank.__getitem__)
         if signed:
-            rows, consts = affine_map
-            cen = centroid(verts)
-            label = _label(vdot(rows[0], cen) + consts[0])
+            rows, consts, _ = owner.affine
+            label = _label(_centroid_sign(rows[0] + (consts[0],), verts, coords))
         else:
             label = "unsigned"
-        constraints = []
-        for hid, s in sorted(owner.constraints.items()):
-            h = registry.hp(hid)
-            tight = all(h.eval_at(v) == 0 for v in verts)
-            constraints.append((hid, 0 if tight else s))
+        common = set.intersection(*(incidence[v] for v in verts))
+        constraints = tuple(
+            (hid, 0 if hid in common else s) for hid, s in sorted(owner.constraints.items())
+        )
         cells[cid] = Cell(
             id=cid,
             dim=dim,
-            vertices=verts,
-            active_constraints=tuple(constraints),
-            affine_map=affine_map,
+            vertices=tuple(points[v] for v in verts),
+            active_constraints=constraints,
+            affine_map=owner.out_affine,
             sign_label=label,
         )
     fields = dict(

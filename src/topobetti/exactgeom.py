@@ -4,7 +4,9 @@ All core arithmetic is over the rationals: scalars are Python ints or
 fractions.Fraction, vectors are tuples of scalars, matrices are tuples of row
 tuples.  Hyperplanes are normalized to primitive integer coefficients so that
 geometrically equal hyperplanes compare equal structurally, which the
-arrangement module relies on for deduplication.
+arrangement module relies on for deduplication.  Points can also be held in
+homogeneous integer coordinates (homogenize), the form in which the
+arrangement stores its vertices and intersect_hyperplanes returns them.
 
 Floating point never appears here.
 """
@@ -72,11 +74,27 @@ def centroid(points: Iterable[Sequence]) -> tuple:
 
 def _clear_row(row: Sequence) -> list:
     """Scale a rational row to integers (multiply by the lcm of denominators)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in row))  # an int's denominator is 1
+    if den == 1:
+        return [int(x) for x in row]
     return [int(x * den) for x in row]
+
+
+def homogenize(point: Sequence) -> tuple:
+    """Homogeneous integer coordinates (x_1, …, x_d, w) of a rational point.
+
+    The point is x / w with w > 0 and gcd(x_1, …, x_d, w) = 1, so every
+    rational point has exactly one such tuple.
+    """
+    ints = _clear_row(list(point) + [Fraction(1)])
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def dehomogenize(coords: Sequence) -> tuple:
+    """The rational point x / w of homogeneous coordinates (x_1, …, x_d, w)."""
+    w = coords[-1]
+    return tuple(Fraction(x, w) for x in coords[:-1])
 
 
 @dataclass(frozen=True)
@@ -169,30 +187,51 @@ class BoxDomain:
         return vol
 
 
-def solve_vertex(hyperplanes: Sequence[Hyperplane], dimension: int) -> Optional[tuple]:
-    """Intersection point of `dimension` hyperplanes, or None if dependent.
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det_sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            det_sign = -det_sign
+        rk = a[k]
+        p = rk[k]
+        for ri in a[k + 1 :]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return det_sign * a[n - 1][n - 1] if n else 1
 
-    Plain Gaussian elimination over Fraction; systems here are at most 4×4.
+
+def intersect_hyperplanes(hyperplanes: Sequence[Hyperplane]) -> Optional[tuple]:
+    """Common point of d hyperplanes in R^d, or None if they are dependent.
+
+    The point is returned in homogeneous integer coordinates (see homogenize).
+    Cramer's rule over integers: x_i = det(A_i) / det(A), with fraction-free
+    determinants.
     """
-    if len(hyperplanes) != dimension:
-        raise ValueError("need exactly `dimension` hyperplanes")
-    for h in hyperplanes:
-        if len(h.normal) != dimension:
-            raise ValueError("hyperplane dimension mismatch")
-    a = [[Fraction(v) for v in h.normal] + [Fraction(-h.offset)] for h in hyperplanes]
-    n = dimension
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+    n = len(hyperplanes)
+    if any(len(h.normal) != n for h in hyperplanes):
+        raise ValueError("need exactly d hyperplanes in R^d")
+    a = [h.normal for h in hyperplanes]
+    den = _int_det(a)
+    if den == 0:
+        return None
+    rhs = [-h.offset for h in hyperplanes]
+    num = [
+        _int_det([row[:i] + (b,) + row[i + 1 :] for row, b in zip(a, rhs)])
+        for i in range(n)
+    ]
+    if den < 0:
+        num, den = [-x for x in num], -den
+    g = math.gcd(den, *num)
+    return tuple(x // g for x in num) + (den // g,)
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
-from .exactgeom import format_rational, parse_rational, vdot
+from .exactgeom import format_rational, homogenize, parse_rational, vdot
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,20 @@ class AffineLayer:
     def in_dim(self) -> int:
         return len(self.weights[0])
 
-    def apply(self, x: Sequence) -> tuple:
-        if len(x) != self.in_dim:
-            raise ValueError("dimension mismatch in affine layer")
-        return tuple(vdot(row, x) + b for row, b in zip(self.weights, self.bias))
+    @cached_property
+    def scaled(self) -> tuple:
+        """The layer over one common denominator: (int weights, int bias, den).
+
+        weights·x + bias == (int weights·x + int bias) / den, with den > 0.
+        """
+        entries = [Fraction(v) for row in self.weights for v in row]
+        entries += [Fraction(v) for v in self.bias]
+        den = math.lcm(*(v.denominator for v in entries))
+        return (
+            tuple(tuple(int(v * den) for v in row) for row in self.weights),
+            tuple(int(v * den) for v in self.bias),
+            den,
+        )
 
 
 @dataclass(frozen=True)
@@ -80,16 +93,24 @@ class NeuronId:
     index: int
 
 
-def _relu(v: Sequence) -> tuple:
-    return tuple(x if x > 0 else Fraction(0) for x in v)
-
-
 def eval_network(net: ReluNetwork, x: Sequence) -> tuple:
-    """Exact forward pass; returns the output vector (no final activation)."""
-    v = tuple(Fraction(c) for c in x)
-    for layer in net.layers[:-1]:
-        v = _relu(layer.apply(v))
-    return net.layers[-1].apply(v)
+    """Exact forward pass; returns the output vector (no final activation).
+
+    The input is scaled to integers over one common denominator and every
+    layer runs on integers (see AffineLayer.scaled); the output is converted
+    to Fraction once at the end.
+    """
+    if len(x) != net.input_dim:
+        raise ValueError("input dimension does not match the network")
+    *v, den = homogenize([Fraction(c) for c in x])
+    last = len(net.layers) - 1
+    for k, layer in enumerate(net.layers):
+        weights, bias, layer_den = layer.scaled
+        v = [sum(map(mul, row, v)) + b * den for row, b in zip(weights, bias)]
+        den *= layer_den
+        if k != last:
+            v = [t if t > 0 else 0 for t in v]
+    return tuple(Fraction(t, den) for t in v)
 
 
 def eval_scalar(net: ReluNetwork, x: Sequence) -> Fraction:

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from conftest import REFERENCE_INSTANCES
 from helpers import box_complex, ring_cubes_2d
 from topobetti.arrangement import (
     ComplexSizeError,
@@ -163,3 +165,51 @@ class TestSignedAndSublevel:
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         sc = signed_complex(net, BoxDomain.unit_cube(2))
         assert validate_complex(sc) == []
+
+
+# sha256 of complex_digest(signed_complex(...)) for each reference instance,
+# as (with offset, without offset); recorded from the Fraction-arithmetic build
+# the integer kernel replaced, so any change to cells, vertex order, faces,
+# constraint signs, affine maps, labels or stability events shows here.
+GOLDEN_DIGESTS = {
+    "d2-M4-w3": (
+        "b4335ef40764da72c4d75bb81fee84113c3b8f7da1cc8486388577cadbacd5cc",
+        "10c299352e3c6df19903f5a837889f94268e164b860403dbc234dc78e52dcf10",
+    ),
+    "d2-M8-w4": (
+        "aefd8073d6c35e55fd7330cf39546d4da23ec619376968cb008eb8e3fe7f7647",
+        "1948071440d31639c6df5494b82a5824d3455ded02cceb97e292d90bcf469684",
+    ),
+    "d3-M2-w11": (
+        "a7eb928b733672c3f210064fa3f8ad4cf6135628b6c7b9debe281abf9c62a00c",
+        "04029421327322d413892d6569f35c63d89fb1e519cb9c3fb3bd75379a6e7030",
+    ),
+    "d3-M4-w11": (
+        "125cae9603576848175d8ba16ebd7f46b852f22d0049da3aa7d68cc42396ab62",
+        "f1393ab62a1817cdf3608f99b13f378c8c4ab442c2e207ee9b5a35f74189cfcc",
+    ),
+}
+
+
+def complex_digest(sc) -> str:
+    blob = repr(
+        (
+            sorted(
+                (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
+                for cid, c in sc.cells.items()
+            ),
+            sorted(sc.faces),
+            sc.constraints,
+            sc.violations,
+        )
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestGoldenComplex:
+    @pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])
+    @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
+    def test_reference_complex_is_unchanged(self, name, d, m_vec, w_vec, with_offset):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
+        sc = signed_complex(net, BoxDomain.unit_cube(d))
+        assert complex_digest(sc) == GOLDEN_DIGESTS[name][0 if with_offset else 1]

@@ -10,11 +10,13 @@ from topobetti.exactgeom import (
     Hyperplane,
     affine_rank,
     centroid,
+    dehomogenize,
     format_rational,
+    homogenize,
+    intersect_hyperplanes,
     matrix_rank,
     parse_rational,
     sign,
-    solve_vertex,
     vdot,
 )
 
@@ -196,20 +198,23 @@ class TestMatrixRank:
 
 
 class TestSolveVertex:
+    """intersect_hyperplanes: the common point of d hyperplanes in R^d."""
+
     def test_unique_intersection(self):
         h1, _ = Hyperplane.from_coefficients((1, 0), -Fraction(1, 3))
         h2, _ = Hyperplane.from_coefficients((1, 1), -1)
-        assert solve_vertex((h1, h2), 2) == (Fraction(1, 3), Fraction(2, 3))
+        assert intersect_hyperplanes((h1, h2)) == (1, 2, 3)
+        assert dehomogenize(intersect_hyperplanes((h1, h2))) == (Fraction(1, 3), Fraction(2, 3))
 
     def test_dependent_system_returns_none(self):
         h1, _ = Hyperplane.from_coefficients((1, 1), 0)
         h2, _ = Hyperplane.from_coefficients((2, 2), -1)
-        assert solve_vertex((h1, h2), 2) is None
+        assert intersect_hyperplanes((h1, h2)) is None
 
     def test_wrong_count_rejected(self):
         h, _ = Hyperplane.from_coefficients((1, 0), 0)
         with pytest.raises(ValueError):
-            solve_vertex((h,), 2)
+            intersect_hyperplanes((h,))
 
     @given(
         st.lists(
@@ -226,19 +231,33 @@ class TestSolveVertex:
             ]
         except ValueError:
             return
-        x = solve_vertex(planes, 3)
-        if x is None:
+        p = intersect_hyperplanes(planes)
+        if p is None:
             assert matrix_rank(normals) < 3
         else:
-            assert all(h.eval_at(x) == 0 for h in planes)
+            assert p[-1] > 0 and homogenize(dehomogenize(p)) == p
+            assert all(h.eval_at(dehomogenize(p)) == 0 for h in planes)
 
     def test_order_independent(self):
         planes = [
             Hyperplane.from_coefficients(n, b)[0]
             for n, b in [((1, 2, 0), -1), ((0, 1, 1), 2), ((1, 0, 3), 0)]
         ]
-        sols = {solve_vertex(tuple(p), 3) for p in permutations(planes)}
+        sols = {intersect_hyperplanes(tuple(p)) for p in permutations(planes)}
         assert len(sols) == 1
+
+
+class TestHomogeneousCoordinates:
+    def test_normalised(self):
+        assert homogenize((Fraction(1, 2), Fraction(-2, 3))) == (3, -4, 6)
+        assert homogenize((0, 0)) == (0, 0, 1)
+        assert homogenize((Fraction(4), 6)) == (4, 6, 1)
+
+    @given(st.lists(rationals, min_size=1, max_size=4))
+    def test_round_trip(self, point):
+        h = homogenize(point)
+        assert h[-1] > 0
+        assert dehomogenize(h) == tuple(point)
 
 
 class TestAffineRank:

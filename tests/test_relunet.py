@@ -79,6 +79,10 @@ class TestEvaluation:
         )
         assert eval_scalar(net, (scale * x,)) == scale * eval_scalar(net, (x,))
 
+    def test_wrong_input_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            eval_network(_tent(2), (Fraction(0), Fraction(0)))
+
 
 class TestCompose:
     def test_fuses_affine_boundary(self):
