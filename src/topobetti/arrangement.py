@@ -33,7 +33,6 @@ from .exactgeom import (
     BoxDomain,
     Hyperplane,
     affine_rank,
-    centroid,
     dehomogenize,
     homogenize,
     matrix_rank,
@@ -70,7 +69,7 @@ class Cell:
     active_constraints lists (constraint-id, sign) pairs over the complex's
     hyperplane table; sign 0 marks constraints the cell satisfies with
     equality.  affine_map = (matrix, bias) is the network's affine restriction
-    on the cell (scalar output: a 1×d matrix).
+    on the cell (a 1×d matrix: the output is scalar).
     """
 
     id: int
@@ -265,31 +264,29 @@ class _Builder:
     def _record(self, reason: str, neuron: NeuronId, rid: int):
         self.violations.append((neuron, rid, reason))
 
-    def run_hidden(self):
+    def run(self):
+        """Split by every hidden neuron, then by the output zero-set.
+
+        Afterwards every region's map is the network output, in ints and in
+        Fraction (Cell.affine_map).
+        """
+        if self.net.output_dim != 1:
+            raise ValueError("the arrangement requires a scalar-output network")
         for ell, layer in enumerate(self.net.layers[:-1], start=1):
             weights, bias, _ = layer.scaled
             for i, (wrow, b) in enumerate(zip(weights, bias), start=1):
                 self._split_all(NeuronId(ell, i), wrow, b, output=False)
             self._apply_relu(layer)
-
-    def run_output(self):
-        if self.net.output_dim != 1:
-            raise ValueError("output refinement requires a scalar-output network")
-        weights, bias, _ = self.net.layers[-1].scaled
-        nid = NeuronId(len(self.net.layers), 1)
-        self._split_all(nid, weights[0], bias[0], output=True)
-        self.attach_output_affine()
-
-    def attach_output_affine(self):
-        """Move every region's map to the network output, in ints and in Fraction."""
         weights, bias, layer_den = self.net.layers[-1].scaled
+        wrow, b = weights[0], bias[0]
+        self._split_all(NeuronId(len(self.net.layers), 1), wrow, b, output=True)
         for r in self.regions:
-            pairs = [_restrict_functional(r.affine, wrow, b) for wrow, b in zip(weights, bias)]
+            grad, const = _restrict_functional(r.affine, wrow, b)
             den = layer_den * r.affine[2]
-            r.affine = (tuple(g for g, _ in pairs), tuple(c for _, c in pairs), den)
+            r.affine = ((grad,), (const,), den)
             r.out_affine = (
-                tuple(tuple(Fraction(x, den) for x in g) for g, _ in pairs),
-                tuple(Fraction(c, den) for _, c in pairs),
+                (tuple(Fraction(x, den) for x in grad),),
+                (Fraction(const, den),),
             )
 
     def _split_all(self, nid: NeuronId, wrow, b, output: bool):
@@ -398,11 +395,10 @@ def _label(s: int) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
 
 
-def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
-    regions, box, registry = b.regions, b.box, b.registry
+def _assemble(b: _Builder) -> SignedComplex:
+    regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
-    cap = _max_cells()
     info = {}  # frozenset(vertex ids) -> (dim, owner region)
     incid = set()  # (face key, coface key)
 
@@ -441,11 +437,8 @@ def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
     for key, (dim, owner) in ordered:
         cid = ids[key]
         verts = sorted(key, key=rank.__getitem__)
-        if signed:
-            rows, consts, _ = owner.affine
-            label = _label(_centroid_sign(rows[0] + (consts[0],), verts, coords))
-        else:
-            label = "unsigned"
+        rows, consts, _ = owner.affine
+        label = _label(_centroid_sign(rows[0] + (consts[0],), verts, coords))
         common = set.intersection(*(incidence[v] for v in verts))
         constraints = tuple(
             (hid, 0 if hid in common else s) for hid, s in sorted(owner.constraints.items())
@@ -458,37 +451,21 @@ def _assemble(b: _Builder, signed: bool) -> PolyhedralComplex:
             affine_map=owner.out_affine,
             sign_label=label,
         )
-    fields = dict(
+    return SignedComplex(
         cells=cells,
         faces=frozenset((ids[f], ids[c]) for f, c in incid),
         ambient_dim=d,
         box=box,
         constraints=tuple(registry.hyperplanes),
+        violations=tuple(b.violations),
     )
-    if signed:
-        return SignedComplex(**fields, violations=tuple(b.violations))
-    return PolyhedralComplex(**fields)
-
-
-def canonical_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
-    """Face lattice of the network's linear pieces within the box.
-
-    Cells carry the network's affine restriction but no sign labels, and the
-    network may have any output dimension; for a scalar-output network,
-    signed_complex also splits along the output zero-set and labels cells.
-    """
-    b = _Builder(net, box)
-    b.run_hidden()
-    b.attach_output_affine()
-    return _assemble(b, signed=False)
 
 
 def signed_complex(net: ReluNetwork, box: BoxDomain) -> SignedComplex:
     """One-pass construction of the output-refined, sign-labeled complex."""
     b = _Builder(net, box)
-    b.run_hidden()
-    b.run_output()
-    return _assemble(b, signed=True)
+    b.run()
+    return _assemble(b)
 
 
 def sublevel_subcomplex(sc: SignedComplex) -> PolyhedralComplex:
@@ -552,35 +529,32 @@ def _det(rows):
 
 
 def cell_volume(complex: PolyhedralComplex, cell_id: int):
-    """Exact volume of a full-dimensional cell via barycentric triangulation.
+    """Exact volume of a full-dimensional cell via a pulling triangulation.
 
-    Sums |det| / d! over all maximal flags of the cell's face lattice, each
-    flag contributing the simplex of barycenters of its faces.
+    Each face is coned from its first vertex over its facets that miss that
+    vertex; the volume is Σ |det| / d! over the resulting simplices.
     """
     cell = complex.cells[cell_id]
     d = complex.ambient_dim
     if cell.dim != d:
         raise ValueError("volume is defined for full-dimensional cells")
-    fmap = complex.face_map()
-    total = Fraction(0)
+    cells, fmap = complex.cells, complex.face_map()
 
-    def flags(cid):
-        c = complex.cells[cid]
-        if c.dim == 0:
-            yield [c]
+    def simplices(cid):
+        apex = cells[cid].vertices[0]
+        if cells[cid].dim == 0:
+            yield [apex]
             return
         for f in fmap[cid]:
-            for rest in flags(f):
-                yield rest + [c]
+            if apex not in cells[f].vertices:
+                for rest in simplices(f):
+                    yield [apex] + rest
 
-    fact = 1
-    for i in range(1, d + 1):
-        fact *= i
-    for flag in flags(cell_id):
-        bary = [centroid(c.vertices) for c in flag]
-        rows = [[b[i] - bary[0][i] for i in range(d)] for b in bary[1:]]
-        total += abs(_det(rows))
-    return total / fact
+    total = Fraction(0)
+    for simplex in simplices(cell_id):
+        p0 = simplex[0]
+        total += abs(_det([[x - y for x, y in zip(p, p0)] for p in simplex[1:]]))
+    return total / math.factorial(d)
 
 
 def validate_complex(complex: PolyhedralComplex):

@@ -43,7 +43,10 @@ def _int_list(text: str) -> tuple:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _parse_box(text: str, d: int) -> BoxDomain:
+def _parse_box(text: str | None, d: int) -> BoxDomain:
+    """The --box argument for dimension d; the unit cube when it is omitted."""
+    if text is None:
+        return BoxDomain.unit_cube(d)
     try:
         vals = [parse_rational(tok) for tok in text.split(",")]
     except ValueError as exc:
@@ -88,11 +91,7 @@ def cmd_analyze(args) -> int:
     net = load_network(args.network)
     if net.output_dim != 1:
         raise CliError("analyze requires a scalar-output network")
-    box = (
-        BoxDomain.unit_cube(net.input_dim)
-        if args.box is None
-        else _parse_box(args.box, net.input_dim)
-    )
+    box = _parse_box(args.box, net.input_dim)
     predicted = None
     if args.predict is not None:
         vals = _int_list(args.predict)
@@ -141,11 +140,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_stability(args) -> int:
     net = load_network(args.network)
-    box = (
-        BoxDomain.unit_cube(net.input_dim)
-        if args.box is None
-        else _parse_box(args.box, net.input_dim)
-    )
+    box = _parse_box(args.box, net.input_dim)
     if args.delta is None:
         rep = check_stability(net, box)
     else:
@@ -160,11 +155,7 @@ def cmd_stability(args) -> int:
 
 def cmd_oracle(args) -> int:
     net = load_network(args.network)
-    box = (
-        BoxDomain.unit_cube(net.input_dim)
-        if args.box is None
-        else _parse_box(args.box, net.input_dim)
-    )
+    box = _parse_box(args.box, net.input_dim)
     try:
         sg = grid_sign_sample(net, box, args.resolution)
     except ValueError as exc:
@@ -184,6 +175,8 @@ def cmd_report(args) -> int:
             data = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(str(exc))
+    if not isinstance(data, dict):
+        raise CliError("a report file holds a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported report schema {data.get('schema')!r}")
     _print_json(data)

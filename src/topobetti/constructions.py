@@ -1,6 +1,6 @@
 """Builders for the folding / cutting / carving network family plus the
-closed-form combinatorics (cutting-point counts, Betti predictions, Euler
-characteristic, Serra region bound, binomial Betti bound).
+closed-form combinatorics (Betti predictions, Euler characteristic, Serra
+region bound, binomial Betti bound).
 
 Geometry of the family, briefly: a folding network maps each of M^d small
 cubes of side 1/M onto the unit cube by scaling and alternating mirroring.  A
@@ -75,18 +75,6 @@ class BettiVector:
     def __post_init__(self):
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers are nonnegative")
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __add__(self, other: "BettiVector") -> "BettiVector":
-        if len(self.values) != len(other.values):
-            raise ValueError("dimension mismatch")
-        return BettiVector(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
 def build_folding_layer(m: int, d: int) -> ReluNetwork:
@@ -203,41 +191,6 @@ def build_topo_network(fold: FoldingSpec, cut: CuttingSpec, with_offset: bool = 
             + (AffineLayer(last.weights, tuple(v + b for v in last.bias)),)
         )
     return net
-
-
-@dataclass(frozen=True)
-class CuttingPoints:
-    interior: tuple
-    boundary: tuple
-
-    @property
-    def all(self) -> tuple:
-        return self.interior + self.boundary
-
-
-def cutting_points(M: int, d: int) -> CuttingPoints:
-    """Grid points x'_i/M with x'_i odd for i < d and x'_d even, within [0,1]^d.
-
-    Interior points have x'_d ∉ {0, M}.  Counts: (M/2)^{d−1}(M/2+1) total,
-    (M/2)^{d−1}(M/2−1) interior, 2(M/2)^{d−1} boundary.
-    """
-    if M < 2 or M % 2 != 0:
-        raise ValueError("M must be even and ≥ 2")
-    if d < 1:
-        raise ValueError("dimension must be ≥ 1")
-    import itertools
-
-    odds = [Fraction(i, M) for i in range(1, M, 2)]
-    evens = [Fraction(i, M) for i in range(0, M + 1, 2)]
-    interior, boundary = [], []
-    for head in itertools.product(odds, repeat=d - 1):
-        for last in evens:
-            p = head + (last,)
-            if last == 0 or last == 1:
-                boundary.append(p)
-            else:
-                interior.append(p)
-    return CuttingPoints(tuple(interior), tuple(boundary))
 
 
 def predict_betti(M: int, w_vec: Sequence[int], d: int) -> BettiVector:

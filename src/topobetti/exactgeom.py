@@ -234,35 +234,50 @@ def intersect_hyperplanes(hyperplanes: Sequence[Hyperplane]) -> Optional[tuple]:
     return tuple(x // g for x in num) + (den // g,)
 
 
-def matrix_rank(m: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination.
+def sparse_rank(rows) -> int:
+    """Exact rank of a sparse integer matrix (rows are dicts col -> value).
 
-    Rows are cleared to integers first so all intermediate values stay integral.
+    Elimination is fraction-free: each update is (row·p − v·pivot_row) divided
+    by its content.  Pivots prefer sparse rows with unit entries, which keeps
+    boundary-matrix eliminations essentially free of coefficient growth.
     """
-    rows = [_clear_row(r) for r in m]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    rows = [dict(r) for r in rows if r]
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            rv = rows[r][col]
-            rows[r] = [
-                (pval * rows[r][j] - rv * rows[rank][j]) // prev
-                for j in range(ncols)
-            ]
-        prev = pval
+    while rows:
+        pi = min(range(len(rows)), key=lambda i: len(rows[i]))
+        piv = rows.pop(pi)
+        pc = min(piv, key=lambda c: (abs(piv[c]) != 1, abs(piv[c])))
+        pval = piv[pc]
         rank += 1
-        if rank == len(rows):
-            break
+        nxt = []
+        for r in rows:
+            v = r.pop(pc, None)
+            if v:
+                merged = {c: x * pval for c, x in r.items()}
+                for c, x in piv.items():
+                    if c == pc:
+                        continue
+                    y = merged.get(c, 0) - v * x
+                    if y:
+                        merged[c] = y
+                    else:
+                        merged.pop(c, None)
+                if merged:
+                    g = 0
+                    for x in merged.values():
+                        g = math.gcd(g, abs(x))
+                    if g > 1:
+                        merged = {c: x // g for c, x in merged.items()}
+                    nxt.append(merged)
+            elif r:
+                nxt.append(r)
+        rows = nxt
     return rank
+
+
+def matrix_rank(m: Sequence[Sequence]) -> int:
+    """Exact rank over the rationals: sparse_rank of the rows cleared to integers."""
+    return sparse_rank({j: v for j, v in enumerate(_clear_row(r)) if v} for r in m)
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:

@@ -14,7 +14,6 @@ orders of magnitude; ranks are then exact fraction-free eliminations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .constructions import (
     euler_characteristic,
     serra_region_bound,
 )
-from .exactgeom import BoxDomain
+from .exactgeom import BoxDomain, sparse_rank
 from .relunet import ReluNetwork, network_fingerprint
 from .report import AnalysisReport
 
@@ -40,12 +39,6 @@ class SimplicialComplex:
     """Simplices grouped by dimension; each simplex is an increasing cell-id chain."""
 
     simplices: tuple  # simplices[k] = sorted tuple of k-simplices (tuples of cell ids)
-
-    def count(self, k: int) -> int:
-        return len(self.simplices[k]) if k < len(self.simplices) else 0
-
-    def euler(self) -> int:
-        return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
 
 
 def _poset_successors(pc: PolyhedralComplex):
@@ -132,49 +125,6 @@ def _collapse(simplices):
     return out
 
 
-def _sparse_rank(rows) -> int:
-    """Exact rank of a sparse integer matrix (rows are dicts col -> value).
-
-    Elimination is fraction-free: each update is (row·p − v·pivot_row) divided
-    by its content.  Pivots prefer sparse rows with unit entries, which keeps
-    boundary-matrix eliminations essentially free of coefficient growth.
-    """
-    import math
-
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        pi = min(range(len(rows)), key=lambda i: len(rows[i]))
-        piv = rows.pop(pi)
-        pc = min(piv, key=lambda c: (abs(piv[c]) != 1, abs(piv[c])))
-        pval = piv[pc]
-        rank += 1
-        nxt = []
-        for r in rows:
-            v = r.pop(pc, None)
-            if v:
-                merged = {c: x * pval for c, x in r.items()}
-                for c, x in piv.items():
-                    if c == pc:
-                        continue
-                    y = merged.get(c, 0) - v * x
-                    if y:
-                        merged[c] = y
-                    else:
-                        merged.pop(c, None)
-                if merged:
-                    g = 0
-                    for x in merged.values():
-                        g = math.gcd(g, abs(x))
-                    if g > 1:
-                        merged = {c: x // g for c, x in merged.items()}
-                    nxt.append(merged)
-            elif r:
-                nxt.append(r)
-        rows = nxt
-    return rank
-
-
 def _boundary_rows(simplices, faces):
     """Sparse rows of ∂ on k-simplices, over the given (k−1)-simplices.
 
@@ -198,17 +148,12 @@ def _component_betti(simplices, max_k: int):
     ranks = [0] * (max(top, max_k) + 2)
     for k in range(1, top + 1):
         rows = _boundary_rows(reduced.get(k, []), reduced.get(k - 1, []))
-        ranks[k] = _sparse_rank(rows)
+        ranks[k] = sparse_rank(rows)
     betas = []
     for k in range(max_k + 1):
         n = counts[k] if k <= top else 0
         betas.append(n - ranks[k] - ranks[k + 1])
     return betas
-
-
-def connected_components(pc: PolyhedralComplex) -> int:
-    """Number of connected components of the support (union-find on incidence)."""
-    return len(_component_cells(pc))
 
 
 def _component_cells(pc: PolyhedralComplex):
@@ -255,24 +200,17 @@ def analyze_network(
 ) -> AnalysisReport:
     """End-to-end exact Betti computation of F⁻¹((−∞,0]) ∩ box.
 
-    Runs the arrangement pipeline (canonical complex → output refinement →
-    sublevel subcomplex → homology) and packages region counts and upper
+    Runs the arrangement pipeline (output-refined signed complex → sublevel
+    subcomplex → homology) and packages region counts and upper
     bounds; optional closed-form predictions and an oracle β₀ are recorded for
     reconciliation.
     """
-    if net.output_dim != 1:
-        raise ValueError("analysis requires a scalar-output network")
     if box is None:
         box = BoxDomain.unit_cube(net.input_dim)
     d = box.dimension
-    timings = {}
-    t0 = time.perf_counter()
     sc = signed_complex(net, box)
-    timings["arrangement"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     sub = sublevel_subcomplex(sc)
     betti = betti_numbers(sub)
-    timings["homology"] = time.perf_counter() - t0
     regions = linear_region_count(sc)
     serra = serra_region_bound(net.architecture)
     binom = [betti_upper_bound(net.architecture, k, 0) for k in range(d)]
@@ -297,6 +235,5 @@ def analyze_network(
         euler=euler_characteristic(betti),
         euler_cells=sub.euler_cells(),
         oracle_beta0=oracle_beta0,
-        timings=timings,
         violations=sc.violations,
     )

@@ -154,8 +154,8 @@ def network_to_json(net: ReluNetwork) -> dict:
 
 
 def network_from_json(obj: dict) -> ReluNetwork:
-    if not isinstance(obj, dict) or "layers" not in obj:
-        raise ValueError("malformed network file: missing layers")
+    if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
+        raise ValueError("malformed network file: layers must be a list")
     layers = []
     for i, layer in enumerate(obj["layers"]):
         try:
@@ -170,7 +170,7 @@ def network_from_json(obj: dict) -> ReluNetwork:
         net = ReluNetwork(tuple(layers))
     except ValueError as e:
         raise ValueError(f"layer shapes do not chain: {e}") from e
-    if "architecture" in obj and tuple(obj["architecture"]) != net.architecture:
+    if "architecture" in obj and obj["architecture"] != list(net.architecture):
         raise ValueError(
             f"declared architecture {obj['architecture']} does not match layers "
             f"{list(net.architecture)}"

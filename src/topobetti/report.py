@@ -26,9 +26,8 @@ class AnalysisReport:
     euler: int
     euler_cells: int  # alternating cell count of the sublevel subcomplex
     oracle_beta0: Optional[int]
-    timings: dict
     # stability events of the arrangement build, (NeuronId, region-id, reason);
-    # like timings they stay out of the JSON, so reports keep their schema
+    # they stay out of the JSON, so reports keep their schema
     violations: tuple
 
     @property
@@ -49,7 +48,7 @@ class AnalysisReport:
             return None
         return self.betti.values[0] == self.oracle_beta0
 
-    def to_json(self, include_timings: bool = False) -> dict:
+    def to_json(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "architecture": list(self.architecture),
@@ -70,12 +69,11 @@ class AnalysisReport:
             "bounds_satisfied": self.bounds_satisfied,
             "predicted_agrees": self.predicted_agrees,
             "oracle_agrees": self.oracle_agrees,
-            # timings vary run to run; omitted by default so reports are
-            # byte-stable for identical inputs
-            "timings": dict(self.timings) if include_timings else None,
+            # no timings are recorded; the key keeps the schema-1 layout
+            "timings": None,
         }
 
-    def dump(self, path: str, include_timings: bool = False):
+    def dump(self, path: str):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(include_timings), f, indent=2, sort_keys=True)
+            json.dump(self.to_json(), f, indent=2, sort_keys=True)
             f.write("\n")

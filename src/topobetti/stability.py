@@ -76,11 +76,8 @@ def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
     output neuron's zero-set must avoid every vertex of the final complex.
     The face lattice is not assembled.
     """
-    if net.output_dim != 1:
-        raise ValueError("stability check requires a scalar-output network")
     b = _Builder(net, box)
-    b.run_hidden()
-    b.run_output()
+    b.run()
     return _classify(net, b.violations)
 
 

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constructions import BettiVector
 from .exactgeom import BoxDomain
 from .relunet import ReluNetwork
 from .report import AnalysisReport
@@ -82,13 +81,11 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
             f"grid of {(resolution + 1) ** d} points exceeds cap {GRID_POINT_CAP}"
         )
     layers = _scaled_layers(net)
-    # grid point i: lower + i*(upper−lower)/N; scale all coordinates to a
-    # common integer denominator once
-    den = resolution
-    for lo, up in zip(box.lower, box.upper):
-        for v in (lo, up):
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    steps = [int((up - lo) * den) // resolution for lo, up in zip(box.lower, box.upper)]
+    # grid point i: lower + i*(upper−lower)/N, over the common denominator
+    # N·lcm(bound denominators), so every step (upper−lower)/N is integral
+    scale = math.lcm(*(v.denominator for v in box.lower + box.upper))
+    den = resolution * scale
+    steps = [int((up - lo) * scale) for lo, up in zip(box.lower, box.upper)]
     base = [int(lo * den) for lo in box.lower]
     n = resolution + 1
     signs = np.empty((n,) * d, dtype=np.int8)
@@ -182,34 +179,22 @@ class Reconciliation:
         }
 
 
-def reconcile(
-    report: AnalysisReport,
-    predicted: Optional[BettiVector] = None,
-    oracle_beta0: Optional[int] = None,
-) -> Reconciliation:
+def reconcile(report: AnalysisReport) -> Reconciliation:
     """Compare the exact pipeline against predictions, bounds and the oracle.
 
     Disagreements are reported with all values present, never silently
     resolved.
     """
-    if predicted is None:
-        predicted = report.predicted
-    if oracle_beta0 is None:
-        oracle_beta0 = report.oracle_beta0
     betti = report.betti.values
-    pred_tuple = None if predicted is None else predicted.values
-    pred_flags = (
-        None
-        if pred_tuple is None
-        else tuple(a == b for a, b in zip(betti, pred_tuple))
-    )
-    oracle_flag = None if oracle_beta0 is None else betti[0] == oracle_beta0
+    predicted = None if report.predicted is None else report.predicted.values
     return Reconciliation(
         betti=betti,
-        predicted=pred_tuple,
-        oracle_beta0=oracle_beta0,
-        predicted_agreement=pred_flags,
-        oracle_agrees=oracle_flag,
+        predicted=predicted,
+        oracle_beta0=report.oracle_beta0,
+        predicted_agreement=(
+            None if predicted is None else tuple(a == b for a, b in zip(betti, predicted))
+        ),
+        oracle_agrees=report.oracle_agrees,
         serra_ok=report.region_count <= report.serra_bound,
         binomial_ok=tuple(
             b <= bound for b, bound in zip(betti, report.binomial_bounds)

@@ -7,7 +7,6 @@ from conftest import REFERENCE_INSTANCES
 from helpers import box_complex, ring_cubes_2d
 from topobetti.arrangement import (
     ComplexSizeError,
-    canonical_complex,
     cell_volume,
     linear_region_count,
     signed_complex,
@@ -22,11 +21,18 @@ from topobetti.constructions import (
     build_topo_network,
 )
 from topobetti.exactgeom import BoxDomain
-from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
+from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_network, eval_scalar
+
+
+def _scalar(net):
+    """Sum of the outputs plus 1: for nets with outputs ≥ 0 the result is ≥ 1,
+    so the output zero-set misses the box and adds no split."""
+    k = net.output_dim
+    return compose(ReluNetwork((AffineLayer(((1,) * k,), (1,)),)), net)
 
 
 def _tent(m, d=1):
-    return build_folding_layer(m, d)
+    return _scalar(build_folding_layer(m, d))
 
 
 def _constant(value, d=2):
@@ -48,18 +54,18 @@ def _dims(pc):
 
 class TestCanonicalComplex:
     def test_tent_on_interval(self):
-        pc = canonical_complex(_tent(2), BoxDomain.unit_cube(1))
+        pc = signed_complex(_tent(2), BoxDomain.unit_cube(1))
         assert _dims(pc) == {0: 3, 1: 2}
         assert validate_complex(pc) == []
 
     def test_tent_on_square(self):
-        pc = canonical_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
+        pc = signed_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
         assert _dims(pc) == {0: 9, 1: 12, 2: 4}
         assert validate_complex(pc) == []
 
     def test_affine_maps_reproduce_the_network(self):
         net = _tent(4, d=2)
-        pc = canonical_complex(net, BoxDomain.unit_cube(2))
+        pc = signed_complex(net, BoxDomain.unit_cube(2))
         for cell in pc.full_cells():
             # the cell's affine restriction must agree with the network on
             # its vertices (interior points are covered by convexity)
@@ -68,40 +74,44 @@ class TestCanonicalComplex:
 
     def test_deterministic(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        a = canonical_complex(net, BoxDomain.unit_cube(2))
-        b = canonical_complex(net, BoxDomain.unit_cube(2))
+        a = signed_complex(net, BoxDomain.unit_cube(2))
+        b = signed_complex(net, BoxDomain.unit_cube(2))
         assert {cid: c.vertices for cid, c in a.cells.items()} == {
             cid: c.vertices for cid, c in b.cells.items()
         }
         assert a.faces == b.faces
 
     def test_constant_network_single_region(self):
-        pc = canonical_complex(_constant(1), BoxDomain.unit_cube(2))
+        pc = signed_complex(_constant(1), BoxDomain.unit_cube(2))
         assert len(pc.full_cells()) == 1
         assert validate_complex(pc) == []
 
     def test_cell_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
-        net = build_folding_network(FoldingSpec(2, (4,)))
+        net = _scalar(build_folding_network(FoldingSpec(2, (4,))))
         with pytest.raises(ComplexSizeError):
-            canonical_complex(net, BoxDomain.unit_cube(2))
+            signed_complex(net, BoxDomain.unit_cube(2))
+
+    def test_non_scalar_output_rejected(self):
+        with pytest.raises(ValueError):
+            signed_complex(build_folding_layer(2, 2), BoxDomain.unit_cube(2))
 
     def test_bad_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "zero")
         with pytest.raises(ValueError):
-            canonical_complex(_tent(2), BoxDomain.unit_cube(1))
+            signed_complex(_tent(2), BoxDomain.unit_cube(1))
 
 
 class TestVolumes:
     def test_tent_halves(self):
-        pc = canonical_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
+        pc = signed_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
         vols = sorted(cell_volume(pc, c.id) for c in pc.full_cells())
         assert vols == [Fraction(1, 4)] * 4
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_full_cells_tile_the_box(self, m):
-        net = build_folding_network(FoldingSpec(2, (m,)))
-        pc = canonical_complex(net, BoxDomain.unit_cube(2))
+        net = _scalar(build_folding_network(FoldingSpec(2, (m,))))
+        pc = signed_complex(net, BoxDomain.unit_cube(2))
         total = sum(cell_volume(pc, c.id) for c in pc.full_cells())
         assert total == pc.box.volume()
 
@@ -109,7 +119,7 @@ class TestVolumes:
 class TestLinearRegions:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_tent_region_count(self, m):
-        pc = canonical_complex(_tent(m), BoxDomain.unit_cube(1))
+        pc = signed_complex(_tent(m), BoxDomain.unit_cube(1))
         assert linear_region_count(pc) == m
 
     def test_merges_cells_with_equal_affine_map(self):
@@ -123,7 +133,7 @@ class TestLinearRegions:
                 AffineLayer(((Fraction(1), Fraction(1)),), (zero,)),
             )
         )
-        pc = canonical_complex(net, BoxDomain.unit_cube(2))
+        pc = signed_complex(net, BoxDomain.unit_cube(2))
         assert linear_region_count(pc) == 1
 
 
@@ -140,8 +150,6 @@ class TestSignedAndSublevel:
             assert cell.sign_label == label
 
     def test_sublevel_rejects_unsigned_complexes(self):
-        with pytest.raises(ValueError):
-            sublevel_subcomplex(canonical_complex(_tent(2, d=2), BoxDomain.unit_cube(2)))
         with pytest.raises(ValueError):
             sublevel_subcomplex(box_complex(ring_cubes_2d(), 2))
 

@@ -76,6 +76,15 @@ class TestAnalyze:
     def test_missing_file_exits_one(self):
         assert main(["analyze", "/nonexistent/net.json"]) == EXIT_USAGE
 
+    def test_oracle_on_a_half_box(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        main(["build", "--d", "2", "--m", "4", "--w", "3", "--offset", "-o", str(path)])
+        capsys.readouterr()
+        code = main(["analyze", str(path), "--box", "0,1/2", "--oracle", "96"])
+        out = _last_json(capsys)
+        assert out["betti"][0] == out["oracle_beta0"] == 4
+        assert code == EXIT_OK
+
     def test_reports_are_byte_stable(self, small_net, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["analyze", str(small_net), "--out", str(a)])
@@ -133,3 +142,27 @@ class TestSmallCommands:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestMalformedInput:
+    def _fails_cleanly(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_layers_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text('{"layers": 5}')
+        self._fails_cleanly(["analyze", str(path)], capsys)
+
+    @pytest.mark.parametrize("architecture", [None, 5])
+    def test_architecture_not_a_list(self, small_net, architecture, capsys):
+        data = json.loads(small_net.read_text())
+        data["architecture"] = architecture
+        small_net.write_text(json.dumps(data))
+        self._fails_cleanly(["analyze", str(small_net)], capsys)
+
+    def test_report_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[1, 2]")
+        self._fails_cleanly(["report", str(path)], capsys)

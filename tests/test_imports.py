@@ -1,4 +1,5 @@
-"""Every name a topobetti module imports is used in that module."""
+"""Every name a topobetti module imports is used in that module, and every
+public function or class has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,15 @@ import pytest
 import topobetti
 
 PACKAGE = Path(topobetti.__file__).parent
+BENCH = PACKAGE.parents[1] / "bench"
+
+# Public names kept with no program caller, because tests use them as
+# independent references.
+ORACLES = (
+    ("validate_complex", "checks every complex the arrangement builds"),
+    ("build_cutting_network", "the reference the carving network is tested against"),
+    ("centroid", "the Fraction centroid the sign-label test evaluates the network at"),
+)
 
 
 def _unused_imports(source: str) -> list:
@@ -32,3 +42,64 @@ def test_module_has_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "from fractions import Fraction\nimport os, json\nprint(json.dumps(1))\n"
     assert _unused_imports(source) == ["Fraction (line 1)", "os (line 2)"]
+
+
+def _references(tree, skip=None) -> set:
+    """Names, attributes, imported names and whole strings (the benchmark
+    wraps functions by name) in the top-level statements of tree but skip."""
+    out = set()
+    for top in tree.body:
+        if top is skip:
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out.add(n.value)
+    return out
+
+
+def _uncalled(modules: dict, callers: list) -> list:
+    """module.name of each public top-level def or class that neither another
+    module, nor the rest of its own module, nor a caller source references."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    outside = set()
+    for src in callers:
+        outside |= _references(ast.parse(src))
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            refs = set(outside)
+            for other, t in trees.items():
+                refs |= _references(t, node if other == name else None)
+            if node.name not in refs:
+                found.append(f"{name}.{node.name}")
+    return sorted(found)
+
+
+def test_public_api_has_a_caller():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    oracles = {name for name, _ in ORACLES}
+    uncalled = _uncalled(modules, callers)
+    assert [n for n in uncalled if n.split(".")[1] not in oracles] == []
+    # an oracle that gains a caller leaves the list
+    assert sorted(oracles) == sorted(n.split(".")[1] for n in uncalled)
+
+
+def test_scan_finds_an_uncalled_name():
+    modules = {
+        "a": "def used():\n    pass\ndef unused():\n    return unused()\nclass _Hidden:\n    pass\n",
+        "b": "from a import used\nused()\nclass Wrapped:\n    pass\n",
+    }
+    bench = 'import b\nwrap(b, "Wrapped")\n'
+    assert _uncalled(modules, [bench]) == ["a.unused"]
+    assert _uncalled(modules, []) == ["a.unused", "b.Wrapped"]

@@ -57,6 +57,10 @@ class TestGridSignSample:
         sg = grid_sign_sample(net, box, 4)
         # sign of x₁ − 1/2 along the first axis: −,−,0,+,+
         assert list(sg.signs[:, 0]) == [-1, -1, 0, 1, 1]
+        # on [0, 1/2]² the grid step is 1/8, so x₁ − 1/4 reads −,−,0,+,+ too
+        half = BoxDomain((Fraction(0),) * 2, (Fraction(1, 2),) * 2)
+        sg = grid_sign_sample(_linear((1, 0), Fraction(-1, 4)), half, 4)
+        assert list(sg.signs[:, 0]) == [-1, -1, 0, 1, 1]
 
     def test_validation(self):
         net = _linear((1, 0), 0)
