@@ -534,12 +534,12 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     Each face is coned from its first vertex over its facets that miss that
     vertex; the volume is Σ |det| / d! over the resulting simplices.
     """
-    cell = complex.cells[cell_id]
-    d = complex.ambient_dim
-    if cell.dim != d:
+    if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    cells, fmap = complex.cells, complex.face_map()
+    return _cell_volume(complex.cells, complex.face_map(), complex.ambient_dim, cell_id)
 
+
+def _cell_volume(cells, fmap, d: int, cell_id: int):
     def simplices(cid):
         apex = cells[cid].vertices[0]
         if cells[cid].dim == 0:
@@ -588,7 +588,7 @@ def validate_complex(complex: PolyhedralComplex):
     full = complex.full_cells()
     if full:
         try:
-            vol = sum(cell_volume(complex, c.id) for c in full)
+            vol = sum(_cell_volume(cells, fmap, complex.ambient_dim, c.id) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:

@@ -1,18 +1,22 @@
 """Independent grid oracle and reconciliation harness.
 
 The oracle never touches the arrangement machinery: it evaluates the network
-exactly at every point of a regular rational grid (scaled-integer forward
-passes, so even the oracle is float-free) and estimates β₀ of the nonpositive
-set by union-find over grid adjacency.  For the constructed classifier family
-the smallest feature has ℓ₁-diameter 1/(4wM), so any resolution above 8·w·M
-resolves every component; the default used by callers is 16·w_max·M.
+exactly at every point of a regular rational grid and estimates β₀ of the
+nonpositive set by union-find over grid adjacency.  The evaluation is a
+scaled-integer forward pass, so even the oracle is float-free: each layer is
+cleared to an integer matrix, and numpy runs the pass one layer at a time
+over blocks of grid points.  Before it runs, a bound on every integer the
+pass can form is proved in Python ints; below 2^62 the arrays are int64,
+otherwise they hold Python ints (dtype object), in the same code path.  For
+the constructed classifier family the smallest feature has ℓ₁-diameter
+1/(4wM), so any resolution above 8·w·M resolves every component; the
+default used by callers is 16·w_max·M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ from .relunet import ReluNetwork
 from .report import AnalysisReport
 
 GRID_POINT_CAP = 50_000_000
+_BLOCK = 1 << 11  # grid points per block of the vectorised pass
 
 
 @dataclass(frozen=True)
@@ -47,26 +52,21 @@ def _scaled_layers(net: ReluNetwork):
     return out
 
 
-def _eval_sign_scaled(layers, nums: Sequence[int], den: int) -> int:
-    """Sign of the scalar network output at the point nums/den, in pure ints."""
-    v = list(nums)
-    D = den
-    last = len(layers) - 1
-    for li, (wint, bint, t) in enumerate(layers):
-        out = []
-        for row, b in zip(wint, bint):
-            acc = b * D
-            for w, x in zip(row, v):
-                if w:
-                    acc += w * x
-            out.append(acc)
+def _magnitude_bound(layers, top: int, den: int) -> int:
+    """Bound, in Python ints, on every integer the scaled pass forms.
+
+    ``top`` bounds the grid numerators over the denominator ``den``.  A
+    layer's outputs at the running denominator D are bounded by
+    max over rows of |b|·D + Σ|w|·(bound on its inputs), which also bounds
+    every product and partial sum of the row; ReLU only shrinks them.  The
+    weights and D itself are counted too.
+    """
+    x, D, peak = top, den, max(top, den)
+    for wint, bint, t in layers:
+        x = max(abs(b) * D + sum(abs(w) for w in row) * x for row, b in zip(wint, bint))
         D *= t
-        if li != last:
-            v = [x if x > 0 else 0 for x in out]
-        else:
-            v = out
-    x = v[0]
-    return (x > 0) - (x < 0)
+        peak = max(peak, x, D, *(abs(w) for row in wint for w in row))
+    return peak
 
 
 def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignGrid:
@@ -87,11 +87,33 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     den = resolution * scale
     steps = [int((up - lo) * scale) for lo, up in zip(box.lower, box.upper)]
     base = [int(lo * den) for lo in box.lower]
+    # the pass forms base + i·step, so |i·step| ≤ N·|step| is bounded too
+    top = max(
+        max(abs(b), abs(b + resolution * s), resolution * abs(s)) for b, s in zip(base, steps)
+    )
+    # int64 when no integer of the pass can reach 2^62, Python ints otherwise
+    dtype = np.int64 if _magnitude_bound(layers, top, den) < 2**62 else object
+    mats, D = [], den
+    for wint, bint, t in layers:
+        mats.append((np.array(wint, dtype=dtype), np.array([[b * D] for b in bint], dtype=dtype)))
+        D *= t
     n = resolution + 1
+    step_col = np.array(steps, dtype=dtype)[:, None]
+    base_col = np.array(base, dtype=dtype)[:, None]
     signs = np.empty((n,) * d, dtype=np.int8)
-    for idx in product(range(n), repeat=d):
-        nums = [b + i * s for b, i, s in zip(base, idx, steps)]
-        signs[idx] = _eval_sign_scaled(layers, nums, den)
+    flat = signs.reshape(-1)
+    last = len(mats) - 1
+    # one block of grid points at a time, in C order, so the working arrays
+    # stay at width × _BLOCK entries whatever the grid size
+    for start in range(0, flat.size, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, flat.size))
+        idx = np.stack(np.unravel_index(k, signs.shape)).astype(dtype)
+        v = base_col + idx * step_col
+        for li, (w, bd) in enumerate(mats):
+            v = w @ v + bd
+            if li != last:
+                v = np.maximum(v, 0)
+        flat[start:start + len(k)] = np.sign(v[0])
     return SignGrid(resolution=resolution, d=d, signs=signs)
 
 
@@ -207,7 +229,7 @@ def reconcile(report: AnalysisReport) -> Reconciliation:
 
 
 def write_pgm(sg: SignGrid, path: str):
-    """ASCII PGM dump of a 2-d sign grid (negative=0, zero=128, positive=255)."""
+    """ASCII PGM dump of a 2-d sign grid (negative=0, zero=127, positive=255)."""
     if sg.d != 2:
         raise ValueError("PGM dump requires a 2-d grid")
     n = sg.resolution + 1

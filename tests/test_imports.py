@@ -17,6 +17,7 @@ ORACLES = (
     ("validate_complex", "checks every complex the arrangement builds"),
     ("build_cutting_network", "the reference the carving network is tested against"),
     ("centroid", "the Fraction centroid the sign-label test evaluates the network at"),
+    ("cell_volume", "the exact volume of one cell, which the volume tests check cells against"),
 )
 
 
