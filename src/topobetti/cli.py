@@ -131,7 +131,7 @@ def cmd_bounds(args) -> int:
     d = arch[0]
     try:
         r = serra_region_bound(arch)
-        per_k = [betti_upper_bound(arch, k, 0) for k in range(d)]
+        per_k = [betti_upper_bound(arch, k) for k in range(d)]
     except ValueError as exc:
         raise CliError(str(exc))
     _print_json({"architecture": list(arch), "serra": r, "binomial_bounds": per_k})

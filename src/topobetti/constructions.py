@@ -247,17 +247,12 @@ def serra_region_bound(architecture: Sequence[int]) -> int:
     return rec(0, d)
 
 
-def betti_upper_bound(architecture: Sequence[int], k: int, s: int = 0) -> int:
-    """β₀ ≤ r; β_k ≤ C(r, d−k−s) for 1 ≤ k ≤ d−1 (0 when out of range)."""
+def betti_upper_bound(architecture: Sequence[int], k: int) -> int:
+    """β₀ ≤ r; β_k ≤ C(r, d−k) for 1 ≤ k ≤ d−1, where r = serra_region_bound."""
     d = architecture[0]
     if not 0 <= k <= d - 1:
         raise ValueError("k out of range")
-    if not 0 <= s <= d:
-        raise ValueError("s out of range")
     r = serra_region_bound(architecture)
     if k == 0:
         return r
-    j = d - k - s
-    if j < 0 or j > r:
-        return 0
-    return math.comb(r, j)
+    return math.comb(r, d - k)

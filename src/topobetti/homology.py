@@ -1,19 +1,26 @@
 """Exact rational homology of polyhedral complexes.
 
-The support of a complex is triangulated by its order complex (barycentric
-subdivision): simplices are strictly increasing chains in the face poset.
-Chains inherit a canonical vertex order from cell dimensions, so boundary
-matrices carry standard alternating signs without ever orienting polytopes.
+The complex is first collapsed on its own face poset: a cell with exactly one
+coface is removed together with that coface, until none is left.  By the
+diamond property of face lattices the coface is then maximal, so what remains
+is a closed subcomplex of the same homotopy type, usually far smaller.
 
-Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ.  Before
-computing ranks the simplicial complex is reduced by elementary free-pair
-collapses (a simplex with exactly one coface is removed together with it),
-which preserves the homotopy type and typically shrinks the matrices by
-orders of magnitude; ranks are then exact fraction-free eliminations.
+The support of the remainder is triangulated by its order complex
+(barycentric subdivision): simplices are strictly increasing chains in the
+face poset.  Chains inherit a canonical vertex order from cell dimensions, so
+boundary matrices carry standard alternating signs without ever orienting
+polytopes.
+
+Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ,
+computed per connected component.  Before computing ranks each simplicial
+complex is reduced again by elementary free-pair collapses (a simplex with
+exactly one coface is removed together with it); ranks are then exact
+fraction-free eliminations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,12 +182,46 @@ def _component_cells(pc: PolyhedralComplex):
     return list(groups.values())
 
 
+def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
+    """Remove free pairs of cells (σ with a unique live coface τ) until none remain.
+
+    The complex must be closed under faces.  Any coface of τ would, by the
+    diamond property, give σ a second coface, so τ is maximal and the cells
+    left form a closed subcomplex of the same homotopy type.  The queue is
+    seeded in pc.cells order and served first in first out, and neighbours
+    are visited in sorted id order, so no set iteration order decides which
+    cells survive.
+    """
+    cofaces = {cid: [] for cid in pc.cells}
+    faces = {cid: [] for cid in pc.cells}
+    for f, c in sorted(pc.faces):
+        cofaces[f].append(c)
+        faces[c].append(f)
+    live = {cid: len(cf) for cid, cf in cofaces.items()}  # live coface counts
+    alive = dict.fromkeys(pc.cells, True)
+    queue = deque(cid for cid in pc.cells if live[cid] == 1)
+    while queue:
+        sigma = queue.popleft()
+        if not alive[sigma] or live[sigma] != 1:
+            continue
+        tau = next(c for c in cofaces[sigma] if alive[c])
+        alive[sigma] = alive[tau] = False
+        for gone in (tau, sigma):
+            for f in faces[gone]:
+                live[f] -= 1
+                if live[f] == 1:
+                    queue.append(f)
+    return pc.restrict(cid for cid, keep in alive.items() if keep)
+
+
 def betti_numbers(pc: PolyhedralComplex) -> BettiVector:
     """Exact rational Betti numbers β_0 … β_{d−1} of the complex's support.
 
-    Computed per connected component (order complex, collapse, boundary ranks)
-    and summed; d is the ambient dimension.
+    The face poset is collapsed first; the remainder is computed per connected
+    component (order complex, collapse, boundary ranks) and summed; d is the
+    ambient dimension.
     """
+    pc = _poset_collapse(pc)
     max_k = pc.ambient_dim - 1
     totals = [0] * (max_k + 1)
     for comp in _component_cells(pc):
@@ -213,7 +254,7 @@ def analyze_network(
     betti = betti_numbers(sub)
     regions = linear_region_count(sc)
     serra = serra_region_bound(net.architecture)
-    binom = [betti_upper_bound(net.architecture, k, 0) for k in range(d)]
+    binom = [betti_upper_bound(net.architecture, k) for k in range(d)]
     complement_cells = [
         sum(
             1

@@ -20,7 +20,7 @@ class AnalysisReport:
     betti: BettiVector
     region_count: int
     serra_bound: int
-    binomial_bounds: tuple  # per k, s=0 variant
+    binomial_bounds: tuple  # per k, betti_upper_bound
     complement_cell_bounds: tuple  # per k, #(k+1)-cells labeled positive
     predicted: Optional[BettiVector]
     euler: int

@@ -17,6 +17,14 @@ REFERENCE_INSTANCES = (
     ("d3-M4-w11", 3, (2, 2), (1, 1), (18, 2, 4)),
 )
 
+# Larger constructions in the same format.  They stay out of
+# REFERENCE_INSTANCES: bench/workloads.py keeps a copy of that table and gates
+# every benchmark run on it.
+LARGE_INSTANCES = (
+    ("d4-M2-w111", 4, (2,), (1, 1, 1), (6, 0, 0, 0)),
+    ("d2-M16-w6", 2, (4, 4), (6,), (216, 168)),
+)
+
 
 @pytest.fixture(scope="session")
 def reference_networks():

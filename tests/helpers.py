@@ -1,8 +1,12 @@
-"""Shared test helpers: hand-built polyhedral complexes from unit-cube unions.
+"""Shared test helpers.
 
-These complexes are assembled directly from integer corner coordinates and
-share no code with the arrangement pipeline, so homology tests run against an
-independently constructed face lattice.
+- Hand-built polyhedral complexes from unit-cube unions.  They are assembled
+  directly from integer corner coordinates and share no code with the
+  arrangement pipeline, so homology tests run against an independently
+  constructed face lattice.
+- Hypothesis strategies for small random rational networks and boxes.
+- The uncollapsed homology path, the reference that the face-poset collapse
+  is checked against.
 """
 
 from __future__ import annotations
@@ -10,8 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import strategies as st
+
 from topobetti.arrangement import Cell, PolyhedralComplex
 from topobetti.exactgeom import BoxDomain
+from topobetti.homology import _component_betti, _component_cells, order_complex
+from topobetti.relunet import AffineLayer, ReluNetwork
 
 
 def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
@@ -101,3 +109,54 @@ def shell_cubes_3d():
         for k in range(3)
         if (i, j, k) != (1, 1, 1)
     ]
+
+
+weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def networks(draw, dims=(2, 3), max_width=3, max_hidden=2):
+    """A scalar ReLU network with d in dims inputs and 1..max_hidden hidden layers."""
+    d = draw(st.sampled_from(dims))
+    hidden = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=max_hidden))
+    widths = [d] + hidden + [1]
+    layers = tuple(
+        AffineLayer(
+            tuple(tuple(draw(weights) for _ in range(n_in)) for _ in range(n_out)),
+            tuple(draw(weights) for _ in range(n_out)),
+        )
+        for n_in, n_out in zip(widths, widths[1:])
+    )
+    return ReluNetwork(layers)
+
+
+@st.composite
+def boxes(draw, d):
+    # boxes around the origin, where the random hyperplanes mostly pass
+    corner = st.fractions(min_value=-2, max_value=0, max_denominator=4)
+    side = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4)
+    lower = [draw(corner) for _ in range(d)]
+    sides = [draw(side) for _ in range(d)]
+    return BoxDomain(tuple(lower), tuple(lo + s for lo, s in zip(lower, sides)))
+
+
+@st.composite
+def network_and_box(draw, **shape):
+    net = draw(networks(**shape))
+    return net, draw(boxes(net.input_dim))
+
+
+def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:
+    """Betti numbers of pc without the face-poset collapse.
+
+    Per connected component: the order complex of all its cells, then the
+    simplicial collapse and the boundary ranks.
+    """
+    max_k = pc.ambient_dim - 1
+    totals = [0] * (max_k + 1)
+    for comp in _component_cells(pc):
+        chains = order_complex(pc.restrict(comp))
+        simplices = {k: list(s) for k, s in enumerate(chains.simplices) if s}
+        for k, b in enumerate(_component_betti(simplices, max_k)):
+            totals[k] += b
+    return tuple(totals)

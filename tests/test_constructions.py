@@ -220,7 +220,6 @@ class TestBounds:
         r = serra_region_bound(arch)
         assert betti_upper_bound(arch, 0) == r
         assert betti_upper_bound(arch, 1) == r  # C(592, 1)
-        assert betti_upper_bound(arch, 1, s=1) == 1  # C(592, 0)
-        assert betti_upper_bound(arch, 1, s=2) == 0  # negative index
+        assert betti_upper_bound((3, 1), 1) == 0  # C(1, 2)
         with pytest.raises(ValueError):
             betti_upper_bound(arch, 2)

@@ -1,16 +1,36 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
-from helpers import box_complex, ring_cubes_2d, shell_cubes_3d
+import pytest
+from hypothesis import given, settings
+
+from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
+from helpers import (
+    box_complex,
+    network_and_box,
+    ring_cubes_2d,
+    shell_cubes_3d,
+    uncollapsed_betti,
+)
 from topobetti.arrangement import signed_complex, sublevel_subcomplex
-from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
+from topobetti.constructions import (
+    CuttingSpec,
+    FoldingSpec,
+    build_topo_network,
+    predict_betti,
+)
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import (
     _boundary_rows,
     _component_cells,
+    _poset_collapse,
     analyze_network,
     betti_numbers,
     order_complex,
 )
+from topobetti.stability import _perturbed
+from topobetti.verify import reconcile
 
 
 class TestOrderComplex:
@@ -92,8 +112,6 @@ class TestPipelineHomology:
 
     def test_analyze_network_report(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        from topobetti.constructions import predict_betti
-
         report = analyze_network(net, predicted=predict_betti(2, (1,), 2))
         assert report.betti.values == (2, 0)
         assert report.predicted_agrees
@@ -114,3 +132,111 @@ class TestPipelineHomology:
         report = analyze_network(net)
         assert report.betti.values == (0, 0)
         assert report.euler == 0
+
+
+def _sublevel(net, d):
+    return sublevel_subcomplex(signed_complex(net, BoxDomain.unit_cube(d)))
+
+
+@pytest.fixture(scope="module")
+def d3_m4_w11_sublevel(reference_networks):
+    return _sublevel(reference_networks["d3-M4-w11"][0], 3)
+
+
+def _collapse_fixtures(d3_m4_w11_sublevel):
+    ring = ring_cubes_2d()
+    return [
+        box_complex([(0, 0, 0)], 3),
+        box_complex(ring, 2),
+        box_complex(shell_cubes_3d(), 3),
+        box_complex(ring + [(i + 10, j) for i, j in ring] + [(25, 0)], 2),
+        d3_m4_w11_sublevel,
+    ]
+
+
+class TestPosetCollapse:
+    def test_survivors_are_closed(self, d3_m4_w11_sublevel):
+        for pc in _collapse_fixtures(d3_m4_w11_sublevel):
+            kept = _poset_collapse(pc)
+            for f, c in pc.faces:
+                if c in kept.cells:
+                    assert f in kept.cells
+                    assert (f, c) in kept.faces
+
+    def test_euler_characteristic_is_unchanged(self, d3_m4_w11_sublevel):
+        for pc in _collapse_fixtures(d3_m4_w11_sublevel):
+            assert _poset_collapse(pc).euler_cells() == pc.euler_cells()
+
+    def test_reference_complex_shrinks(self, d3_m4_w11_sublevel):
+        kept = _poset_collapse(d3_m4_w11_sublevel)
+        assert len(kept.cells) < len(d3_m4_w11_sublevel.cells) // 10
+
+    def test_single_cube_collapses_to_one_vertex(self):
+        kept = _poset_collapse(box_complex([(0, 0, 0)], 3))
+        assert [c.dim for c in kept.cells.values()] == [0]
+        assert kept.faces == frozenset()
+
+    def test_ring_and_shell_keep_their_homology(self):
+        ring = _poset_collapse(box_complex(ring_cubes_2d(), 2))
+        shell = _poset_collapse(box_complex(shell_cubes_3d(), 3))
+        assert uncollapsed_betti(ring) == (1, 1)
+        assert uncollapsed_betti(shell) == (1, 0, 1)
+
+    def test_survivors_do_not_depend_on_face_order(self, d3_m4_w11_sublevel):
+        for pc in _collapse_fixtures(d3_m4_w11_sublevel):
+            first = sorted(_poset_collapse(pc).cells)
+            assert sorted(_poset_collapse(pc).cells) == first
+            # the same incidences, inserted into the frozenset in another order
+            shuffled = list(pc.faces)
+            random.Random("collapse").shuffle(shuffled)
+            rebuilt = replace(pc, faces=frozenset(shuffled))
+            assert sorted(_poset_collapse(rebuilt).cells) == first
+
+
+_OFFSETS = pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])
+_REFERENCE = pytest.mark.parametrize(
+    "name, d, m_vec, w_vec",
+    [i[:4] for i in REFERENCE_INSTANCES],
+    ids=[i[0] for i in REFERENCE_INSTANCES],
+)
+
+
+class TestCollapseAgreesWithUncollapsedPath:
+    """betti_numbers against the order complex of every cell, per component."""
+
+    @_OFFSETS
+    @_REFERENCE
+    def test_reference_instances(self, name, d, m_vec, w_vec, with_offset):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
+        sub = _sublevel(net, d)
+        assert betti_numbers(sub).values == uncollapsed_betti(sub)
+
+    @_REFERENCE
+    def test_perturbed_reference_instances(self, name, d, m_vec, w_vec):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        sub = _sublevel(_perturbed(net, Fraction(1, 10**6), random.Random("7:0")), d)
+        assert betti_numbers(sub).values == uncollapsed_betti(sub)
+
+    @given(network_and_box())
+    @settings(max_examples=60, deadline=None)
+    def test_random_networks(self, case):
+        sub = sublevel_subcomplex(signed_complex(*case))
+        assert betti_numbers(sub).values == uncollapsed_betti(sub)
+
+    @given(network_and_box(dims=(4,), max_width=2, max_hidden=1))
+    @settings(max_examples=15, deadline=None)
+    def test_random_four_dimensional_networks(self, case):
+        sub = sublevel_subcomplex(signed_complex(*case))
+        assert betti_numbers(sub).values == uncollapsed_betti(sub)
+
+
+@pytest.mark.parametrize(
+    "name, d, m_vec, w_vec, expected", LARGE_INSTANCES, ids=[i[0] for i in LARGE_INSTANCES]
+)
+def test_large_instances_match_the_closed_form(name, d, m_vec, w_vec, expected):
+    fold = FoldingSpec(d, m_vec)
+    predicted = predict_betti(fold.M, w_vec, d)
+    assert predicted.values == expected
+    report = analyze_network(build_topo_network(fold, CuttingSpec(d, w_vec)), predicted=predicted)
+    assert report.betti.values == expected
+    assert reconcile(report).all_agree

@@ -12,45 +12,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import network_and_box, networks, weights
 from topobetti.arrangement import signed_complex, validate_complex
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain, Hyperplane, dehomogenize, intersect_hyperplanes
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network
 from topobetti.stability import _perturbed
-
-weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-
-
-@st.composite
-def networks(draw, dims=(2, 3), max_width=3, max_hidden=2):
-    """A scalar ReLU network with d in dims inputs and 1..max_hidden hidden layers."""
-    d = draw(st.sampled_from(dims))
-    hidden = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=max_hidden))
-    widths = [d] + hidden + [1]
-    layers = tuple(
-        AffineLayer(
-            tuple(tuple(draw(weights) for _ in range(n_in)) for _ in range(n_out)),
-            tuple(draw(weights) for _ in range(n_out)),
-        )
-        for n_in, n_out in zip(widths, widths[1:])
-    )
-    return ReluNetwork(layers)
-
-
-@st.composite
-def boxes(draw, d):
-    # boxes around the origin, where the random hyperplanes mostly pass
-    corner = st.fractions(min_value=-2, max_value=0, max_denominator=4)
-    side = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4)
-    lower = [draw(corner) for _ in range(d)]
-    sides = [draw(side) for _ in range(d)]
-    return BoxDomain(tuple(lower), tuple(lo + s for lo, s in zip(lower, sides)))
-
-
-@st.composite
-def network_and_box(draw, **shape):
-    net = draw(networks(**shape))
-    return net, draw(boxes(net.input_dim))
 
 
 def _fraction_forward(net, x):
