@@ -47,10 +47,7 @@ def _parse_box(text: str | None, d: int) -> BoxDomain:
     """The --box argument for dimension d; the unit cube when it is omitted."""
     if text is None:
         return BoxDomain.unit_cube(d)
-    try:
-        vals = [parse_rational(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise CliError(str(exc))
+    vals = [parse_rational(tok) for tok in text.split(",")]
     if len(vals) == 2:
         vals = vals * d
     if len(vals) != 2 * d:
@@ -68,12 +65,9 @@ def _print_json(obj):
 def cmd_build(args) -> int:
     m_vec = _int_list(args.m)
     w_vec = _int_list(args.w)
-    try:
-        fold = FoldingSpec(args.d, m_vec)
-        cut = CuttingSpec(args.d, w_vec)
-        net = build_topo_network(fold, cut, with_offset=args.offset)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    fold = FoldingSpec(args.d, m_vec)
+    cut = CuttingSpec(args.d, w_vec)
+    net = build_topo_network(fold, cut, with_offset=args.offset)
     save_network(net, args.output)
     _print_json(
         {
@@ -116,10 +110,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_predict(args) -> int:
     w_vec = _int_list(args.w)
-    try:
-        bv = predict_betti(args.M, w_vec, args.d)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    bv = predict_betti(args.M, w_vec, args.d)
     _print_json({"d": args.d, "M": args.M, "w": list(w_vec), "betti": list(bv.values)})
     return EXIT_OK
 
@@ -129,11 +120,8 @@ def cmd_bounds(args) -> int:
     if len(arch) < 2 or any(n < 1 for n in arch):
         raise CliError(f"invalid architecture {args.arch!r}")
     d = arch[0]
-    try:
-        r = serra_region_bound(arch)
-        per_k = [betti_upper_bound(arch, k) for k in range(d)]
-    except ValueError as exc:
-        raise CliError(str(exc))
+    r = serra_region_bound(arch)
+    per_k = [betti_upper_bound(arch, k) for k in range(d)]
     _print_json({"architecture": list(arch), "serra": r, "binomial_bounds": per_k})
     return EXIT_OK
 
@@ -144,11 +132,7 @@ def cmd_stability(args) -> int:
     if args.delta is None:
         rep = check_stability(net, box)
     else:
-        try:
-            delta = parse_rational(args.delta)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        rep = perturbation_test(net, box, delta, args.trials, args.seed)
+        rep = perturbation_test(net, box, parse_rational(args.delta), args.trials, args.seed)
     _print_json(rep.to_json())
     return EXIT_OK if rep.topologically_stable else EXIT_DISAGREE
 
@@ -156,10 +140,7 @@ def cmd_stability(args) -> int:
 def cmd_oracle(args) -> int:
     net = load_network(args.network)
     box = _parse_box(args.box, net.input_dim)
-    try:
-        sg = grid_sign_sample(net, box, args.resolution)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    sg = grid_sign_sample(net, box, args.resolution)
     beta0 = grid_beta0(sg)
     if args.pgm is not None:
         write_pgm(sg, args.pgm)
@@ -170,11 +151,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(str(exc))
+    with open(args.report, "r", encoding="utf-8") as f:
+        data = json.load(f)
     if not isinstance(data, dict):
         raise CliError("a report file holds a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -247,10 +225,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -235,44 +235,35 @@ def intersect_hyperplanes(hyperplanes: Sequence[Hyperplane]) -> Optional[tuple]:
 
 
 def sparse_rank(rows) -> int:
-    """Exact rank of a sparse integer matrix (rows are dicts col -> value).
+    """Exact rank of a sparse integer matrix (rows are dicts col -> nonzero value).
 
-    Elimination is fraction-free: each update is (row·p − v·pivot_row) divided
-    by its content.  Pivots prefer sparse rows with unit entries, which keeps
-    boundary-matrix eliminations essentially free of coefficient growth.
+    Column-pivot reduction: a row is reduced at its largest column against the
+    kept row that owns that column until the column is free, then kept there.
+    Each step (row·p − v·pivot_row)/gcd(p, v) is fraction-free and divided by
+    its content, so boundary matrices stay at small integers.  The rank is the
+    number of kept rows.
     """
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        pi = min(range(len(rows)), key=lambda i: len(rows[i]))
-        piv = rows.pop(pi)
-        pc = min(piv, key=lambda c: (abs(piv[c]) != 1, abs(piv[c])))
-        pval = piv[pc]
-        rank += 1
-        nxt = []
-        for r in rows:
-            v = r.pop(pc, None)
-            if v:
-                merged = {c: x * pval for c, x in r.items()}
-                for c, x in piv.items():
-                    if c == pc:
-                        continue
-                    y = merged.get(c, 0) - v * x
-                    if y:
-                        merged[c] = y
-                    else:
-                        merged.pop(c, None)
-                if merged:
-                    g = 0
-                    for x in merged.values():
-                        g = math.gcd(g, abs(x))
-                    if g > 1:
-                        merged = {c: x // g for c, x in merged.items()}
-                    nxt.append(merged)
-            elif r:
-                nxt.append(r)
-        rows = nxt
-    return rank
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            p, v = piv[col], row[col]
+            g = math.gcd(p, v)
+            p, v = p // g, v // g
+            merged = {c: x * p for c, x in row.items()}
+            for c, x in piv.items():
+                y = merged.get(c, 0) - v * x
+                if y:
+                    merged[c] = y
+                else:
+                    del merged[c]
+            g = math.gcd(*merged.values())
+            row = {c: x // g for c, x in merged.items()} if g > 1 else merged
+    return len(pivots)
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:

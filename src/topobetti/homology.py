@@ -11,11 +11,8 @@ face poset.  Chains inherit a canonical vertex order from cell dimensions, so
 boundary matrices carry standard alternating signs without ever orienting
 polytopes.
 
-Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ,
-computed per connected component.  Before computing ranks each simplicial
-complex is reduced again by elementary free-pair collapses (a simplex with
-exactly one coface is removed together with it); ranks are then exact
-fraction-free eliminations.
+Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ, with
+each rank an exact fraction-free column-pivot elimination (sparse_rank).
 """
 
 from __future__ import annotations
@@ -89,49 +86,6 @@ def order_complex(pc: PolyhedralComplex) -> SimplicialComplex:
     )
 
 
-def _collapse(simplices):
-    """Remove free pairs (σ with a unique coface τ) until none remain.
-
-    Operates on a dict k -> set of simplices; preserves homotopy type.
-    """
-    cofacets = {}
-    for k in sorted(simplices):
-        if k == 0:
-            continue
-        for tau in simplices[k]:
-            for i in range(len(tau)):
-                sigma = tau[:i] + tau[i + 1 :]
-                cofacets.setdefault(sigma, set()).add(tau)
-    queue = [s for s, cf in cofacets.items() if len(cf) == 1]
-    alive = {s for k in simplices for s in simplices[k]}
-    while queue:
-        sigma = queue.pop()
-        if sigma not in alive:
-            continue
-        cf = cofacets.get(sigma)
-        if cf is None or len(cf) != 1:
-            continue
-        (tau,) = cf
-        if tau not in alive:
-            continue
-        alive.discard(sigma)
-        alive.discard(tau)
-        for gone in (sigma, tau):
-            for i in range(len(gone)):
-                face = gone[:i] + gone[i + 1 :]
-                if not face:
-                    continue
-                s = cofacets.get(face)
-                if s is not None:
-                    s.discard(gone)
-                    if len(s) == 1:
-                        queue.append(face)
-    out = {}
-    for s in alive:
-        out.setdefault(len(s) - 1, []).append(s)
-    return out
-
-
 def _boundary_rows(simplices, faces):
     """Sparse rows of ∂ on k-simplices, over the given (k−1)-simplices.
 
@@ -145,41 +99,6 @@ def _boundary_rows(simplices, faces):
             row[index[simplex[:i] + simplex[i + 1 :]]] = (-1) ** i
         rows.append(row)
     return rows
-
-
-def _component_betti(simplices, max_k: int):
-    """Betti numbers of one simplicial complex given as dict k -> list of chains."""
-    reduced = _collapse(simplices)
-    top = max(reduced) if reduced else -1
-    counts = [len(reduced.get(k, [])) for k in range(top + 1)]
-    ranks = [0] * (max(top, max_k) + 2)
-    for k in range(1, top + 1):
-        rows = _boundary_rows(reduced.get(k, []), reduced.get(k - 1, []))
-        ranks[k] = sparse_rank(rows)
-    betas = []
-    for k in range(max_k + 1):
-        n = counts[k] if k <= top else 0
-        betas.append(n - ranks[k] - ranks[k + 1])
-    return betas
-
-
-def _component_cells(pc: PolyhedralComplex):
-    parent = {cid: cid for cid in pc.cells}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f, c in pc.faces:
-        rf, rc = find(f), find(c)
-        if rf != rc:
-            parent[rf] = rc
-    groups = {}
-    for cid in pc.cells:
-        groups.setdefault(find(cid), []).append(cid)
-    return list(groups.values())
 
 
 def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
@@ -217,20 +136,17 @@ def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
 def betti_numbers(pc: PolyhedralComplex) -> BettiVector:
     """Exact rational Betti numbers β_0 … β_{d−1} of the complex's support.
 
-    The face poset is collapsed first; the remainder is computed per connected
-    component (order complex, collapse, boundary ranks) and summed; d is the
-    ambient dimension.
+    The face poset is collapsed first; the order complex of what remains is
+    then ranked whole.  d is the ambient dimension.
     """
     pc = _poset_collapse(pc)
-    max_k = pc.ambient_dim - 1
-    totals = [0] * (max_k + 1)
-    for comp in _component_cells(pc):
-        sub = pc.restrict(comp)
-        chains = order_complex(sub)
-        simplices = {k: list(s) for k, s in enumerate(chains.simplices) if s}
-        for k, b in enumerate(_component_betti(simplices, max_k)):
-            totals[k] += b
-    return BettiVector(tuple(totals))
+    simplices = order_complex(pc).simplices
+    d = pc.ambient_dim
+    ranks = [0] * (d + 1)
+    for k in range(1, len(simplices)):
+        ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
+    counts = [len(s) for s in simplices] + [0] * (d + 1 - len(simplices))
+    return BettiVector(tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d)))
 
 
 def analyze_network(

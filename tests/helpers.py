@@ -5,8 +5,8 @@
   arrangement pipeline, so homology tests run against an independently
   constructed face lattice.
 - Hypothesis strategies for small random rational networks and boxes.
-- The uncollapsed homology path, the reference that the face-poset collapse
-  is checked against.
+- The uncollapsed homology path, the reference that betti_numbers and its
+  face-poset collapse are checked against.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from itertools import product
 from hypothesis import strategies as st
 
 from topobetti.arrangement import Cell, PolyhedralComplex
-from topobetti.exactgeom import BoxDomain
-from topobetti.homology import _component_betti, _component_cells, order_complex
+from topobetti.exactgeom import BoxDomain, sparse_rank
+from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
 
 
@@ -147,16 +147,14 @@ def network_and_box(draw, **shape):
 
 
 def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:
-    """Betti numbers of pc without the face-poset collapse.
+    """Betti numbers of pc with no collapse of any kind.
 
-    Per connected component: the order complex of all its cells, then the
-    simplicial collapse and the boundary ranks.
+    The boundary ranks of the order complex of every cell, in one piece.
     """
-    max_k = pc.ambient_dim - 1
-    totals = [0] * (max_k + 1)
-    for comp in _component_cells(pc):
-        chains = order_complex(pc.restrict(comp))
-        simplices = {k: list(s) for k, s in enumerate(chains.simplices) if s}
-        for k, b in enumerate(_component_betti(simplices, max_k)):
-            totals[k] += b
-    return tuple(totals)
+    simplices = order_complex(pc).simplices
+    d = pc.ambient_dim
+    ranks = [0] * (d + 1)
+    for k in range(1, len(simplices)):
+        ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
+    counts = [len(s) for s in simplices] + [0] * (d + 1 - len(simplices))
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d))

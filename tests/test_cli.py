@@ -166,3 +166,40 @@ class TestMalformedInput:
         path = tmp_path / "report.json"
         path.write_text("[1, 2]")
         self._fails_cleanly(["report", str(path)], capsys)
+
+
+class TestErrorMessages:
+    """Exit code 1 and the exact stderr line for input errors in each command."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "{net}", "--box", "0,1/0"], "non-canonical rational string: '1/0'"),
+            (
+                ["build", "--d", "2", "--m", "3", "--w", "1", "-o", "{tmp}/x.json"],
+                "every folding factor must be even and ≥ 2, got 3",
+            ),
+            (["predict", "--d", "2", "--M", "3", "--w", "1"], "M must be even and ≥ 2"),
+            (["bounds", "--arch", "2,3,2"], "scalar output required"),
+            (["stability", "{net}", "--delta", "0.5"], "non-canonical rational string: '0.5'"),
+            (["oracle", "{net}", "--resolution", "0"], "resolution must be ≥ 1"),
+            (
+                ["report", "{tmp}/missing.json"],
+                "[Errno 2] No such file or directory: '{tmp}/missing.json'",
+            ),
+            (
+                ["report", "{tmp}/bad.json"],
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
+        ],
+        ids=["box", "build", "predict", "bounds", "stability", "oracle", "report-missing",
+             "report-not-json"],
+    )
+    def test_stderr(self, argv, message, small_net, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json")
+        capsys.readouterr()
+        fill = {"net": str(small_net), "tmp": str(tmp_path)}
+        assert main([a.format(**fill) for a in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(**fill)}\n"
+        assert captured.out == ""

@@ -17,6 +17,7 @@ from topobetti.exactgeom import (
     matrix_rank,
     parse_rational,
     sign,
+    sparse_rank,
     vdot,
 )
 
@@ -195,6 +196,76 @@ class TestMatrixRank:
     @settings(max_examples=100, deadline=None)
     def test_rational_entries_match_minor_expansion(self, rows):
         assert matrix_rank(rows) == _naive_rank(rows)
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction, on dict rows."""
+    rows = [{c: Fraction(v) for c, v in r.items() if v} for r in rows]
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        if not piv:
+            continue
+        rank += 1
+        col = next(iter(piv))
+        for r in rows:
+            f = r.get(col, 0) / piv[col]
+            for c, x in piv.items():
+                r[c] = r.get(c, 0) - f * x
+                if not r[c]:
+                    del r[c]
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 15 sparse rows over up to 15 columns, entries in [−3, 3].
+
+    Random rows are joined by integer combinations of them and by exact
+    duplicates, and the whole list is shuffled.
+    """
+    n_cols = draw(st.integers(1, 15))
+    entries = st.dictionaries(st.integers(0, n_cols - 1), st.integers(-3, 3), max_size=n_cols)
+    base = [{c: v for c, v in r.items() if v} for r in draw(st.lists(entries, max_size=9))]
+    extra = []
+    n_extra = draw(st.integers(0, 15 - len(base))) if base else 0
+    for _ in range(n_extra):
+        if draw(st.booleans()):
+            extra.append(dict(draw(st.sampled_from(base))))
+        else:
+            combo = {}
+            for r in base:
+                k = draw(st.integers(-2, 2))
+                for c, v in r.items():
+                    combo[c] = combo.get(c, 0) + k * v
+            extra.append({c: v for c, v in combo.items() if v})
+    return draw(st.permutations(base + extra))
+
+
+class TestSparseRank:
+    """sparse_rank against Fraction elimination, beyond matrix_rank's 5×4."""
+
+    @given(sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_elimination(self, rows):
+        before = [dict(r) for r in rows]
+        assert sparse_rank(rows) == _fraction_rank(rows)
+        assert rows == before  # the input rows are not modified
+
+    @pytest.mark.parametrize("n", [2, 7, 14])
+    def test_shared_last_column_forces_fill_in(self, n):
+        # column n is every row's largest, so each row is reduced against the
+        # first one and takes on its other columns
+        rows = [{n: i + 2, i: 1, (i + 1) % n: -1} for i in range(n)]
+        assert sparse_rank(rows) == _fraction_rank(rows)
+        rows = [{n: 1, **{j: j - i - 1 for j in range(i + 1)}} for i in range(n)]
+        assert sparse_rank(rows) == _fraction_rank(rows) == n
+
+    def test_coprime_pivots_and_duplicates(self):
+        rows = [{0: 2, 1: 3}, {0: 3, 1: 2}, {0: 2, 1: 3}, {1: 5}, {0: 5}]
+        assert sparse_rank(rows) == 2
+        assert sparse_rank([{3: 6, 0: 4}, {3: 9, 0: 6}, {3: -3, 0: -2}]) == 1
+        assert sparse_rank([]) == sparse_rank([{}, {}]) == 0
 
 
 class TestSolveVertex:

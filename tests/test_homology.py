@@ -23,7 +23,6 @@ from topobetti.constructions import (
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import (
     _boundary_rows,
-    _component_cells,
     _poset_collapse,
     analyze_network,
     betti_numbers,
@@ -80,7 +79,6 @@ class TestBettiNumbers:
         # translate a second ring far away and a lone square farther still
         shifted = [(i + 10, j) for i, j in ring_cubes_2d()]
         pc = box_complex(ring_cubes_2d() + shifted + [(25, 0)], 2)
-        assert len(_component_cells(pc)) == 3
         assert betti_numbers(pc).values == (
             betti_numbers(ring).values[0] * 2 + 1,
             betti_numbers(ring).values[1] * 2,
@@ -88,7 +86,6 @@ class TestBettiNumbers:
 
     def test_beta0_equals_component_count(self):
         pc = box_complex([(0, 0), (5, 5), (9, 0)], 2)
-        assert len(_component_cells(pc)) == 3
         assert betti_numbers(pc).values == (3, 0)
 
     def test_two_bars_in_one_dimension(self):
@@ -202,7 +199,7 @@ _REFERENCE = pytest.mark.parametrize(
 
 
 class TestCollapseAgreesWithUncollapsedPath:
-    """betti_numbers against the order complex of every cell, per component."""
+    """betti_numbers against the ranks of the order complex of every cell."""
 
     @_OFFSETS
     @_REFERENCE
@@ -211,9 +208,10 @@ class TestCollapseAgreesWithUncollapsedPath:
         sub = _sublevel(net, d)
         assert betti_numbers(sub).values == uncollapsed_betti(sub)
 
+    @_OFFSETS
     @_REFERENCE
-    def test_perturbed_reference_instances(self, name, d, m_vec, w_vec):
-        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+    def test_perturbed_reference_instances(self, name, d, m_vec, w_vec, with_offset):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
         sub = _sublevel(_perturbed(net, Fraction(1, 10**6), random.Random("7:0")), d)
         assert betti_numbers(sub).values == uncollapsed_betti(sub)
 
