@@ -12,7 +12,10 @@ region F⁻¹((−∞,0]) ∩ box.
 
 Everything is exact and runs on integers: hyperplanes are primitive-integer,
 vertices are homogeneous integer points that carry the ids of the hyperplanes
-they lie on, and affine maps are integer rows over a common denominator.
+they lie on, and affine maps are integer rows over a common denominator.  A
+split needs only the functional's values at the region's vertices: each new
+vertex is the point where it vanishes on an edge between a positive and a
+negative vertex, and signs are read from the vertices.
 Cells are deduplicated by canonical keys, so the construction is
 deterministic.  Fraction appears only at the public boundary (Cell.vertices,
 Cell.affine_map) and in the independent checks validate_complex and
@@ -37,7 +40,6 @@ from .exactgeom import (
     homogenize,
     matrix_rank,
     sign,
-    intersect_hyperplanes,
     vdot,
 )
 from .relunet import NeuronId, ReluNetwork
@@ -144,9 +146,6 @@ class _Registry:
             self._index[key] = hid
         return hid
 
-    def hp(self, hid: int) -> Hyperplane:
-        return self.hyperplanes[hid]
-
 
 class _Region:
     __slots__ = ("rid", "constraints", "vertices", "affine", "out_affine")
@@ -181,12 +180,12 @@ def _restrict_functional(affine, wrow, b):
 def _centroid_sign(hrow, verts, coords) -> int:
     """Sign of the functional hrow = (grad…, const) at the centroid of verts.
 
-    Σ_v (grad·x_v + const·w_v) / w_v has the sign of the value at the centroid;
-    scaling each term by lcm(w) / w_v keeps the sum integral.
+    Correct only when the functional does not change sign on the polytope:
+    then the centroid takes the sign of any vertex where it is nonzero.  Each
+    caller splits by its functional first (_apply_relu by every neuron of the
+    layer, _assemble by the output), so that holds.
     """
-    scale = math.lcm(*(coords[v][-1] for v in verts))
-    total = sum(_dot(hrow, coords[v]) * (scale // coords[v][-1]) for v in verts)
-    return sign(total)
+    return sign(sum(sign(_dot(hrow, coords[v])) for v in verts))
 
 
 def _spans(verts, k: int, coords) -> bool:
@@ -216,8 +215,8 @@ class _Builder:
     """Splits the box neuron by neuron into the network's linear regions.
 
     Vertices are stored once, as homogeneous integer coordinates (see
-    exactgeom.homogenize) with the set of hyperplane ids each lies on.  Every
-    constraint of a region has been evaluated on every vertex of that region,
+    exactgeom.homogenize) with the set of hyperplane ids each lies on.  That
+    set holds each constraint through the vertex of each region that has it,
     so tightness is set membership and the face lattice needs no arithmetic.
     """
 
@@ -309,13 +308,13 @@ class _Builder:
         hid = self.registry.intern(h)
         hrow = self.registry.rows[hid]
         coords, incidence = self.coords, self.incidence
-        pos, neg, zeros = set(), set(), set()
+        pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
         for v in r.vertices:
             t = _dot(hrow, coords[v]) * orient
             if t > 0:
-                pos.add(v)
+                pos[v] = t
             elif t < 0:
-                neg.add(v)
+                neg[v] = t
             else:
                 zeros.add(v)
                 incidence[v].add(hid)
@@ -328,33 +327,26 @@ class _Builder:
         if zeros and not output:
             self._record("vertex-on-hyperplane", nid, r.rid)
         facet = zeros
-        hps, rows = self.registry.hp, self.registry.rows
-        # A new vertex lies inside an edge of the region that h crosses, and
-        # d − 1 of the constraints tight on that edge meet h there; so only
-        # combinations tight on both a positive and a negative vertex are solved.
+        # A positive u and a negative v span an edge, which h cuts, exactly
+        # when they are the only vertices tight on every constraint they share:
+        # the constraints are facets and incidence is complete, so those
+        # vertices are the vertices of the smallest face that holds u and v.
         on = _tight_sets(r.constraints, r.vertices, incidence)
-        for combo in itertools.combinations(sorted(r.constraints), self.d - 1):
-            edge = r.vertices.intersection(*(on[k] for k in combo))
-            if pos.isdisjoint(edge) or neg.isdisjoint(edge):
-                continue
-            p = intersect_hyperplanes([hps(k) for k in combo] + [h])
-            if p is None or self._vertex_ids.get(p) in facet:
-                continue
-            # evaluate every constraint, so the new vertex's incidence is complete
-            tight = [hid]
-            for k, s in r.constraints.items():
-                t = _dot(rows[k], p) * s
-                if t < 0:
-                    break
-                if t == 0:
-                    tight.append(k)
-            else:
-                vid = self._vertex(p)
-                incidence[vid].update(tight)
+        for u, tu in pos.items():
+            for v, tv in neg.items():
+                shared = [k for k in incidence[u] & incidence[v] if k in on]
+                if len(r.vertices.intersection(*(on[k] for k in shared))) != 2:
+                    continue
+                # t is linear along the edge, so this point has t = 0; its last
+                # coordinate is positive, so dividing by the gcd gives homogenize's form
+                p = tuple(tu * a - tv * c for a, c in zip(coords[v], coords[u]))
+                g = math.gcd(*p)
+                vid = self._vertex(tuple(x // g for x in p))
+                incidence[vid].update(shared, (hid,))
                 facet.add(vid)
-        pos_side = self._new_region(dict(r.constraints), pos | facet, r.affine)
+        pos_side = self._new_region(dict(r.constraints), facet.union(pos), r.affine)
         pos_side.constraints[hid] = orient
-        neg_side = self._new_region(dict(r.constraints), neg | facet, r.affine)
+        neg_side = self._new_region(dict(r.constraints), facet.union(neg), r.affine)
         neg_side.constraints[hid] = -orient
         for child in (pos_side, neg_side):
             self._prune_constraints(child)

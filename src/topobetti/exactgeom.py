@@ -6,7 +6,7 @@ tuples.  Hyperplanes are normalized to primitive integer coefficients so that
 geometrically equal hyperplanes compare equal structurally, which the
 arrangement module relies on for deduplication.  Points can also be held in
 homogeneous integer coordinates (homogenize), the form in which the
-arrangement stores its vertices and intersect_hyperplanes returns them.
+arrangement stores its vertices.
 
 Floating point never appears here.
 """
@@ -18,11 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-Scalar = Fraction
-Vector = tuple
-Matrix = tuple
+from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
 
@@ -185,53 +181,6 @@ class BoxDomain:
         for lo, up in zip(self.lower, self.upper):
             vol *= up - lo
         return vol
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det_sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            det_sign = -det_sign
-        rk = a[k]
-        p = rk[k]
-        for ri in a[k + 1 :]:
-            f = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (p * ri[j] - f * rk[j]) // prev
-        prev = p
-    return det_sign * a[n - 1][n - 1] if n else 1
-
-
-def intersect_hyperplanes(hyperplanes: Sequence[Hyperplane]) -> Optional[tuple]:
-    """Common point of d hyperplanes in R^d, or None if they are dependent.
-
-    The point is returned in homogeneous integer coordinates (see homogenize).
-    Cramer's rule over integers: x_i = det(A_i) / det(A), with fraction-free
-    determinants.
-    """
-    n = len(hyperplanes)
-    if any(len(h.normal) != n for h in hyperplanes):
-        raise ValueError("need exactly d hyperplanes in R^d")
-    a = [h.normal for h in hyperplanes]
-    den = _int_det(a)
-    if den == 0:
-        return None
-    rhs = [-h.offset for h in hyperplanes]
-    num = [
-        _int_det([row[:i] + (b,) + row[i + 1 :] for row, b in zip(a, rhs)])
-        for i in range(n)
-    ]
-    if den < 0:
-        num, den = [-x for x in num], -den
-    g = math.gcd(den, *num)
-    return tuple(x // g for x in num) + (den // g,)
 
 
 def sparse_rank(rows) -> int:

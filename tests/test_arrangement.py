@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from topobetti.constructions import (
 )
 from topobetti.exactgeom import BoxDomain
 from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_network, eval_scalar
+from topobetti.stability import _perturbed
 
 
 def _scalar(net):
@@ -102,6 +104,23 @@ class TestCanonicalComplex:
             signed_complex(_tent(2), BoxDomain.unit_cube(1))
 
 
+class TestNewVertices:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_corner_cut_off_the_cube(self, d):
+        # x_1 + … + x_d = 1/2 is negative only at the origin, but crosses just
+        # the d edges from it: the diagonals to the other corners are no edges
+        half = Fraction(1, 2)
+        net = ReluNetwork((AffineLayer(((Fraction(1),) * d,), (-half,)),))
+        sc = signed_complex(net, BoxDomain.unit_cube(d))
+        points = {v for c in sc.cells.values() for v in c.vertices}
+        assert points == {c.vertices[0] for c in sc.cells_of_dim(0)}
+        new = points - set(BoxDomain.unit_cube(d).corners())
+        assert sorted(new) == sorted(
+            tuple(half if j == i else 0 for j in range(d)) for i in range(d)
+        )
+        assert validate_complex(sc) == []
+
+
 class TestVolumes:
     def test_tent_halves(self):
         pc = signed_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
@@ -176,25 +195,32 @@ class TestSignedAndSublevel:
 
 
 # sha256 of complex_digest(signed_complex(...)) for each reference instance,
-# as (with offset, without offset); recorded from the Fraction-arithmetic build
-# the integer kernel replaced, so any change to cells, vertex order, faces,
-# constraint signs, affine maps, labels or stability events shows here.
+# as (with offset, without offset, with offset and perturbed at δ = 10⁻⁶ by
+# stability._perturbed with seed "7:0").  The first two were recorded from the
+# Fraction-arithmetic build the integer kernel replaced, the third from the
+# build that solved for each new vertex by Cramer's rule; so any change to
+# cells, vertex order, faces, constraint signs, affine maps, labels or
+# stability events shows here.
 GOLDEN_DIGESTS = {
     "d2-M4-w3": (
         "b4335ef40764da72c4d75bb81fee84113c3b8f7da1cc8486388577cadbacd5cc",
         "10c299352e3c6df19903f5a837889f94268e164b860403dbc234dc78e52dcf10",
+        "82c9abe80841944df4302d4fe1fcb3e9b5cb66d842360bfbadef3ac92504a08a",
     ),
     "d2-M8-w4": (
         "aefd8073d6c35e55fd7330cf39546d4da23ec619376968cb008eb8e3fe7f7647",
         "1948071440d31639c6df5494b82a5824d3455ded02cceb97e292d90bcf469684",
+        "8c5f81c1c5eb78c1fe5c258dd96f1a8572c7ca0fd5b1be956dea55e8f064222a",
     ),
     "d3-M2-w11": (
         "a7eb928b733672c3f210064fa3f8ad4cf6135628b6c7b9debe281abf9c62a00c",
         "04029421327322d413892d6569f35c63d89fb1e519cb9c3fb3bd75379a6e7030",
+        "19553f9eb2e0e7fe626d2f5ba7c25d2ad9882201dd5a66b703a3dad6956e02ba",
     ),
     "d3-M4-w11": (
         "125cae9603576848175d8ba16ebd7f46b852f22d0049da3aa7d68cc42396ab62",
         "f1393ab62a1817cdf3608f99b13f378c8c4ab442c2e207ee9b5a35f74189cfcc",
+        "67a73fe1f1745175eec0d5c81015dd675352c643490f7d9d7f3ca1069d594037",
     ),
 }
 
@@ -221,3 +247,10 @@ class TestGoldenComplex:
         net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
         sc = signed_complex(net, BoxDomain.unit_cube(d))
         assert complex_digest(sc) == GOLDEN_DIGESTS[name][0 if with_offset else 1]
+
+    @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
+    def test_perturbed_reference_complex_is_unchanged(self, name, d, m_vec, w_vec):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        perturbed = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        sc = signed_complex(perturbed, BoxDomain.unit_cube(d))
+        assert complex_digest(sc) == GOLDEN_DIGESTS[name][2]

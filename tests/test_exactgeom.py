@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from topobetti.exactgeom import (
     dehomogenize,
     format_rational,
     homogenize,
-    intersect_hyperplanes,
     matrix_rank,
     parse_rational,
     sign,
@@ -266,56 +265,6 @@ class TestSparseRank:
         assert sparse_rank(rows) == 2
         assert sparse_rank([{3: 6, 0: 4}, {3: 9, 0: 6}, {3: -3, 0: -2}]) == 1
         assert sparse_rank([]) == sparse_rank([{}, {}]) == 0
-
-
-class TestSolveVertex:
-    """intersect_hyperplanes: the common point of d hyperplanes in R^d."""
-
-    def test_unique_intersection(self):
-        h1, _ = Hyperplane.from_coefficients((1, 0), -Fraction(1, 3))
-        h2, _ = Hyperplane.from_coefficients((1, 1), -1)
-        assert intersect_hyperplanes((h1, h2)) == (1, 2, 3)
-        assert dehomogenize(intersect_hyperplanes((h1, h2))) == (Fraction(1, 3), Fraction(2, 3))
-
-    def test_dependent_system_returns_none(self):
-        h1, _ = Hyperplane.from_coefficients((1, 1), 0)
-        h2, _ = Hyperplane.from_coefficients((2, 2), -1)
-        assert intersect_hyperplanes((h1, h2)) is None
-
-    def test_wrong_count_rejected(self):
-        h, _ = Hyperplane.from_coefficients((1, 0), 0)
-        with pytest.raises(ValueError):
-            intersect_hyperplanes((h,))
-
-    @given(
-        st.lists(
-            st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3
-        ),
-        st.lists(small_ints, min_size=3, max_size=3),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_solution_satisfies_every_equation(self, normals, offsets):
-        try:
-            planes = [
-                Hyperplane.from_coefficients(tuple(n), b)[0]
-                for n, b in zip(normals, offsets)
-            ]
-        except ValueError:
-            return
-        p = intersect_hyperplanes(planes)
-        if p is None:
-            assert matrix_rank(normals) < 3
-        else:
-            assert p[-1] > 0 and homogenize(dehomogenize(p)) == p
-            assert all(h.eval_at(dehomogenize(p)) == 0 for h in planes)
-
-    def test_order_independent(self):
-        planes = [
-            Hyperplane.from_coefficients(n, b)[0]
-            for n, b in [((1, 2, 0), -1), ((0, 1, 1), 2), ((1, 0, 3), 0)]
-        ]
-        sols = {intersect_hyperplanes(tuple(p)) for p in permutations(planes)}
-        assert len(sols) == 1
 
 
 class TestHomogeneousCoordinates:

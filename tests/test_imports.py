@@ -64,9 +64,23 @@ def _references(tree, skip=None) -> set:
     return out
 
 
+def _defined_names(node) -> list:
+    """Names a top-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _uncalled(modules: dict, callers: list) -> list:
-    """module.name of each public top-level def or class that neither another
-    module, nor the rest of its own module, nor a caller source references."""
+    """module.name of each public top-level def, class or assigned name that
+    neither another module, nor the rest of its own module, nor a caller
+    source references."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
     outside = set()
     for src in callers:
@@ -74,15 +88,13 @@ def _uncalled(modules: dict, callers: list) -> list:
     found = []
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
+            public = [n for n in _defined_names(node) if not n.startswith("_")]
+            if not public:
                 continue
             refs = set(outside)
             for other, t in trees.items():
                 refs |= _references(t, node if other == name else None)
-            if node.name not in refs:
-                found.append(f"{name}.{node.name}")
+            found.extend(f"{name}.{n}" for n in public if n not in refs)
     return sorted(found)
 
 
@@ -104,3 +116,6 @@ def test_scan_finds_an_uncalled_name():
     bench = 'import b\nwrap(b, "Wrapped")\n'
     assert _uncalled(modules, [bench]) == ["a.unused"]
     assert _uncalled(modules, []) == ["a.unused", "b.Wrapped"]
+    # assigned names count too, annotated or not; private ones do not
+    modules["c"] = "LIMIT = 3\nAlias: type = int\n_cache = {}\nprint(LIMIT)\n"
+    assert _uncalled(modules, [bench]) == ["a.unused", "c.Alias"]
