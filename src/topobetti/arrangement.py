@@ -15,7 +15,9 @@ vertices are homogeneous integer points that carry the ids of the hyperplanes
 they lie on, and affine maps are integer rows over a common denominator.  A
 split needs only the functional's values at the region's vertices: each new
 vertex is the point where it vanishes on an edge between a positive and a
-negative vertex, and signs are read from the vertices.
+negative vertex.  The split is also the only place a functional is evaluated:
+each region records every neuron's functional on it and its sign there, and
+the ReLU, the output map and the cell labels are read from that record.
 Cells are deduplicated by canonical keys, so the construction is
 deterministic.  Fraction appears only at the public boundary (Cell.vertices,
 Cell.affine_map) and in the independent checks validate_complex and
@@ -30,7 +32,6 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .exactgeom import (
     BoxDomain,
@@ -40,7 +41,6 @@ from .exactgeom import (
     homogenize,
     matrix_rank,
     sign,
-    vdot,
 )
 from .relunet import NeuronId, ReluNetwork
 
@@ -80,10 +80,6 @@ class Cell:
     active_constraints: tuple
     affine_map: tuple
     sign_label: str = "unsigned"
-
-    def evaluate(self, x: Sequence):
-        rows, consts = self.affine_map
-        return tuple(vdot(r, x) + c for r, c in zip(rows, consts))
 
 
 @dataclass(frozen=True)
@@ -148,15 +144,20 @@ class _Registry:
 
 
 class _Region:
-    __slots__ = ("rid", "constraints", "vertices", "affine", "out_affine")
+    __slots__ = ("rid", "constraints", "vertices", "affine", "activations", "out_affine")
 
-    def __init__(self, rid, constraints, vertices, affine):
+    def __init__(self, rid, constraints, vertices, affine, activations):
         self.rid = rid
         self.constraints = constraints  # {hid: sign}, region ⊆ {sign·h ≥ 0}
         self.vertices = vertices  # set of vertex ids
         # (rows, consts, den) over ints: input x -> (rows·x + consts) / den,
-        # the current layer's output
+        # the previous layer's output
         self.affine = affine
+        # one (grad, const, sign, hid) per neuron of the current layer split so
+        # far: its functional on the region (see _restrict_functional), its
+        # sign on the region's interior (0 only where the functional is
+        # identically 0) and its interned hyperplane (None when constant)
+        self.activations = activations
         self.out_affine = None  # Cell.affine_map, set once the output is reached
 
 
@@ -175,17 +176,6 @@ def _restrict_functional(affine, wrow, b):
     grad = tuple(sum(w * row[t] for w, row in zip(wrow, rows) if w) for t in range(d))
     const = sum(w * c for w, c in zip(wrow, consts) if w) + b * den
     return grad, const
-
-
-def _centroid_sign(hrow, verts, coords) -> int:
-    """Sign of the functional hrow = (grad…, const) at the centroid of verts.
-
-    Correct only when the functional does not change sign on the polytope:
-    then the centroid takes the sign of any vertex where it is nonzero.  Each
-    caller splits by its functional first (_apply_relu by every neuron of the
-    layer, _assemble by the output), so that holds.
-    """
-    return sign(sum(sign(_dot(hrow, coords[v])) for v in verts))
 
 
 def _spans(verts, k: int, coords) -> bool:
@@ -234,7 +224,7 @@ class _Builder:
         self.cap = _max_cells()
         self._next_rid = 0
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
-        base = self._new_region({}, set(), (identity, (0,) * self.d, 1))
+        base = self._new_region({}, set(), (identity, (0,) * self.d, 1), [])
         for h, s in box.facet_halfspaces():
             base.constraints[self.registry.intern(h)] = s
         rows = self.registry.rows
@@ -245,8 +235,8 @@ class _Builder:
             base.vertices.add(vid)
         self.regions = [base]
 
-    def _new_region(self, constraints, vertices, affine) -> _Region:
-        r = _Region(self._next_rid, constraints, vertices, affine)
+    def _new_region(self, constraints, vertices, affine, activations) -> _Region:
+        r = _Region(self._next_rid, constraints, vertices, affine, activations)
         self._next_rid += 1
         return r
 
@@ -266,8 +256,8 @@ class _Builder:
     def run(self):
         """Split by every hidden neuron, then by the output zero-set.
 
-        Afterwards every region's map is the network output, in ints and in
-        Fraction (Cell.affine_map).
+        Afterwards every region's one activation is the network output, and
+        out_affine is its map in Fraction (Cell.affine_map).
         """
         if self.net.output_dim != 1:
             raise ValueError("the arrangement requires a scalar-output network")
@@ -277,12 +267,10 @@ class _Builder:
                 self._split_all(NeuronId(ell, i), wrow, b, output=False)
             self._apply_relu(layer)
         weights, bias, layer_den = self.net.layers[-1].scaled
-        wrow, b = weights[0], bias[0]
-        self._split_all(NeuronId(len(self.net.layers), 1), wrow, b, output=True)
+        self._split_all(NeuronId(len(self.net.layers), 1), weights[0], bias[0], output=True)
         for r in self.regions:
-            grad, const = _restrict_functional(r.affine, wrow, b)
+            ((grad, const, _, _),) = r.activations
             den = layer_den * r.affine[2]
-            r.affine = ((grad,), (const,), den)
             r.out_affine = (
                 (tuple(Fraction(x, den) for x in grad),),
                 (Fraction(const, den),),
@@ -303,6 +291,7 @@ class _Builder:
         if not any(grad):
             if const == 0:
                 self._record("degenerate-pullback", nid, r.rid)
+            r.activations.append((grad, const, sign(const), None))
             return [r]
         h, orient = Hyperplane.from_coefficients(grad, const)
         hid = self.registry.intern(h)
@@ -323,6 +312,7 @@ class _Builder:
             # a topological-stability violation whether or not it splits
             self._record("vertex-on-hyperplane", nid, r.rid)
         if not (pos and neg):
+            r.activations.append((grad, const, 1 if pos else -1, hid))
             return [r]
         if zeros and not output:
             self._record("vertex-on-hyperplane", nid, r.rid)
@@ -344,9 +334,13 @@ class _Builder:
                 vid = self._vertex(tuple(x // g for x in p))
                 incidence[vid].update(shared, (hid,))
                 facet.add(vid)
-        pos_side = self._new_region(dict(r.constraints), facet.union(pos), r.affine)
+        pos_side = self._new_region(
+            dict(r.constraints), facet.union(pos), r.affine, r.activations + [(grad, const, 1, hid)]
+        )
         pos_side.constraints[hid] = orient
-        neg_side = self._new_region(dict(r.constraints), facet.union(neg), r.affine)
+        neg_side = self._new_region(
+            dict(r.constraints), facet.union(neg), r.affine, r.activations + [(grad, const, -1, hid)]
+        )
         neg_side.constraints[hid] = -orient
         for child in (pos_side, neg_side):
             self._prune_constraints(child)
@@ -362,19 +356,14 @@ class _Builder:
         }
 
     def _apply_relu(self, layer):
-        weights, bias, layer_den = layer.scaled
+        """Each region's layer output: its positive activations, and 0 for the rest."""
+        layer_den = layer.scaled[2]
         zero = (0,) * self.d
         for r in self.regions:
             den = layer_den * r.affine[2]
-            rows, consts = [], []
-            for wrow, b in zip(weights, bias):
-                grad, const = _restrict_functional(r.affine, wrow, b)
-                if _centroid_sign(grad + (const,), r.vertices, self.coords) > 0:
-                    rows.append(grad)
-                    consts.append(const)
-                else:
-                    rows.append(zero)
-                    consts.append(0)
+            rows = [grad if s > 0 else zero for grad, _, s, _ in r.activations]
+            consts = [const if s > 0 else 0 for _, const, s, _ in r.activations]
+            r.activations = []
             g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
             r.affine = (
                 tuple(tuple(x // g for x in row) for row in rows),
@@ -429,9 +418,11 @@ def _assemble(b: _Builder) -> SignedComplex:
     for key, (dim, owner) in ordered:
         cid = ids[key]
         verts = sorted(key, key=rank.__getitem__)
-        rows, consts, _ = owner.affine
-        label = _label(_centroid_sign(rows[0] + (consts[0],), verts, coords))
         common = set.intersection(*(incidence[v] for v in verts))
+        # the output has one sign on the owner, and vanishes on a face of it
+        # only if the face lies on the output's hyperplane
+        _, _, out_sign, out_hid = owner.activations[0]
+        label = _label(0 if out_hid in common else out_sign)
         constraints = tuple(
             (hid, 0 if hid in common else s) for hid, s in sorted(owner.constraints.items())
         )
@@ -562,6 +553,13 @@ def validate_complex(complex: PolyhedralComplex):
         if not set(cells[f].vertices) < set(cells[c].vertices):
             out.append(f"incidence: vertices of {f} not contained in {c}")
     fmap = complex.face_map()
+    below = {}  # cell id -> the points of the 0-cells below it
+    for c in sorted(cells.values(), key=lambda c: c.dim):
+        below[c.id] = (
+            set(c.vertices) if c.dim == 0 else set().union(*(below.get(f, ()) for f in fmap[c.id]))
+        )
+        if below[c.id] != set(c.vertices):
+            out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
     for cid, c in cells.items():
         if affine_rank(c.vertices) != c.dim:
             out.append(f"dimension: cell {cid} has affine rank != dim")

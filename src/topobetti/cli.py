@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .arrangement import ComplexSizeError
 from .constructions import (
     CuttingSpec,
     FoldingSpec,
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (CliError, ComplexSizeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,10 +63,6 @@ class CuttingSpec:
             if w < 1:
                 raise ValueError("cut counts must be ≥ 1")
 
-    @property
-    def hidden_width(self) -> int:
-        return sum(w + 2 for w in self.w_vec)
-
 
 @dataclass(frozen=True)
 class BettiVector:

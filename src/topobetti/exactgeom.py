@@ -173,9 +173,6 @@ class BoxDomain:
             out.append((h, -orient))  # x_i ≤ upper
         return out
 
-    def contains(self, x: Sequence) -> bool:
-        return all(lo <= v <= up for lo, v, up in zip(self.lower, x, self.upper))
-
     def volume(self):
         vol = Fraction(1)
         for lo, up in zip(self.lower, self.upper):

@@ -12,7 +12,6 @@ perturbations of all parameters.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,9 +49,6 @@ class StabilityReport:
             "seed": self.seed,
             "applicable": self.applicable,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def _classify(net: ReluNetwork, violations) -> StabilityReport:

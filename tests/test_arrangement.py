@@ -1,10 +1,11 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import REFERENCE_INSTANCES
+from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
 from helpers import box_complex, ring_cubes_2d
 from topobetti.arrangement import (
     ComplexSizeError,
@@ -22,7 +23,7 @@ from topobetti.constructions import (
     build_topo_network,
 )
 from topobetti.exactgeom import BoxDomain
-from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_network, eval_scalar
+from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_scalar
 from topobetti.stability import _perturbed
 
 
@@ -71,8 +72,9 @@ class TestCanonicalComplex:
         for cell in pc.full_cells():
             # the cell's affine restriction must agree with the network on
             # its vertices (interior points are covered by convexity)
+            (grad,), (const,) = cell.affine_map
             for v in cell.vertices:
-                assert cell.evaluate(v) == eval_network(net, v)
+                assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
 
     def test_deterministic(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
@@ -93,6 +95,12 @@ class TestCanonicalComplex:
         net = _scalar(build_folding_network(FoldingSpec(2, (4,))))
         with pytest.raises(ComplexSizeError):
             signed_complex(net, BoxDomain.unit_cube(2))
+
+    def test_cell_cap_counts_faces(self, monkeypatch):
+        # one region, so only the face lattice's 9 cells can exceed the cap
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
+        with pytest.raises(ComplexSizeError):
+            signed_complex(_constant(1), BoxDomain.unit_cube(2))
 
     def test_non_scalar_output_rejected(self):
         with pytest.raises(ValueError):
@@ -119,6 +127,20 @@ class TestNewVertices:
             tuple(half if j == i else 0 for j in range(d)) for i in range(d)
         )
         assert validate_complex(sc) == []
+
+
+class TestValidateComplex:
+    def test_extra_vertex_is_reported(self):
+        # (1/2, 0) keeps the square's rank, facets and volume, so only the
+        # vertex-list check sees it
+        pc = box_complex([(0, 0)], 2)
+        assert validate_complex(pc) == []
+        (square,) = pc.full_cells()
+        extra = replace(square, vertices=square.vertices + ((Fraction(1, 2), Fraction(0)),))
+        broken = replace(pc, cells={**pc.cells, square.id: extra})
+        assert validate_complex(broken) == [
+            f"vertices: cell {square.id} does not list exactly the 0-cells below it"
+        ]
 
 
 class TestVolumes:
@@ -225,6 +247,15 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same digest for each of LARGE_INSTANCES, with the offset, recorded from
+# the build that read ReLU signs and cell labels from vertex signs.  d = 4 is
+# the only construction on which _spans needs its rank test.
+LARGE_DIGESTS = {
+    "d4-M2-w111": "59152db29c5f6f8b44ed1bb45ae4d2581b0b16704df0b5a7918ae2c7cf669307",
+    "d2-M16-w6": "467beac8baab242f26d0a86a277c11a92a75d7cd33465707a88da4dcadd5c534",
+}
+
+
 def complex_digest(sc) -> str:
     blob = repr(
         (
@@ -254,3 +285,9 @@ class TestGoldenComplex:
         perturbed = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
         sc = signed_complex(perturbed, BoxDomain.unit_cube(d))
         assert complex_digest(sc) == GOLDEN_DIGESTS[name][2]
+
+    @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in LARGE_INSTANCES])
+    def test_large_complex_is_unchanged(self, name, d, m_vec, w_vec):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        sc = signed_complex(net, BoxDomain.unit_cube(d))
+        assert complex_digest(sc) == LARGE_DIGESTS[name]

@@ -203,3 +203,11 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.format(**fill)}\n"
         assert captured.out == ""
+
+    def test_cell_cap_overflow(self, small_net, monkeypatch, capsys):
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
+        capsys.readouterr()
+        assert main(["analyze", str(small_net)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: arrangement exceeded TOPOBETTI_MAX_CELLS=4\n"
+        assert captured.out == ""

@@ -33,7 +33,6 @@ class TestSpecs:
             FoldingSpec(2, ())
 
     def test_cutting_spec_validation(self):
-        assert CuttingSpec(3, (1, 4)).hidden_width == 3 + 6
         with pytest.raises(ValueError):
             CuttingSpec(3, (1,))
         with pytest.raises(ValueError):

@@ -122,11 +122,6 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain((Fraction(0), Fraction(0)), (Fraction(1),))
 
-    def test_contains(self):
-        box = BoxDomain((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
-        assert box.contains((0, 2))
-        assert not box.contains((0, Fraction(5, 2)))
-
     def test_facet_halfspaces_cut_out_the_box(self):
         box = BoxDomain((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(1, 2)))
         halves = box.facet_halfspaces()

@@ -34,8 +34,9 @@ def _check_kernel_invariants(net, box):
     sc = signed_complex(net, box)
     assert validate_complex(sc) == []
     for cell in sc.full_cells():
+        (grad,), (const,) = cell.affine_map
         for v in cell.vertices:
-            assert cell.evaluate(v) == eval_network(net, v)
+            assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
         for hid, s in cell.active_constraints:
