@@ -408,7 +408,7 @@ def _assemble(b: _Builder) -> SignedComplex:
             descend(key, r.vertices, d, r)
 
     # cells, and the vertices within each, are ordered by their rational points
-    points = {v: dehomogenize(coords[v]) for r in regions for v in r.vertices}
+    points = {v: dehomogenize(coords[v]) for v in set().union(*(r.vertices for r in regions))}
     rank = {v: i for i, v in enumerate(sorted(points, key=points.__getitem__))}
     ordered = sorted(
         info.items(), key=lambda kv: (kv[1][0], sorted(map(rank.__getitem__, kv[0])))

@@ -2,15 +2,20 @@
 
 The oracle never touches the arrangement machinery: it evaluates the network
 exactly at every point of a regular rational grid and estimates β₀ of the
-nonpositive set by union-find over grid adjacency.  The evaluation is a
-scaled-integer forward pass, so even the oracle is float-free: each layer is
-cleared to an integer matrix, and numpy runs the pass one layer at a time
-over blocks of grid points.  Before it runs, a bound on every integer the
-pass can form is proved in Python ints; below 2^62 the arrays are int64,
-otherwise they hold Python ints (dtype object), in the same code path.  For
-the constructed classifier family the smallest feature has ℓ₁-diameter
-1/(4wM), so any resolution above 8·w·M resolves every component; the
-default used by callers is 16·w_max·M.
+nonpositive set under grid adjacency.  The evaluation is a scaled-integer
+forward pass, so even the oracle is float-free: each layer is cleared to an
+integer matrix, and numpy runs the pass one layer at a time over blocks of
+grid points.  Before it runs, a bound on every integer the pass can form is
+proved in Python ints; below 2^62 the arrays are int64, otherwise they hold
+Python ints (dtype object), in the same code path.  β₀ is counted by run
+labelling in numpy: the nonpositive points, as sorted flat indices, are cut
+into maximal runs along the last axis, each other axis joins the runs of
+neighbouring points (found by binary search), and the runs are merged by
+min-label hooking and pointer jumping.  Its integer arrays are sized by the
+nonpositive points, never by the grid.  For the constructed classifier
+family the smallest feature has ℓ₁-diameter 1/(4wM), so any resolution
+above 8·w·M resolves every component; the default used by callers is
+16·w_max·M.
 """
 
 from __future__ import annotations
@@ -34,6 +39,15 @@ class SignGrid:
     resolution: int
     d: int
     signs: np.ndarray  # shape (N+1,)*d, values in {−1,0,+1}
+
+    def __post_init__(self):
+        # grid_beta0 reads the grid by flat index, which a wrong shape would
+        # silently misread
+        if self.signs.shape != (self.resolution + 1,) * self.d:
+            raise ValueError(
+                f"signs of shape {self.signs.shape} do not form a grid of "
+                f"resolution {self.resolution} in dimension {self.d}"
+            )
 
 
 def _scaled_layers(net: ReluNetwork):
@@ -118,44 +132,45 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
 
 
 def grid_beta0(sg: SignGrid) -> int:
-    """Components of the nonpositive grid-point set under 2d-neighbor adjacency."""
-    flat = sg.signs.reshape(-1)
-    nonpos = flat <= 0
+    """Components of the nonpositive grid-point set under 2d-neighbor adjacency.
+
+    The nonpositive points, as sorted flat indices, are cut into runs along
+    the last axis; each other axis joins the runs of neighbouring points,
+    and the runs are merged by min-label hooking and pointer jumping.
+    """
     n = sg.resolution + 1
-    strides = []
-    mult = 1
-    for _ in range(sg.d):
-        strides.append(mult)
-        mult *= n
-    strides = strides[::-1]
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    idxs = np.nonzero(nonpos)[0]
-    for i in idxs:
-        parent[int(i)] = int(i)
-    for i in idxs:
-        i = int(i)
-        rem = i
-        coords = []
-        for s in strides:
-            coords.append(rem // s)
-            rem %= s
-        for axis, c in enumerate(coords):
-            if c + 1 < n:
-                j = i + strides[axis]
-                if nonpos[j]:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-    return len({find(int(i)) for i in idxs})
+    idx = np.flatnonzero(sg.signs.reshape(-1) <= 0)
+    if idx.size == 0:
+        return 0
+    # a run starts after a gap in the indices or at the start of a line
+    starts = np.ones(idx.size, dtype=bool)
+    starts[1:] = (np.diff(idx) != 1) | (idx[1:] % n == 0)
+    run = np.cumsum(starts) - 1
+    u = v = run[:0]  # edges, as the run ids of their two ends
+    stride = n
+    for _ in range(sg.d - 1):
+        # the neighbour one step up the axis, unless the point ends its line
+        src = np.flatnonzero((idx // stride) % n != n - 1)
+        dst = np.minimum(np.searchsorted(idx, idx[src] + stride), idx.size - 1)
+        hit = idx[dst] == idx[src] + stride
+        u = np.concatenate((u, run[src[hit]]))
+        v = np.concatenate((v, run[dst[hit]]))
+        stride *= n
+    label = np.arange(run[-1] + 1)
+    # labels only decrease, and after the jumping every label is a root, so
+    # each round hooks every root with an edge out onto its smallest neighbour
+    while u.size:
+        a, b = label[u], label[v]
+        apart = a != b
+        u, v, a, b = u[apart], v[apart], a[apart], b[apart]
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return int(np.count_nonzero(label == np.arange(label.size)))
 
 
 def default_resolution(M: int, w_vec: Sequence[int]) -> int:

@@ -7,6 +7,7 @@
 - Hypothesis strategies for small random rational networks and boxes.
 - The uncollapsed homology path, the reference that betti_numbers and its
   face-poset collapse are checked against.
+- The per-point union-find, the reference that grid_beta0 is checked against.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from topobetti.arrangement import Cell, PolyhedralComplex
 from topobetti.exactgeom import BoxDomain, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
+from topobetti.verify import SignGrid
 
 
 def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
@@ -158,3 +161,48 @@ def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:
         ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
     counts = [len(s) for s in simplices] + [0] * (d + 1 - len(simplices))
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d))
+
+
+def reference_grid_beta0(sg: SignGrid) -> int:
+    """Components of the nonpositive grid-point set under 2d-neighbor adjacency.
+
+    A union-find over every nonpositive point, one at a time: the reference
+    that the run labelling of verify.grid_beta0 is checked against.
+    """
+    flat = sg.signs.reshape(-1)
+    nonpos = flat <= 0
+    n = sg.resolution + 1
+    strides = []
+    mult = 1
+    for _ in range(sg.d):
+        strides.append(mult)
+        mult *= n
+    strides = strides[::-1]
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    idxs = np.nonzero(nonpos)[0]
+    for i in idxs:
+        parent[int(i)] = int(i)
+    for i in idxs:
+        i = int(i)
+        rem = i
+        coords = []
+        for s in strides:
+            coords.append(rem // s)
+            rem %= s
+        for axis, c in enumerate(coords):
+            if c + 1 < n:
+                j = i + strides[axis]
+                if nonpos[j]:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[ri] = rj
+    return len({find(int(i)) for i in idxs})

@@ -2,6 +2,7 @@
 public function, class or method has a caller outside the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,24 +46,19 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports(source) == ["Fraction (line 1)", "os (line 2)"]
 
 
-def _references(tree, skip=None) -> set:
-    """Names, attributes, imported names and whole strings (the benchmark
-    wraps functions by name) in tree outside the node skip."""
-    out = set()
-    stack = [tree]
-    while stack:
-        n = stack.pop()
-        if n is skip:
-            continue
+def _references(tree) -> Counter:
+    """How often each name, attribute, imported name and whole string (the
+    benchmark wraps functions by name) occurs in tree."""
+    out = Counter()
+    for n in ast.walk(tree):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add(n.name)
+            out[n.name] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
-        stack.extend(ast.iter_child_nodes(n))
+            out[n.value] += 1
     return out
 
 
@@ -100,16 +96,16 @@ def _uncalled(modules: dict, callers: list) -> list:
     whatever the object: StabilityReport.dumps went unflagged while json.dumps
     was called in its module."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    outside = set()
-    for src in callers:
-        outside |= _references(ast.parse(src))
+    # each source is walked once; a definition is flagged when every
+    # reference to its name lies inside it
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        total.update(_references(tree))
     found = []
     for name, tree in trees.items():
         for qualified, node in _definitions(tree):
-            refs = set(outside)
-            for other, t in trees.items():
-                refs |= _references(t, node if other == name else None)
-            if qualified.rsplit(".", 1)[-1] not in refs:
+            short = qualified.rsplit(".", 1)[-1]
+            if total[short] == _references(node)[short]:
                 found.append(f"{name}.{qualified}")
     return sorted(found)
 

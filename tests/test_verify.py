@@ -1,10 +1,12 @@
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from topobetti.constructions import (
     CuttingSpec,
@@ -15,6 +17,7 @@ from topobetti.constructions import (
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_scalar
+from helpers import reference_grid_beta0
 from topobetti.verify import (
     SignGrid,
     default_resolution,
@@ -147,7 +150,96 @@ class TestGridSignSample:
             grid_sign_sample(build_folding_network(FoldingSpec(2, (2,))), box, 4)
 
 
+@st.composite
+def sign_grids(draw):
+    """An int8 sign grid, d ≤ 3 and N ≤ 7, with random shares of −1, 0 and +1."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    N = draw(st.integers(1, 7))
+    # k of 8 entries positive, the rest split between −1 and 0
+    k = draw(st.integers(0, 8))
+    zeros = draw(st.integers(0, 8 - k))
+    pool = [1] * k + [0] * zeros + [-1] * (8 - k - zeros)
+    # fill=nothing draws every entry, so the shares hold across the grid
+    signs = draw(
+        arrays(np.int8, (N + 1,) * d, elements=st.sampled_from(pool), fill=st.nothing())
+    )
+    return SignGrid(resolution=N, d=d, signs=signs)
+
+
+def _grid(N, d, nonpositive):
+    """Grid of resolution N in dimension d, nonpositive exactly at the given points."""
+    signs = np.ones((N + 1,) * d, dtype=np.int8)
+    for p in nonpositive:
+        signs[p] = -1
+    return SignGrid(resolution=N, d=d, signs=signs)
+
+
 class TestGridBeta0:
+    @given(sign_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_union_find(self, sg):
+        assert grid_beta0(sg) == reference_grid_beta0(sg)
+
+    def test_line_end_does_not_wrap(self):
+        # [i, n−1] and [i+1, 0] are consecutive flat indices, not neighbours
+        for N in (1, 2, 5):
+            for i in range(N):
+                assert grid_beta0(_grid(N, 2, [(i, N), (i + 1, 0)])) == 2
+
+    def test_slab_end_does_not_wrap(self):
+        N = 3
+        pairs = [
+            ((1, 2, N), (1, 3, 0)),  # along the last axis
+            ((1, N, 2), (2, 0, 2)),  # along axis 1: one flat step of n
+            ((0, N, N), (1, 0, 0)),  # both at once
+        ]
+        for pair in pairs:
+            assert grid_beta0(_grid(N, 3, pair)) == 2
+            # the true neighbour across axis 0 does connect
+            assert grid_beta0(_grid(N, 3, [pair[0], (pair[0][0] + 1, *pair[0][1:])])) == 1
+
+    def test_serpentine_path(self):
+        # every other column, joined alternately at the top and the bottom:
+        # one component made of many single-point runs in a chain
+        N = 40
+        signs = np.ones((N + 1, N + 1), dtype=np.int8)
+        signs[:, ::2] = 0
+        signs[0, 1::4] = -1
+        signs[N, 3::4] = -1
+        sg = SignGrid(resolution=N, d=2, signs=signs)
+        assert grid_beta0(sg) == 1
+        # cutting the path in the middle of one column leaves two pieces
+        signs[N // 2, 20] = 1
+        assert grid_beta0(sg) == reference_grid_beta0(sg) == 2
+
+    def test_comb(self):
+        N = 30
+        signs = np.ones((N + 1,) * 3, dtype=np.int8)
+        signs[0, 0, :] = -1  # spine along the last axis
+        signs[:, 0, ::2] = -1  # teeth along axis 0
+        signs[N, :, ::6] = 0  # every third tooth ends in a foot along axis 1
+        sg = SignGrid(resolution=N, d=3, signs=signs)
+        assert grid_beta0(sg) == 1
+        signs[1, 0, :] = 1  # cut every tooth off the spine
+        assert grid_beta0(sg) == reference_grid_beta0(sg) == 1 + len(range(0, N + 1, 2))
+
+    def test_all_nonpositive(self):
+        for d, N in ((1, 9), (2, 6), (3, 4)):
+            signs = np.zeros((N + 1,) * d, dtype=np.int8)
+            assert grid_beta0(SignGrid(resolution=N, d=d, signs=signs)) == 1
+
+    def test_every_grid_of_resolution_one(self):
+        for d in (1, 2, 3):
+            for values in product((-1, 1), repeat=2**d):
+                signs = np.array(values, dtype=np.int8).reshape((2,) * d)
+                sg = SignGrid(resolution=1, d=d, signs=signs)
+                assert grid_beta0(sg) == reference_grid_beta0(sg)
+
+    def test_wrong_shape_is_rejected(self):
+        for N, d, shape in ((2, 2, (3, 4)), (2, 3, (3, 3)), (3, 1, (3,)), (2, 2, (9,))):
+            with pytest.raises(ValueError):
+                SignGrid(resolution=N, d=d, signs=np.ones(shape, dtype=np.int8))
+
     def test_two_blobs(self):
         signs = np.ones((5, 5), dtype=np.int8)
         signs[0, 0] = -1
