@@ -18,17 +18,20 @@ vertex is the point where it vanishes on an edge between a positive and a
 negative vertex.  The split is also the only place a functional is evaluated:
 each region records every neuron's functional on it and its sign there, and
 the ReLU, the output map and the cell labels are read from that record.
-Cells are deduplicated by canonical keys, so the construction is
-deterministic.  Fraction appears only at the public boundary (Cell.vertices,
+Each region carries its tight sets (constraint → its vertices on it), which
+the split updates and the face lattice is read from.  Cells are deduplicated
+by canonical keys, so the construction is deterministic.  Fraction appears only at the public boundary (Cell.vertices,
 Cell.affine_map) and in the independent checks validate_complex and
 cell_volume.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -49,6 +52,23 @@ DEFAULT_MAX_CELLS = 2_000_000
 
 class ComplexSizeError(RuntimeError):
     """Raised when the arrangement exceeds the configured cell cap."""
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    The build and the homology make no reference cycles, so reference counting
+    frees everything they drop and a collection would only walk their live
+    objects.  Nested pauses leave the collector off until the outermost ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _max_cells() -> int:
@@ -144,11 +164,13 @@ class _Registry:
 
 
 class _Region:
-    __slots__ = ("rid", "constraints", "vertices", "affine", "activations", "out_affine")
+    __slots__ = ("rid", "constraints", "tight", "vertices", "affine", "activations", "out_affine")
 
-    def __init__(self, rid, constraints, vertices, affine, activations):
+    def __init__(self, rid, constraints, tight, vertices, affine, activations):
         self.rid = rid
         self.constraints = constraints  # {hid: sign}, region ⊆ {sign·h ≥ 0}
+        # {hid: the vertex ids on it}, for the same hids: the region's facets
+        self.tight = tight
         self.vertices = vertices  # set of vertex ids
         # (rows, consts, den) over ints: input x -> (rows·x + consts) / den,
         # the previous layer's output
@@ -190,17 +212,6 @@ def _spans(verts, k: int, coords) -> bool:
     return k <= 2 or matrix_rank([coords[v] for v in verts]) > k
 
 
-def _tight_sets(constraints, verts, incidence) -> dict:
-    """hid -> the set of vertices among verts lying on it, for each hid in constraints."""
-    tight = {hid: set() for hid in constraints}
-    for v in verts:
-        for hid in incidence[v]:
-            group = tight.get(hid)
-            if group is not None:
-                group.add(v)
-    return tight
-
-
 class _Builder:
     """Splits the box neuron by neuron into the network's linear regions.
 
@@ -224,7 +235,7 @@ class _Builder:
         self.cap = _max_cells()
         self._next_rid = 0
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
-        base = self._new_region({}, set(), (identity, (0,) * self.d, 1), [])
+        base = self._new_region({}, None, set(), (identity, (0,) * self.d, 1), [])
         for h, s in box.facet_halfspaces():
             base.constraints[self.registry.intern(h)] = s
         rows = self.registry.rows
@@ -233,10 +244,13 @@ class _Builder:
             vid = self._vertex(p)
             self.incidence[vid].update(k for k in base.constraints if _dot(rows[k], p) == 0)
             base.vertices.add(vid)
+        base.tight = {
+            k: {v for v in base.vertices if k in self.incidence[v]} for k in base.constraints
+        }
         self.regions = [base]
 
-    def _new_region(self, constraints, vertices, affine, activations) -> _Region:
-        r = _Region(self._next_rid, constraints, vertices, affine, activations)
+    def _new_region(self, constraints, tight, vertices, affine, activations) -> _Region:
+        r = _Region(self._next_rid, constraints, tight, vertices, affine, activations)
         self._next_rid += 1
         return r
 
@@ -321,10 +335,15 @@ class _Builder:
         # when they are the only vertices tight on every constraint they share:
         # the constraints are facets and incidence is complete, so those
         # vertices are the vertices of the smallest face that holds u and v.
-        on = _tight_sets(r.constraints, r.vertices, incidence)
+        on = r.tight
+        facets = {v: on.keys() & incidence[v] for v in itertools.chain(pos, neg)}
+        cut = {}  # hid -> the new vertices on it
         for u, tu in pos.items():
             for v, tv in neg.items():
-                shared = [k for k in incidence[u] & incidence[v] if k in on]
+                shared = facets[u] & facets[v]
+                # an edge lies on at least d − 1 facets
+                if len(shared) < self.d - 1:
+                    continue
                 if len(r.vertices.intersection(*(on[k] for k in shared))) != 2:
                     continue
                 # t is linear along the edge, so this point has t = 0; its last
@@ -334,26 +353,29 @@ class _Builder:
                 vid = self._vertex(tuple(x // g for x in p))
                 incidence[vid].update(shared, (hid,))
                 facet.add(vid)
-        pos_side = self._new_region(
-            dict(r.constraints), facet.union(pos), r.affine, r.activations + [(grad, const, 1, hid)]
-        )
-        pos_side.constraints[hid] = orient
-        neg_side = self._new_region(
-            dict(r.constraints), facet.union(neg), r.affine, r.activations + [(grad, const, -1, hid)]
-        )
-        neg_side.constraints[hid] = -orient
-        for child in (pos_side, neg_side):
-            self._prune_constraints(child)
-        return [pos_side, neg_side]
-
-    def _prune_constraints(self, region: _Region):
-        """Keep only the constraints that define a facet of the region."""
-        tight = _tight_sets(region.constraints, region.vertices, self.incidence)
-        region.constraints = {
-            hid: s
-            for hid, s in region.constraints.items()
-            if _spans(tight[hid], self.d - 1, self.coords)
-        }
+                for k in shared:
+                    cut.setdefault(k, []).append(vid)
+        children = []
+        for side, other, s in ((pos, neg, 1), (neg, pos, -1)):
+            # a child's vertices on an old constraint are the parent's, less
+            # those on the other side, plus the new vertices on it; a
+            # constraint stays only while it holds a facet of the child.  h
+            # crosses the region's interior, so the facet on it always spans
+            # and the parent has no constraint on h.
+            tight = {}
+            for k, group in on.items():
+                group = group.difference(other)
+                if k in cut:
+                    group.update(cut[k])
+                if _spans(group, self.d - 1, coords):
+                    tight[k] = group
+            tight[hid] = facet
+            constraints = {k: r.constraints.get(k, s * orient) for k in tight}
+            activations = r.activations + [(grad, const, s, hid)]
+            children.append(
+                self._new_region(constraints, tight, facet.union(side), r.affine, activations)
+            )
+        return children
 
     def _apply_relu(self, layer):
         """Each region's layer output: its positive activations, and 0 for the rest."""
@@ -377,62 +399,77 @@ def _label(s: int) -> str:
 
 
 def _assemble(b: _Builder) -> SignedComplex:
+    """The face lattice of the build's regions, with each cell's signs and label.
+
+    A face's owner is the first region, in build order, that holds it; the
+    face takes its constraint signs, affine map and label from the owner.
+    """
     regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
-    info = {}  # frozenset(vertex ids) -> (dim, owner region)
-    incid = set()  # (face key, coface key)
-
-    def descend(key, verts, dim, owner):
-        if dim == 0:
-            return
-        for tight in _tight_sets(owner.constraints, verts, incidence).values():
-            if not tight or len(tight) == len(verts):
-                continue
-            if not _spans(tight, dim - 1, coords):
-                continue
-            subkey = frozenset(tight)
-            incid.add((subkey, key))
-            if subkey not in info:
-                info[subkey] = (dim - 1, owner)
-                if len(info) > cap:
-                    raise ComplexSizeError(
-                        f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
-                    )
-                descend(subkey, tight, dim - 1, owner)
-
+    index = {}  # frozenset(vertex ids) -> discovery index
+    found = []  # discovery index -> (vertex ids, dim, owner, active constraints)
+    incid = set()  # (face index, coface index)
     for r in regions:
         key = frozenset(r.vertices)
-        if key not in info:
-            info[key] = (d, r)
-            descend(key, r.vertices, d, r)
+        if key in index:
+            continue
+        items = sorted(r.constraints.items())
+        index[key] = len(found)
+        found.append((key, d, r, tuple(items)))
+        # a face to expand: its index and dimension, the hids it lies on, and
+        # for each other hid that meets it, its vertices on that hid.  A facet
+        # of the face is a spanning set among those, and its own sets are
+        # these sets intersected with it.
+        stack = [(index[key], d, frozenset(), r.tight)]
+        while stack:
+            i, dim, on, tight = stack.pop()
+            for group in tight.values():
+                if not _spans(group, dim - 1, coords):
+                    continue
+                sub = frozenset(group)
+                j = index.get(sub)
+                if j is None:
+                    j = index[sub] = len(found)
+                    if j >= cap:
+                        raise ComplexSizeError(
+                            f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
+                        )
+                    sub_on, sub_tight = set(on), {}
+                    for hid, other in tight.items():
+                        meet = other & sub
+                        if len(meet) == len(sub):
+                            sub_on.add(hid)
+                        elif meet:
+                            sub_tight[hid] = meet
+                    active = tuple((hid, 0 if hid in sub_on else s) for hid, s in items)
+                    found.append((sub, dim - 1, r, active))
+                    if dim > 1:
+                        stack.append((j, dim - 1, sub_on, sub_tight))
+                incid.add((j, i))
 
     # cells, and the vertices within each, are ordered by their rational points
     points = {v: dehomogenize(coords[v]) for v in set().union(*(r.vertices for r in regions))}
-    rank = {v: i for i, v in enumerate(sorted(points, key=points.__getitem__))}
-    ordered = sorted(
-        info.items(), key=lambda kv: (kv[1][0], sorted(map(rank.__getitem__, kv[0])))
-    )
-    ids = {key: i for i, (key, _) in enumerate(ordered)}
+    by_rank = sorted(points, key=points.__getitem__)
+    rank = {v: x for x, v in enumerate(by_rank)}
+    ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
+    order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
+    ids = [0] * len(found)
     cells = {}
-    for key, (dim, owner) in ordered:
-        cid = ids[key]
-        verts = sorted(key, key=rank.__getitem__)
-        common = set.intersection(*(incidence[v] for v in verts))
+    for cid, i in enumerate(order):
+        ids[i] = cid
+        key, dim, owner, active = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
         _, _, out_sign, out_hid = owner.activations[0]
-        label = _label(0 if out_hid in common else out_sign)
-        constraints = tuple(
-            (hid, 0 if hid in common else s) for hid, s in sorted(owner.constraints.items())
-        )
+        on_out = all(out_hid in incidence[v] for v in key)
         cells[cid] = Cell(
             id=cid,
             dim=dim,
-            vertices=tuple(points[v] for v in verts),
-            active_constraints=constraints,
+            vertices=tuple(points[by_rank[x]] for x in ranked[i]),
+            active_constraints=active,
             affine_map=owner.out_affine,
-            sign_label=label,
+            sign_label=_label(0 if on_out else out_sign),
         )
     return SignedComplex(
         cells=cells,
@@ -446,9 +483,10 @@ def _assemble(b: _Builder) -> SignedComplex:
 
 def signed_complex(net: ReluNetwork, box: BoxDomain) -> SignedComplex:
     """One-pass construction of the output-refined, sign-labeled complex."""
-    b = _Builder(net, box)
-    b.run()
-    return _assemble(b)
+    with _gc_paused():
+        b = _Builder(net, box)
+        b.run()
+        return _assemble(b)
 
 
 def sublevel_subcomplex(sc: SignedComplex) -> PolyhedralComplex:

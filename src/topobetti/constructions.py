@@ -224,23 +224,18 @@ def serra_region_bound(architecture: Sequence[int]) -> int:
         raise ValueError("architecture needs input and output widths")
     if arch[-1] != 1:
         raise ValueError("scalar output required")
-    d = arch[0]
-    hidden = arch[1:-1]
+    return _activation_patterns(tuple(arch[1:-1]), arch[0])
+
+
+def _activation_patterns(hidden: tuple, cap: int) -> int:
+    """Σ over j of C(n, j) times the count for the remaining layers, j ≤ cap."""
     if not hidden:
         return 1
-
-    def rec(level: int, cap: int) -> int:
-        if level == len(hidden):
-            return 1
-        n = hidden[level]
-        total = 0
-        for j in range(0, cap + 1):
-            c = math.comb(n, j)
-            if c:
-                total += c * rec(level + 1, min(cap, n - j))
-        return total
-
-    return rec(0, d)
+    n = hidden[0]
+    return sum(
+        math.comb(n, j) * _activation_patterns(hidden[1:], min(cap, n - j))
+        for j in range(min(cap, n) + 1)
+    )
 
 
 def betti_upper_bound(architecture: Sequence[int], k: int) -> int:

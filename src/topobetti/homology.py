@@ -23,6 +23,7 @@ from typing import Optional
 
 from .arrangement import (
     PolyhedralComplex,
+    _gc_paused,
     linear_region_count,
     signed_complex,
     sublevel_subcomplex,
@@ -69,17 +70,11 @@ def order_complex(pc: PolyhedralComplex) -> SimplicialComplex:
     """Barycentric subdivision: all strictly increasing chains in the face poset."""
     succ = _poset_successors(pc)
     by_dim = {}
-    start = sorted(pc.cells)
-
-    def extend(chain, last):
-        by_dim.setdefault(len(chain) - 1, []).append(tuple(chain))
-        for nxt in sorted(succ[last]):
-            chain.append(nxt)
-            extend(chain, nxt)
-            chain.pop()
-
-    for cid in start:
-        extend([cid], cid)
+    stack = [(cid,) for cid in pc.cells]
+    while stack:
+        chain = stack.pop()
+        by_dim.setdefault(len(chain) - 1, []).append(chain)
+        stack.extend(chain + (nxt,) for nxt in succ[chain[-1]])
     top = max(by_dim) if by_dim else -1
     return SimplicialComplex(
         tuple(tuple(sorted(by_dim.get(k, []))) for k in range(top + 1))
@@ -139,12 +134,13 @@ def betti_numbers(pc: PolyhedralComplex) -> BettiVector:
     The face poset is collapsed first; the order complex of what remains is
     then ranked whole.  d is the ambient dimension.
     """
-    pc = _poset_collapse(pc)
-    simplices = order_complex(pc).simplices
-    d = pc.ambient_dim
-    ranks = [0] * (d + 1)
-    for k in range(1, len(simplices)):
-        ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
+    with _gc_paused():
+        pc = _poset_collapse(pc)
+        simplices = order_complex(pc).simplices
+        d = pc.ambient_dim
+        ranks = [0] * (d + 1)
+        for k in range(1, len(simplices)):
+            ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
     counts = [len(s) for s in simplices] + [0] * (d + 1 - len(simplices))
     return BettiVector(tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d)))
 
@@ -165,10 +161,11 @@ def analyze_network(
     if box is None:
         box = BoxDomain.unit_cube(net.input_dim)
     d = box.dimension
-    sc = signed_complex(net, box)
-    sub = sublevel_subcomplex(sc)
-    betti = betti_numbers(sub)
-    regions = linear_region_count(sc)
+    with _gc_paused():
+        sc = signed_complex(net, box)
+        sub = sublevel_subcomplex(sc)
+        betti = betti_numbers(sub)
+        regions = linear_region_count(sc)
     serra = serra_region_bound(net.architecture)
     binom = [betti_upper_bound(net.architecture, k) for k in range(d)]
     complement_cells = [

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from topobetti.arrangement import signed_complex
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
+from topobetti.exactgeom import BoxDomain
 
 
 # The four reference classifier instances used across the suite:
@@ -23,6 +25,8 @@ REFERENCE_INSTANCES = (
 LARGE_INSTANCES = (
     ("d4-M2-w111", 4, (2,), (1, 1, 1), (6, 0, 0, 0)),
     ("d2-M16-w6", 2, (4, 4), (6,), (216, 168)),
+    # five folding layers: the deep side of the depth-separation test
+    ("d2-M32-w4", 2, (2,) * 5, (4,), (544, 480)),
 )
 
 
@@ -34,3 +38,16 @@ def reference_networks():
         cut = CuttingSpec(d, w_vec)
         nets[name] = (build_topo_network(fold, cut), fold, cut, betti)
     return nets
+
+
+@pytest.fixture(scope="session")
+def large_complexes():
+    """name -> (network, signed complex on the unit cube) for each LARGE_INSTANCES entry.
+
+    Each complex is built once and shared by every test that reads it.
+    """
+    out = {}
+    for name, d, m_vec, w_vec, _ in LARGE_INSTANCES:
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        out[name] = (net, signed_complex(net, BoxDomain.unit_cube(d)))
+    return out

@@ -13,12 +13,15 @@ from helpers import (
     shell_cubes_3d,
     uncollapsed_betti,
 )
-from topobetti.arrangement import signed_complex, sublevel_subcomplex
+from topobetti.arrangement import linear_region_count, signed_complex, sublevel_subcomplex
 from topobetti.constructions import (
     CuttingSpec,
     FoldingSpec,
+    betti_upper_bound,
     build_topo_network,
+    euler_characteristic,
     predict_betti,
+    serra_region_bound,
 )
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import (
@@ -29,7 +32,6 @@ from topobetti.homology import (
     order_complex,
 )
 from topobetti.stability import _perturbed
-from topobetti.verify import reconcile
 
 
 class TestOrderComplex:
@@ -231,10 +233,32 @@ class TestCollapseAgreesWithUncollapsedPath:
 @pytest.mark.parametrize(
     "name, d, m_vec, w_vec, expected", LARGE_INSTANCES, ids=[i[0] for i in LARGE_INSTANCES]
 )
-def test_large_instances_match_the_closed_form(name, d, m_vec, w_vec, expected):
-    fold = FoldingSpec(d, m_vec)
-    predicted = predict_betti(fold.M, w_vec, d)
+def test_large_instances_match_the_closed_form(name, d, m_vec, w_vec, expected, large_complexes):
+    predicted = predict_betti(FoldingSpec(d, m_vec).M, w_vec, d)
     assert predicted.values == expected
-    report = analyze_network(build_topo_network(fold, CuttingSpec(d, w_vec)), predicted=predicted)
-    assert report.betti.values == expected
-    assert reconcile(report).all_agree
+    net, sc = large_complexes[name]
+    sub = sublevel_subcomplex(sc)
+    betti = betti_numbers(sub)
+    assert betti.values == expected
+    # what reconcile checks of an analyze_network report, on the shared complex
+    assert euler_characteristic(betti) == sub.euler_cells()
+    assert linear_region_count(sc) <= serra_region_bound(net.architecture)
+    for k, b in enumerate(betti.values):
+        assert b <= betti_upper_bound(net.architecture, k)
+        assert b <= sum(1 for c in sc.cells.values() if c.dim == k + 1 and c.sign_label == "positive")
+
+
+def test_depth_separation(large_complexes):
+    """Depth separation on d = 2, m_vec (2,)·5, w (4): the exact Betti numbers
+    of the deep network exceed betti_upper_bound for one hidden layer with
+    the same number of neurons, in both degrees.
+    """
+    net, sc = large_complexes["d2-M32-w4"]
+    betti = betti_numbers(sublevel_subcomplex(sc)).values
+    assert betti == (544, 480) == predict_betti(32, (4,), 2).values
+    neurons = sum(net.architecture[1:-1])
+    assert neurons == 26
+    shallow = (2, neurons, 1)
+    for k in (0, 1):
+        assert betti_upper_bound(shallow, k) == 352
+        assert betti[k] > betti_upper_bound(shallow, k)

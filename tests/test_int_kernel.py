@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import network_and_box, networks, weights
-from topobetti.arrangement import signed_complex, validate_complex
+from topobetti.arrangement import _Builder, signed_complex, validate_complex
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
-from topobetti.exactgeom import BoxDomain, centroid, sign
+from topobetti.exactgeom import BoxDomain, affine_rank, centroid, dehomogenize, sign
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
 from topobetti.stability import _perturbed
 
@@ -47,6 +47,36 @@ def _check_kernel_invariants(net, box):
         assert cell.sign_label == labels[sign(eval_scalar(net, centroid(cell.vertices)))]
 
 
+def _check_carried_tight_sets(net, box):
+    # the tight sets each region carries out of the splits, against the vertex
+    # incidence sets regrouped by the region's constraints, and each one
+    # against the affine rank of its points: every kept constraint is a facet
+    b = _Builder(net, box)
+    b.run()
+    for r in b.regions:
+        regrouped = {
+            hid: {v for v in r.vertices if hid in b.incidence[v]} for hid in r.constraints
+        }
+        assert r.tight == regrouped
+        for group in r.tight.values():
+            assert affine_rank([dehomogenize(b.coords[v]) for v in group]) == box.dimension - 1
+
+
+def _square_face_case():
+    # after the split at x1 = 0, the second neuron's plane 5·x1 − x2 − 1 = 0
+    # leaves x1 ≥ 0 tight on only the square {x1 = 0, x2 = −1} of its
+    # positive side: four vertices, yet no facet in d = 4, so only the
+    # builder's rank test can drop it
+    one, zero = Fraction(1), Fraction(0)
+    net = ReluNetwork(
+        (
+            AffineLayer(((one, zero, zero, zero), (Fraction(5), -one, zero, zero)), (zero, -one)),
+            AffineLayer(((one, one),), (-one,)),
+        )
+    )
+    return net, BoxDomain((-one,) * 4, (one,) * 4)
+
+
 class TestRandomNetworks:
     @given(network_and_box())
     @settings(max_examples=30, deadline=None)
@@ -61,19 +91,15 @@ class TestRandomNetworks:
         _check_kernel_invariants(*case)
 
     def test_constraint_touching_a_square_face_is_pruned(self):
-        # after the split at x1 = 0, the second neuron's plane 5·x1 − x2 − 1 = 0
-        # leaves x1 ≥ 0 tight on only the square {x1 = 0, x2 = −1} of its
-        # positive side: four vertices, yet no facet in d = 4
-        one, zero = Fraction(1), Fraction(0)
-        net = ReluNetwork(
-            (
-                AffineLayer(
-                    ((one, zero, zero, zero), (Fraction(5), -one, zero, zero)), (zero, -one)
-                ),
-                AffineLayer(((one, one),), (-one,)),
-            )
-        )
-        _check_kernel_invariants(net, BoxDomain((-one,) * 4, (one,) * 4))
+        _check_kernel_invariants(*_square_face_case())
+
+    @given(network_and_box())
+    @settings(max_examples=30, deadline=None)
+    def test_regions_carry_their_tight_sets(self, case):
+        _check_carried_tight_sets(*case)
+
+    def test_carried_tight_sets_drop_a_square_face(self):
+        _check_carried_tight_sets(*_square_face_case())
 
     @given(networks(), st.lists(weights, min_size=3, max_size=3))
     @settings(max_examples=30, deadline=None)
