@@ -12,7 +12,7 @@ region F⁻¹((−∞,0]) ∩ box.
 
 Everything is exact and runs on integers: hyperplanes are primitive-integer,
 vertices are homogeneous integer points that carry the ids of the hyperplanes
-they lie on, and affine maps are integer rows over a common denominator.  A
+they lie on, and affine maps are integer columns over a common denominator.  A
 split needs only the functional's values at the region's vertices: each new
 vertex is the point where it vanishes on an edge between a positive and a
 negative vertex.  The split is also the only place a functional is evaluated:
@@ -20,9 +20,16 @@ each region records every neuron's functional on it and its sign there, and
 the ReLU, the output map and the cell labels are read from that record.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  Cells are deduplicated
-by canonical keys, so the construction is deterministic.  Fraction appears only at the public boundary (Cell.vertices,
-Cell.affine_map) and in the independent checks validate_complex and
-cell_volume.
+by canonical keys, so the construction is deterministic.
+
+Hyperplanes and output maps are interned by integer keys: a split's
+hyperplane by its primitive row (normal…, offset), and a region's output map
+by its reduced (grad…, const, den).  Vertices are ordered by integer ranks:
+each axis's distinct values, as reduced (num, den) pairs, are sorted once,
+and the vertices sort by their tuples of per-axis ranks.  Fraction appears
+only where the complex is handed out, in Cell.vertices (one Fraction per
+distinct axis value) and in one Cell.affine_map per distinct output map, and
+in the independent checks validate_complex and cell_volume.
 """
 
 from __future__ import annotations
@@ -34,13 +41,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import mul
 
 from .exactgeom import (
     BoxDomain,
     Hyperplane,
     affine_rank,
-    dehomogenize,
     homogenize,
     matrix_rank,
     sign,
@@ -147,20 +154,36 @@ class SignedComplex(PolyhedralComplex):
 
 
 class _Registry:
+    """The hyperplane table: each distinct hyperplane gets the next id."""
+
     def __init__(self):
         self.hyperplanes = []
         self.rows = []  # hid -> (normal…, offset), to dot with homogeneous vertices
-        self._index = {}
+        self._index = {}  # row -> hid
 
-    def intern(self, h: Hyperplane) -> int:
-        key = (h.normal, h.offset)
-        hid = self._index.get(key)
+    def intern(self, row: tuple) -> int:
+        """Id of the hyperplane with this primitive integer row (normal…, offset)."""
+        hid = self._index.get(row)
         if hid is None:
             hid = len(self.hyperplanes)
-            self.hyperplanes.append(h)
-            self.rows.append(h.normal + (h.offset,))
-            self._index[key] = hid
+            self.hyperplanes.append(Hyperplane(row[:-1], row[-1]))
+            self.rows.append(row)
+            self._index[row] = hid
         return hid
+
+
+def _primitive(grad, const):
+    """The hyperplane grad·x + const = 0 as a primitive integer row, and its orientation.
+
+    The integer counterpart of Hyperplane.from_coefficients: the row
+    (grad…, const) is divided by its gcd and negated when its leading nonzero
+    grad entry is negative, and the orientation is −1 exactly when it was
+    negated.  grad must not be all zero.
+    """
+    g = math.gcd(*grad, const)
+    if next(x for x in grad if x) < 0:
+        g = -g
+    return tuple(x // g for x in (*grad, const)), (1 if g > 0 else -1)
 
 
 class _Region:
@@ -172,8 +195,8 @@ class _Region:
         # {hid: the vertex ids on it}, for the same hids: the region's facets
         self.tight = tight
         self.vertices = vertices  # set of vertex ids
-        # (rows, consts, den) over ints: input x -> (rows·x + consts) / den,
-        # the previous layer's output
+        # (cols, consts, den) over ints, the previous layer's output held by
+        # columns: input x -> (Σ_t x_t·cols[t] + consts) / den
         self.affine = affine
         # one (grad, const, sign, hid) per neuron of the current layer split so
         # far: its functional on the region (see _restrict_functional), its
@@ -193,11 +216,8 @@ def _restrict_functional(affine, wrow, b):
     wrow and b are a row of AffineLayer.scaled, so the functional is
     (grad·x + const) / (layer den · affine den), with grad and const integers.
     """
-    rows, consts, den = affine
-    d = len(rows[0]) if rows else 0
-    grad = tuple(sum(w * row[t] for w, row in zip(wrow, rows) if w) for t in range(d))
-    const = sum(w * c for w, c in zip(wrow, consts) if w) + b * den
-    return grad, const
+    cols, consts, den = affine
+    return tuple([_dot(wrow, col) for col in cols]), _dot(wrow, consts) + b * den
 
 
 def _spans(verts, k: int, coords) -> bool:
@@ -237,7 +257,7 @@ class _Builder:
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
         base = self._new_region({}, None, set(), (identity, (0,) * self.d, 1), [])
         for h, s in box.facet_halfspaces():
-            base.constraints[self.registry.intern(h)] = s
+            base.constraints[self.registry.intern(h.normal + (h.offset,))] = s
         rows = self.registry.rows
         for corner in box.corners():
             p = homogenize(corner)
@@ -271,7 +291,9 @@ class _Builder:
         """Split by every hidden neuron, then by the output zero-set.
 
         Afterwards every region's one activation is the network output, and
-        out_affine is its map in Fraction (Cell.affine_map).
+        out_affine is its map in Fraction (Cell.affine_map).  Regions with the
+        same map share one out_affine object, built once from the map's
+        reduced integer form.
         """
         if self.net.output_dim != 1:
             raise ValueError("the arrangement requires a scalar-output network")
@@ -282,13 +304,20 @@ class _Builder:
             self._apply_relu(layer)
         weights, bias, layer_den = self.net.layers[-1].scaled
         self._split_all(NeuronId(len(self.net.layers), 1), weights[0], bias[0], output=True)
+        maps = {}  # reduced (grad…, const, den) -> Cell.affine_map
         for r in self.regions:
             ((grad, const, _, _),) = r.activations
             den = layer_den * r.affine[2]
-            r.out_affine = (
-                (tuple(Fraction(x, den) for x in grad),),
-                (Fraction(const, den),),
-            )
+            g = math.gcd(den, const, *grad)
+            key = tuple(x // g for x in (*grad, const, den))
+            out = maps.get(key)
+            if out is None:
+                *grad, const, den = key
+                out = maps[key] = (
+                    (tuple(Fraction(x, den) for x in grad),),
+                    (Fraction(const, den),),
+                )
+            r.out_affine = out
 
     def _split_all(self, nid: NeuronId, wrow, b, output: bool):
         new_regions = []
@@ -307,9 +336,8 @@ class _Builder:
                 self._record("degenerate-pullback", nid, r.rid)
             r.activations.append((grad, const, sign(const), None))
             return [r]
-        h, orient = Hyperplane.from_coefficients(grad, const)
-        hid = self.registry.intern(h)
-        hrow = self.registry.rows[hid]
+        hrow, orient = _primitive(grad, const)
+        hid = self.registry.intern(hrow)
         coords, incidence = self.coords, self.incidence
         pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
         for v in r.vertices:
@@ -388,7 +416,7 @@ class _Builder:
             r.activations = []
             g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
             r.affine = (
-                tuple(tuple(x // g for x in row) for row in rows),
+                tuple(tuple(x // g for x in col) for col in zip(*rows)),
                 tuple(c // g for c in consts),
                 den // g,
             )
@@ -396,6 +424,38 @@ class _Builder:
 
 def _label(s: int) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
+
+
+def _compare_ratios(a, b) -> int:
+    """An int with the sign of a[0]/a[1] − b[0]/b[1], for positive denominators."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+def _order_points(coords):
+    """The lexicographic order of homogeneous integer points, and their rational points.
+
+    Returns the indices of coords sorted by the points' rational coordinates,
+    and each point as a tuple of Fractions, one Fraction per distinct value
+    of an axis.  Each axis's distinct values, as reduced (num, den) pairs, are
+    sorted once by cross-multiplication; the points then sort by tuples of
+    their per-axis ranks.  No common denominator is formed: on perturbed
+    networks the lcm of the points' denominators runs to 10⁴–10⁵ bits.
+    """
+    reduced = []  # per point, its (num, den) per axis in lowest terms
+    for p in coords:
+        w = p[-1]
+        reduced.append(tuple((x // g, w // g) for x in p[:-1] for g in (math.gcd(x, w),)))
+    ranks = [[] for _ in coords]
+    points = [[] for _ in coords]
+    for values in zip(*reduced):
+        by_value = sorted(set(values), key=cmp_to_key(_compare_ratios))
+        rank = {v: (x, Fraction(*v)) for x, v in enumerate(by_value)}
+        for i, v in enumerate(values):
+            x, q = rank[v]
+            ranks[i].append(x)
+            points[i].append(q)
+    order = sorted(range(len(coords)), key=ranks.__getitem__)
+    return order, [tuple(p) for p in points]
 
 
 def _assemble(b: _Builder) -> SignedComplex:
@@ -449,9 +509,10 @@ def _assemble(b: _Builder) -> SignedComplex:
                 incid.add((j, i))
 
     # cells, and the vertices within each, are ordered by their rational points
-    points = {v: dehomogenize(coords[v]) for v in set().union(*(r.vertices for r in regions))}
-    by_rank = sorted(points, key=points.__getitem__)
-    rank = {v: x for x, v in enumerate(by_rank)}
+    vids = list(set().union(*(r.vertices for r in regions)))
+    order, points = _order_points([coords[v] for v in vids])
+    rank = {vids[i]: x for x, i in enumerate(order)}
+    points = [points[i] for i in order]
     ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
     order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
     ids = [0] * len(found)
@@ -466,7 +527,7 @@ def _assemble(b: _Builder) -> SignedComplex:
         cells[cid] = Cell(
             id=cid,
             dim=dim,
-            vertices=tuple(points[by_rank[x]] for x in ranked[i]),
+            vertices=tuple(points[x] for x in ranked[i]),
             active_constraints=active,
             affine_map=owner.out_affine,
             sign_label=_label(0 if on_out else out_sign),
@@ -561,20 +622,18 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
 
 
 def _cell_volume(cells, fmap, d: int, cell_id: int):
-    def simplices(cid):
+    # each stack entry is a face and the apexes of the faces above it, so a
+    # 0-cell completes one simplex of the triangulation
+    total = Fraction(0)
+    stack = [(cell_id, ())]
+    while stack:
+        cid, apexes = stack.pop()
         apex = cells[cid].vertices[0]
         if cells[cid].dim == 0:
-            yield [apex]
-            return
-        for f in fmap[cid]:
-            if apex not in cells[f].vertices:
-                for rest in simplices(f):
-                    yield [apex] + rest
-
-    total = Fraction(0)
-    for simplex in simplices(cell_id):
-        p0 = simplex[0]
-        total += abs(_det([[x - y for x, y in zip(p, p0)] for p in simplex[1:]]))
+            p0, *rest = apexes + (apex,)
+            total += abs(_det([[x - y for x, y in zip(p, p0)] for p in rest]))
+            continue
+        stack.extend((f, apexes + (apex,)) for f in fmap[cid] if apex not in cells[f].vertices)
     return total / math.factorial(d)
 
 

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -25,8 +26,9 @@ REFERENCE_INSTANCES = (
 LARGE_INSTANCES = (
     ("d4-M2-w111", 4, (2,), (1, 1, 1), (6, 0, 0, 0)),
     ("d2-M16-w6", 2, (4, 4), (6,), (216, 168)),
-    # five folding layers: the deep side of the depth-separation test
+    # five and six folding layers: the deep side of the depth-separation test
     ("d2-M32-w4", 2, (2,) * 5, (4,), (544, 480)),
+    ("d2-M64-w4", 2, (2,) * 6, (4,), (2112, 1984)),
 )
 
 
@@ -44,10 +46,14 @@ def reference_networks():
 def large_complexes():
     """name -> (network, signed complex on the unit cube) for each LARGE_INSTANCES entry.
 
-    Each complex is built once and shared by every test that reads it.
+    Each complex is built once and shared by every test that reads it;
+    d2-M64-w4's 165 249 cells take several seconds and a few hundred MB.
     """
     out = {}
     for name, d, m_vec, w_vec, _ in LARGE_INSTANCES:
         net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
         out[name] = (net, signed_complex(net, BoxDomain.unit_cube(d)))
+    # they stay alive until the session ends: move them out of the cyclic
+    # collector's reach, or every later collection walks their objects again
+    gc.freeze()
     return out

@@ -250,12 +250,14 @@ GOLDEN_DIGESTS = {
 # The same digest for each of LARGE_INSTANCES, with the offset, recorded from
 # the build that read ReLU signs and cell labels from vertex signs; d2-M32-w4's
 # from the build that regrouped incidence sets instead of carrying each
-# region's tight sets.  d = 4 is the only construction on which _spans needs
-# its rank test.
+# region's tight sets; d2-M64-w4's from the build that interned hyperplanes
+# through Hyperplane.from_coefficients and sorted vertices by Fraction tuples.
+# d = 4 is the only construction on which _spans needs its rank test.
 LARGE_DIGESTS = {
     "d4-M2-w111": "59152db29c5f6f8b44ed1bb45ae4d2581b0b16704df0b5a7918ae2c7cf669307",
     "d2-M16-w6": "467beac8baab242f26d0a86a277c11a92a75d7cd33465707a88da4dcadd5c534",
     "d2-M32-w4": "88db7ec797b546f3630f5e792b9272d9b27fb6ad22195f82c003c743108ce97f",
+    "d2-M64-w4": "9b0a70000d1a60769dff9db3f4f6e1df8d2cac2dafbb3217d2f11819fe42ff99",
 }
 
 

@@ -3,7 +3,8 @@
 signed_complex, betti_numbers and analyze_network pause the collector, since
 the build and the homology make no reference cycles.  These tests check both
 halves of that: nothing they leave behind needs the collector, and the
-collector's previous state comes back however they exit.
+collector's previous state comes back however they exit.  validate_complex
+does not pause the collector, but makes no reference cycles either.
 """
 
 import gc
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import REFERENCE_INSTANCES
 from topobetti import homology
-from topobetti.arrangement import ComplexSizeError
+from topobetti.arrangement import ComplexSizeError, signed_complex, validate_complex
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.stability import perturbation_test
@@ -36,6 +37,14 @@ def test_analysis_leaves_no_cycles(name, reference_networks, collector_off):
     analyze_network(net)
     assert gc.collect() == 0
     perturbation_test(net, BoxDomain.unit_cube(fold.d), Fraction(1, 10**6), trials=1, seed=0)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+def test_validation_leaves_no_cycles(name, reference_networks, collector_off):
+    net, fold, _, _ = reference_networks[name]
+    sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
+    assert validate_complex(sc) == []
     assert gc.collect() == 0
 
 

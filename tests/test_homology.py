@@ -1,6 +1,8 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -248,17 +250,34 @@ def test_large_instances_match_the_closed_form(name, d, m_vec, w_vec, expected, 
         assert b <= sum(1 for c in sc.cells.values() if c.dim == k + 1 and c.sign_label == "positive")
 
 
-def test_depth_separation(large_complexes):
-    """Depth separation on d = 2, m_vec (2,)·5, w (4): the exact Betti numbers
-    of the deep network exceed betti_upper_bound for one hidden layer with
-    the same number of neurons, in both degrees.
+@pytest.mark.parametrize(
+    "name, M, neurons, expected, bound",
+    [("d2-M32-w4", 32, 26, (544, 480), 352), ("d2-M64-w4", 64, 30, (2112, 1984), 466)],
+    ids=["d2-M32-w4", "d2-M64-w4"],
+)
+def test_depth_separation(name, M, neurons, expected, bound, large_complexes):
+    """Depth separation on d = 2, m_vec (2,)·L, w (4) for L = 5 and 6: the
+    exact Betti numbers of the deep network exceed betti_upper_bound for one
+    hidden layer with the same number of neurons, in both degrees.
     """
-    net, sc = large_complexes["d2-M32-w4"]
+    net, sc = large_complexes[name]
     betti = betti_numbers(sublevel_subcomplex(sc)).values
-    assert betti == (544, 480) == predict_betti(32, (4,), 2).values
-    neurons = sum(net.architecture[1:-1])
-    assert neurons == 26
+    assert betti == expected == predict_betti(M, (4,), 2).values
+    assert sum(net.architecture[1:-1]) == neurons
     shallow = (2, neurons, 1)
     for k in (0, 1):
-        assert betti_upper_bound(shallow, k) == 352
-        assert betti[k] > betti_upper_bound(shallow, k)
+        assert betti_upper_bound(shallow, k) == bound
+        assert betti[k] > bound
+
+
+def test_readme_depth_separation_table():
+    """Every row of the README's depth-separation table, recomputed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| \((\d+), (\d+)\) \| (\d+) \|$", readme, re.M)
+    assert [int(row[0]) for row in rows] == [4, 5, 6]
+    for layers, neurons, b0, b1, bound in (map(int, row) for row in rows):
+        net = build_topo_network(FoldingSpec(2, (2,) * layers), CuttingSpec(2, (4,)))
+        assert sum(net.architecture[1:-1]) == neurons
+        assert predict_betti(2**layers, (4,), 2).values == (b0, b1)
+        assert betti_upper_bound((2, neurons, 1), 0) == bound
+        assert betti_upper_bound((2, neurons, 1), 1) == bound

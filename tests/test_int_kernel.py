@@ -10,13 +10,28 @@ below).
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import network_and_box, networks, weights
-from topobetti.arrangement import _Builder, signed_complex, validate_complex
+from topobetti.arrangement import (
+    _Builder,
+    _order_points,
+    _primitive,
+    _Registry,
+    signed_complex,
+    validate_complex,
+)
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
-from topobetti.exactgeom import BoxDomain, affine_rank, centroid, dehomogenize, sign
+from topobetti.exactgeom import (
+    BoxDomain,
+    Hyperplane,
+    affine_rank,
+    centroid,
+    dehomogenize,
+    homogenize,
+    sign,
+)
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
 from topobetti.stability import _perturbed
 
@@ -113,3 +128,47 @@ class TestRandomNetworks:
         perturbed = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
         assert max(v.denominator for v in perturbed.layers[0].bias) > 10**6
         _check_kernel_invariants(perturbed, BoxDomain.unit_cube(2))
+
+
+class TestIntegerPathsMatchFractions:
+    """The builder's integer hyperplane interning and vertex order, against the
+    Fraction code they replace."""
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
+        st.one_of(st.just(0), st.integers(-6, 6)),
+        st.one_of(st.just(1), st.integers(2, 10**6)),
+    )
+    @example([0, -4, 6], 0, 1)  # negative leading entry after a zero, zero offset
+    @example([-3, 6, 9], 12, 1)  # negative leading entry, content 3
+    @example([2, 4], 0, 7)  # zero offset, content 14
+    def test_interning_matches_from_coefficients(self, grad, const, scale):
+        # scale makes the row non-primitive
+        grad, const = tuple(scale * g for g in grad), scale * const
+        row, orient = _primitive(grad, const)
+        h, o = Hyperplane.from_coefficients([Fraction(g) for g in grad], Fraction(const))
+        assert orient == o
+        registry = _Registry()
+        assert registry.hyperplanes[registry.intern(row)] == h
+        assert registry.rows == [h.normal + (h.offset,)]
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_rank_order_matches_fraction_sort(self, data):
+        # coordinates drawn from a small pool repeat; the pool holds negative
+        # values and denominators above 10**6
+        d = data.draw(st.integers(1, 3))
+        pool = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**7)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        points = data.draw(
+            st.lists(st.tuples(*[st.sampled_from(pool)] * d), min_size=1, max_size=12)
+        )
+        coords = [homogenize(p) for p in points]
+        order, fractions = _order_points(coords)
+        assert order == sorted(range(len(coords)), key=lambda i: dehomogenize(coords[i]))
+        assert fractions == [dehomogenize(c) for c in coords]
