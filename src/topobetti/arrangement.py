@@ -657,6 +657,10 @@ def validate_complex(complex: PolyhedralComplex):
         )
         if below[c.id] != set(c.vertices):
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
+    # each distinct vertex x/w cleared once; a constraint's value at it is
+    # (normal·x + offset·w)/w with w > 0, so the integer dot product with the
+    # row (normal…, offset) has the same sign
+    coords = {v: homogenize(v) for v in {v for c in cells.values() for v in c.vertices}}
     for cid, c in cells.items():
         if affine_rank(c.vertices) != c.dim:
             out.append(f"dimension: cell {cid} has affine rank != dim")
@@ -664,8 +668,9 @@ def validate_complex(complex: PolyhedralComplex):
             out.append(f"face-closure: cell {cid} is missing facets")
         for hid, s in c.active_constraints:
             h = complex.constraints[hid]
+            row = (*h.normal, h.offset)
             for v in c.vertices:
-                val = h.eval_at(v)
+                val = sum(map(mul, row, coords[v]))
                 if s == 0 and val != 0:
                     out.append(f"constraint: cell {cid} not tight on constraint {hid}")
                     break

@@ -69,11 +69,13 @@ def centroid(points: Iterable[Sequence]) -> tuple:
 
 
 def _clear_row(row: Sequence) -> list:
-    """Scale a rational row to integers (multiply by the lcm of denominators)."""
-    den = math.lcm(*(x.denominator for x in row))  # an int's denominator is 1
-    if den == 1:
-        return [int(x) for x in row]
-    return [int(x * den) for x in row]
+    """Scale a rational row to integers (multiply by the lcm of denominators).
+
+    Each entry x = p/q becomes p·(lcm/q), an integer product: no Fraction is
+    formed, and an int (denominator 1) passes through the same expression.
+    """
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def homogenize(point: Sequence) -> tuple:
@@ -82,7 +84,7 @@ def homogenize(point: Sequence) -> tuple:
     The point is x / w with w > 0 and gcd(x_1, …, x_d, w) = 1, so every
     rational point has exactly one such tuple.
     """
-    ints = _clear_row(list(point) + [Fraction(1)])
+    ints = _clear_row([*point, 1])
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
@@ -129,9 +131,6 @@ class Hyperplane:
             orientation = -1
         return Hyperplane(tuple(ints[:-1]), ints[-1]), orientation
 
-    def eval_at(self, x: Sequence):
-        return vdot(self.normal, x) + self.offset
-
 
 @dataclass(frozen=True)
 class BoxDomain:
@@ -161,7 +160,7 @@ class BoxDomain:
     def facet_halfspaces(self):
         """Halfspaces whose intersection is the box, as (hyperplane, sign) pairs.
 
-        The box is {x : s · h.eval_at(x) ≥ 0 for each pair (h, s)}.
+        The box is {x : s · (h.normal·x + h.offset) ≥ 0 for each pair (h, s)}.
         """
         d = self.dimension
         out = []

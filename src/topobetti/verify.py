@@ -5,7 +5,11 @@ exactly at every point of a regular rational grid and estimates β₀ of the
 nonpositive set under grid adjacency.  The evaluation is a scaled-integer
 forward pass, so even the oracle is float-free: each layer is cleared to an
 integer matrix, and numpy runs the pass one layer at a time over blocks of
-grid points.  Before it runs, a bound on every integer the pass can form is
+grid lines along the last axis.  The first layer is affine in the grid index,
+so it is summed from a constant column and one table per axis: each block
+gathers its lines' leading-axis terms, with index arithmetic once per line,
+and adds the last axis's table by broadcasting; the other layers are integer
+matmuls.  Before it runs, a bound on every integer the pass can form is
 proved in Python ints; below 2^62 the arrays are int64, otherwise they hold
 Python ints (dtype object), in the same code path.  β₀ is counted by run
 labelling in numpy: the nonpositive points, as sorted flat indices, are cut
@@ -101,34 +105,54 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     den = resolution * scale
     steps = [int((up - lo) * scale) for lo, up in zip(box.lower, box.upper)]
     base = [int(lo * den) for lo in box.lower]
-    # the pass forms base + i·step, so |i·step| ≤ N·|step| is bounded too
+    # top bounds every coordinate base + i·step and every N·|step|
     top = max(
         max(abs(b), abs(b + resolution * s), resolution * abs(s)) for b, s in zip(base, steps)
     )
     # int64 when no integer of the pass can reach 2^62, Python ints otherwise
     dtype = np.int64 if _magnitude_bound(layers, top, den) < 2**62 else object
-    mats, D = [], den
-    for wint, bint, t in layers:
+    (w0, b0, t0), rest = layers[0], layers[1:]
+    # the first layer is affine in the grid index: at index i it is
+    # w·base + b·D + Σ_t w[:, t]·step_t·i_t, so it is summed from one constant
+    # column and one table per axis.  Every table entry is at most
+    # |w_t|·N·|step_t| ≤ |w_t|·top, and every partial sum holds, per axis,
+    # either w_t·base_t or w_t·(base_t + step_t·i_t), so it stays within the
+    # |b|·D + Σ|w|·top that _magnitude_bound allows for the first layer
+    const = np.array(
+        [[sum(w * x for w, x in zip(row, base)) + b * den] for row, b in zip(w0, b0)], dtype=dtype
+    )
+    wstep = np.array([[w * s for w, s in zip(row, steps)] for row in w0], dtype=dtype)
+    n = resolution + 1
+    tables = [wstep[:, t:t + 1] * np.arange(n).astype(dtype) for t in range(d - 1)]
+    mats, D = [], den * t0
+    for wint, bint, t in rest:
         mats.append((np.array(wint, dtype=dtype), np.array([[b * D] for b in bint], dtype=dtype)))
         D *= t
-    n = resolution + 1
-    step_col = np.array(steps, dtype=dtype)[:, None]
-    base_col = np.array(base, dtype=dtype)[:, None]
-    signs = np.empty((n,) * d, dtype=np.int8)
-    flat = signs.reshape(-1)
-    last = len(mats) - 1
-    # one block of grid points at a time, in C order, so the working arrays
-    # stay at width × _BLOCK entries whatever the grid size
-    for start in range(0, flat.size, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, flat.size))
-        idx = np.stack(np.unravel_index(k, signs.shape)).astype(dtype)
-        v = base_col + idx * step_col
-        for li, (w, bd) in enumerate(mats):
-            v = w @ v + bd
-            if li != last:
-                v = np.maximum(v, 0)
-        flat[start:start + len(k)] = np.sign(v[0])
-    return SignGrid(resolution=resolution, d=d, signs=signs)
+    # the grid as lines along the last axis, in C order
+    lines = n ** (d - 1)
+    signs = np.empty((lines, n), dtype=np.int8)
+    # a block takes whole lines while a line fits in _BLOCK points, and cuts
+    # the last axis into chunks when it does not, so the working arrays stay
+    # at width × _BLOCK entries whatever the grid size; the leading axes'
+    # tables exist only for d ≥ 2, where GRID_POINT_CAP keeps N+1 at most 7 071
+    per = max(1, _BLOCK // n)
+    chunk = min(n, _BLOCK)
+    for j0 in range(0, n, chunk):
+        # the last axis's table, over this chunk of it
+        tail = wstep[:, -1:] * np.arange(j0, min(j0 + chunk, n)).astype(dtype)
+        for l0 in range(0, lines, per):
+            # index arithmetic once per line: its leading-axis terms
+            rem = np.arange(l0, min(l0 + per, lines))
+            lead = const
+            for table in reversed(tables):
+                rem, i = np.divmod(rem, n)
+                lead = lead + table[:, i]
+            v = (lead[:, :, None] + tail[:, None, :]).reshape(len(w0), -1)
+            for w, bd in mats:
+                v = w @ np.maximum(v, 0, out=v)
+                v += bd
+            signs[l0:l0 + per, j0:j0 + chunk] = np.sign(v[0]).reshape(-1, tail.shape[1])
+    return SignGrid(resolution=resolution, d=d, signs=signs.reshape((n,) * d))
 
 
 def grid_beta0(sg: SignGrid) -> int:

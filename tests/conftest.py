@@ -1,14 +1,17 @@
-import gc
 import sys
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from topobetti.arrangement import signed_complex
-from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
+from helpers import complex_digest
+from topobetti.arrangement import linear_region_count, signed_complex, sublevel_subcomplex
+from topobetti.constructions import BettiVector, CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
+from topobetti.homology import betti_numbers
 
 
 # The four reference classifier instances used across the suite:
@@ -42,18 +45,41 @@ def reference_networks():
     return nets
 
 
+@dataclass(frozen=True)
+class LargeComplexFacts:
+    """What the tests assert of one large signed complex on the unit cube."""
+
+    architecture: tuple
+    digest: str  # helpers.complex_digest of the signed complex
+    betti: BettiVector  # of the sublevel complex
+    euler_cells: int  # alternating cell count of the sublevel complex
+    regions: int  # linear_region_count of the signed complex
+    positive_cells: Counter  # dim -> cells of that dim labelled positive
+
+
+def _large_complex_facts(d, m_vec, w_vec) -> LargeComplexFacts:
+    net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+    sc = signed_complex(net, BoxDomain.unit_cube(d))
+    sub = sublevel_subcomplex(sc)
+    return LargeComplexFacts(
+        architecture=net.architecture,
+        digest=complex_digest(sc),
+        betti=betti_numbers(sub),
+        euler_cells=sub.euler_cells(),
+        regions=linear_region_count(sc),
+        positive_cells=Counter(c.dim for c in sc.cells.values() if c.sign_label == "positive"),
+    )
+
+
 @pytest.fixture(scope="session")
 def large_complexes():
-    """name -> (network, signed complex on the unit cube) for each LARGE_INSTANCES entry.
+    """name -> LargeComplexFacts for each LARGE_INSTANCES entry.
 
-    Each complex is built once and shared by every test that reads it;
-    d2-M64-w4's 165 249 cells take several seconds and a few hundred MB.
+    Each complex is built once and dropped as soon as its facts are read:
+    d2-M64-w4's 165 249 cells take several seconds and a few hundred MB, so
+    keeping the complexes would hold all of them for the whole session.
     """
-    out = {}
-    for name, d, m_vec, w_vec, _ in LARGE_INSTANCES:
-        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
-        out[name] = (net, signed_complex(net, BoxDomain.unit_cube(d)))
-    # they stay alive until the session ends: move them out of the cyclic
-    # collector's reach, or every later collection walks their objects again
-    gc.freeze()
-    return out
+    return {
+        name: _large_complex_facts(d, m_vec, w_vec)
+        for name, d, m_vec, w_vec, _ in LARGE_INSTANCES
+    }

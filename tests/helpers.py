@@ -8,10 +8,12 @@
 - The uncollapsed homology path, the reference that betti_numbers and its
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
+- The digest that pins a signed complex's cells, faces and constraints.
 """
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -206,3 +208,18 @@ def reference_grid_beta0(sg: SignGrid) -> int:
                     if ri != rj:
                         parent[ri] = rj
     return len({find(int(i)) for i in idxs})
+
+
+def complex_digest(sc) -> str:
+    blob = repr(
+        (
+            sorted(
+                (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
+                for cid, c in sc.cells.items()
+            ),
+            sorted(sc.faces),
+            sc.constraints,
+            sc.violations,
+        )
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
-from helpers import box_complex, ring_cubes_2d
+from helpers import box_complex, complex_digest, ring_cubes_2d
 from topobetti.arrangement import (
     ComplexSizeError,
     cell_volume,
@@ -142,6 +141,20 @@ class TestValidateComplex:
             f"vertices: cell {square.id} does not list exactly the 0-cells below it"
         ]
 
+    def test_constraint_signs_are_checked(self):
+        # on [0, 5/4]² the tent's vertices have denominators 1, 2 and 4
+        box = BoxDomain((Fraction(0),) * 2, (Fraction(5, 4),) * 2)
+        sc = signed_complex(_tent(2, d=2), box)
+        assert validate_complex(sc) == []
+        for cell in sc.full_cells():
+            (hid, s), *others = cell.active_constraints
+            for wrong, reason in ((-s, "violates"), (0, "not tight on")):
+                moved = replace(cell, active_constraints=((hid, wrong), *others))
+                broken = replace(sc, cells={**sc.cells, cell.id: moved})
+                assert validate_complex(broken) == [
+                    f"constraint: cell {cell.id} {reason} constraint {hid}"
+                ]
+
 
 class TestVolumes:
     def test_tent_halves(self):
@@ -261,21 +274,6 @@ LARGE_DIGESTS = {
 }
 
 
-def complex_digest(sc) -> str:
-    blob = repr(
-        (
-            sorted(
-                (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
-                for cid, c in sc.cells.items()
-            ),
-            sorted(sc.faces),
-            sc.constraints,
-            sc.violations,
-        )
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class TestGoldenComplex:
     @pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])
     @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
@@ -293,5 +291,4 @@ class TestGoldenComplex:
 
     @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in LARGE_INSTANCES])
     def test_large_complex_is_unchanged(self, name, d, m_vec, w_vec, large_complexes):
-        _, sc = large_complexes[name]
-        assert complex_digest(sc) == LARGE_DIGESTS[name]
+        assert large_complexes[name].digest == LARGE_DIGESTS[name]

@@ -101,7 +101,7 @@ class TestHyperplane:
             return
         h, orient = Hyperplane.from_coefficients(tuple(normal), offset)
         raw = sign(vdot(normal, x) + offset)
-        assert raw == orient * sign(h.eval_at(x))
+        assert raw == orient * sign(vdot(h.normal, x) + h.offset)
 
     def test_equal_hyperplanes_dedupe_structurally(self):
         h1, _ = Hyperplane.from_coefficients((2, -2), 1)
@@ -128,7 +128,7 @@ class TestBoxDomain:
         assert len(halves) == 4
 
         def inside(x):
-            return all(s * h.eval_at(x) >= 0 for h, s in halves)
+            return all(s * (vdot(h.normal, x) + h.offset) >= 0 for h, s in halves)
 
         assert inside((0, Fraction(1, 4)))
         assert inside((-1, 0))

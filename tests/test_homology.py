@@ -15,7 +15,7 @@ from helpers import (
     shell_cubes_3d,
     uncollapsed_betti,
 )
-from topobetti.arrangement import linear_region_count, signed_complex, sublevel_subcomplex
+from topobetti.arrangement import signed_complex, sublevel_subcomplex
 from topobetti.constructions import (
     CuttingSpec,
     FoldingSpec,
@@ -238,16 +238,14 @@ class TestCollapseAgreesWithUncollapsedPath:
 def test_large_instances_match_the_closed_form(name, d, m_vec, w_vec, expected, large_complexes):
     predicted = predict_betti(FoldingSpec(d, m_vec).M, w_vec, d)
     assert predicted.values == expected
-    net, sc = large_complexes[name]
-    sub = sublevel_subcomplex(sc)
-    betti = betti_numbers(sub)
-    assert betti.values == expected
+    facts = large_complexes[name]
+    assert facts.betti.values == expected
     # what reconcile checks of an analyze_network report, on the shared complex
-    assert euler_characteristic(betti) == sub.euler_cells()
-    assert linear_region_count(sc) <= serra_region_bound(net.architecture)
-    for k, b in enumerate(betti.values):
-        assert b <= betti_upper_bound(net.architecture, k)
-        assert b <= sum(1 for c in sc.cells.values() if c.dim == k + 1 and c.sign_label == "positive")
+    assert euler_characteristic(facts.betti) == facts.euler_cells
+    assert facts.regions <= serra_region_bound(facts.architecture)
+    for k, b in enumerate(facts.betti.values):
+        assert b <= betti_upper_bound(facts.architecture, k)
+        assert b <= facts.positive_cells[k + 1]
 
 
 @pytest.mark.parametrize(
@@ -260,10 +258,10 @@ def test_depth_separation(name, M, neurons, expected, bound, large_complexes):
     exact Betti numbers of the deep network exceed betti_upper_bound for one
     hidden layer with the same number of neurons, in both degrees.
     """
-    net, sc = large_complexes[name]
-    betti = betti_numbers(sublevel_subcomplex(sc)).values
+    facts = large_complexes[name]
+    betti = facts.betti.values
     assert betti == expected == predict_betti(M, (4,), 2).values
-    assert sum(net.architecture[1:-1]) == neurons
+    assert sum(facts.architecture[1:-1]) == neurons
     shallow = (2, neurons, 1)
     for k in (0, 1):
         assert betti_upper_bound(shallow, k) == bound

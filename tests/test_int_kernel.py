@@ -1,10 +1,11 @@
 """Properties of the integer arrangement kernel on random small networks.
 
 The arrangement builds on homogeneous integer vertices with hyperplane
-incidence sets; everything here is checked against Fraction arithmetic that
-shares no code with it (Hyperplane.eval_at, validate_complex, the network
-evaluated at each cell's Fraction centroid, and a forward pass written out
-below).
+incidence sets; everything here is checked against code that reads only the
+cells' Fraction vertices and shares no code with it (each constraint
+evaluated at each Fraction vertex, validate_complex, which clears each vertex
+on its own, the network evaluated at each cell's Fraction centroid, and a
+forward pass written out below).
 """
 
 import random
@@ -31,6 +32,7 @@ from topobetti.exactgeom import (
     dehomogenize,
     homogenize,
     sign,
+    vdot,
 )
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
 from topobetti.stability import _perturbed
@@ -56,7 +58,7 @@ def _check_kernel_invariants(net, box):
     for cell in sc.cells.values():
         for hid, s in cell.active_constraints:
             h = sc.constraints[hid]
-            assert (s == 0) == all(h.eval_at(v) == 0 for v in cell.vertices)
+            assert (s == 0) == all(vdot(h.normal, v) + h.offset == 0 for v in cell.vertices)
         # the builder reads labels from vertex signs, which is exact only if
         # the output has one sign on every cell
         assert cell.sign_label == labels[sign(eval_scalar(net, centroid(cell.vertices)))]

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +20,9 @@ from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_scalar
 from helpers import reference_grid_beta0
+from topobetti import verify
 from topobetti.verify import (
+    _BLOCK,
     SignGrid,
     default_resolution,
     grid_beta0,
@@ -55,6 +59,59 @@ def _assert_signs_match(net, box, N):
         assert sg.signs[idx] == (v > 0) - (v < 0), idx
 
 
+def _beyond_int64():
+    """A network whose scaled pass needs Python ints.
+
+    One denominator near 2^40 per layer: every integer weight fits in int64,
+    but three layers of products reach ~2^130, so an int64 pass would wrap
+    and the oracle must fall back to Python ints.
+    """
+
+    def layer(q, rows, bias):
+        return AffineLayer(
+            tuple(tuple(Fraction(k * 2**40 + 7, q) for k in row) for row in rows),
+            tuple(Fraction(b) for b in bias),
+        )
+
+    return ReluNetwork(
+        (
+            layer(2**40 + 3, ((1, -2), (-3, 1), (2, 2)), (Fraction(1, 3),) * 3),
+            layer(2**40 + 5, ((1, -1, 2), (-2, 3, -1)), (0, 0)),
+            layer(2**40 + 9, ((3, -4),), (0,)),
+        )
+    )
+
+
+def _through_relu(coeffs, bias):
+    """c·x + bias as relu(c·x + bias) − relu(−c·x − bias): one hidden layer."""
+    c = tuple(Fraction(v) for v in coeffs)
+    b = Fraction(bias)
+    return ReluNetwork(
+        (
+            AffineLayer((c, tuple(-v for v in c)), (b, -b)),
+            AffineLayer(((Fraction(1), Fraction(-1)),), (Fraction(0),)),
+        )
+    )
+
+
+def _affine_signs(coeffs, bias, box, N):
+    """Sign of c·x + bias at every grid point, computed on numpy int64.
+
+    Every value is scaled by S = N·lcm(denominators), which makes each axis's
+    term c_t·(lo_t + i·(up_t − lo_t)/N)·S an integer affine in i.
+    """
+    d = box.dimension
+    bias = Fraction(bias)
+    S = N * math.lcm(*(v.denominator for v in (*box.lower, *box.upper, bias)))
+    i = np.arange(N + 1)
+    total = np.full((N + 1,) * d, int(bias * S), dtype=np.int64)
+    for t, (c, lo, up) in enumerate(zip(coeffs, box.lower, box.upper)):
+        axis = [1] * d
+        axis[t] = N + 1
+        total += (int(c * lo * S) + int(c * (up - lo) * S / N) * i).reshape(axis)
+    return np.sign(total)
+
+
 weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -88,24 +145,7 @@ class TestGridSignSample:
         _assert_signs_match(*case)
 
     def test_magnitudes_beyond_int64(self):
-        # one denominator near 2^40 per layer: every integer weight fits in
-        # int64, but three layers of products reach ~2^130, so an int64 pass
-        # would wrap and the oracle must fall back to Python ints
-        def layer(q, rows, bias):
-            return AffineLayer(
-                tuple(tuple(Fraction(k * 2**40 + 7, q) for k in row) for row in rows),
-                tuple(Fraction(b) for b in bias),
-            )
-
-        net = ReluNetwork(
-            (
-                layer(2**40 + 3, ((1, -2), (-3, 1), (2, 2)), (Fraction(1, 3),) * 3),
-                layer(2**40 + 5, ((1, -1, 2), (-2, 3, -1)), (0, 0)),
-                layer(2**40 + 9, ((3, -4),), (0,)),
-            )
-        )
-        box = BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2)
-        _assert_signs_match(net, box, 8)
+        _assert_signs_match(_beyond_int64(), BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2), 8)
 
     def test_one_dimensional_grid(self):
         net = ReluNetwork(
@@ -121,6 +161,70 @@ class TestGridSignSample:
         i = np.arange(N + 1)
         expected = np.sign(3 * i - N)
         assert np.array_equal(grid_sign_sample(net, box, N).signs, expected)
+
+    @pytest.mark.parametrize(
+        "coeffs, bias, lower, upper, N",
+        [
+            # 101-point lines, 20 to a block: the last block is short
+            ((3, -7), Fraction(1, 3), (0, 0), (1, 1), 100),
+            # lines longer than _BLOCK are cut along the last axis
+            ((2, -5), Fraction(-1, 7), (-1, 0), (1, Fraction(1, 2)), _BLOCK + 52),
+            ((1, -2, 3), Fraction(1, 5), (0, -1, 0), (1, 1, Fraction(3, 2)), 30),
+            ((1, 1, -1, 2), Fraction(-2, 3), (0,) * 4, (1,) * 4, 9),
+        ],
+        ids=["d2-short-last-block", "d2-long-lines", "d3", "d4"],
+    )
+    def test_signs_of_affine_functionals(self, coeffs, bias, lower, upper, N):
+        box = BoxDomain(tuple(map(Fraction, lower)), tuple(map(Fraction, upper)))
+        expected = _affine_signs(coeffs, bias, box, N)
+        assert np.array_equal(grid_sign_sample(_through_relu(coeffs, bias), box, N).signs, expected)
+
+    @pytest.mark.parametrize("d, N", [(1, 40), (2, 11), (3, 6)])
+    @pytest.mark.parametrize("block", [1, 5, 12, 64])
+    def test_every_block_layout(self, d, N, block, monkeypatch):
+        # blocks of one point, of a part of a line, of one line and of
+        # several lines, on lines of 7 to 41 points
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        coeffs, bias = (3, -2, 1)[:d], Fraction(-1, 4)
+        box = BoxDomain((Fraction(0),) * d, (Fraction(1),) * d)
+        expected = _affine_signs(coeffs, bias, box, N)
+        assert np.array_equal(grid_sign_sample(_through_relu(coeffs, bias), box, N).signs, expected)
+
+    def test_single_affine_layer(self):
+        # no hidden layer: the first layer's sum is the output
+        for coeffs in ((2, -3), (1, -1, 2)):
+            d = len(coeffs)
+            net = ReluNetwork(
+                (AffineLayer((tuple(map(Fraction, coeffs)),), (Fraction(-1, 2),)),)
+            )
+            box = BoxDomain((Fraction(-1),) * d, (Fraction(1),) * d)
+            expected = _affine_signs(coeffs, Fraction(-1, 2), box, 24)
+            assert np.array_equal(grid_sign_sample(net, box, 24).signs, expected)
+
+    def test_magnitudes_beyond_int64_over_several_blocks(self):
+        # 47² points take two blocks of whole lines in the Python-int pass
+        assert 47 * 47 > _BLOCK
+        _assert_signs_match(_beyond_int64(), BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2), 46)
+
+    @pytest.mark.parametrize(
+        "d, m_vec, w_vec, N",
+        [(2, (2, 4), (4,), 1000), (3, (2, 2), (1, 1), 99), (4, (2,), (1, 1, 1), 31)],
+        ids=["d2", "d3", "d4"],
+    )
+    def test_working_memory_stays_flat(self, d, m_vec, w_vec, N):
+        # about 10^6 grid points: beyond the int8 signs themselves the pass
+        # allocates blocks of width × _BLOCK entries, not arrays that grow
+        # with the grid
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        box = BoxDomain.unit_cube(d)
+        tracemalloc.start()
+        try:
+            signs = grid_sign_sample(net, box, N).signs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert signs.size >= 10**6
+        assert peak - signs.nbytes < 2 * 2**20
 
     def test_signs_match_exact_evaluation(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
