@@ -19,17 +19,23 @@ negative vertex.  The split is also the only place a functional is evaluated:
 each region records every neuron's functional on it and its sign there, and
 the ReLU, the output map and the cell labels are read from that record.
 Each region carries its tight sets (constraint → its vertices on it), which
-the split updates and the face lattice is read from.  Cells are deduplicated
-by canonical keys, so the construction is deterministic.
+the split updates and the face lattice is read from.  The assembly walks each
+region's faces down from those sets and does each face's bookkeeping once,
+when it first reaches it: its constraint signs, and its label, which the
+walk settles from the constraints the face is tight on (or from its
+vertices' incidence, where the output's hyperplane touches a region it does
+not cut).  Edges expand straight to their two vertices.  Cells are
+deduplicated by canonical keys, so the construction is deterministic.
 
 Hyperplanes and output maps are interned by integer keys: a split's
 hyperplane by its primitive row (normal…, offset), and a region's output map
 by its reduced (grad…, const, den).  Vertices are ordered by integer ranks:
-each axis's distinct values, as reduced (num, den) pairs, are sorted once,
-and the vertices sort by their tuples of per-axis ranks.  Fraction appears
-only where the complex is handed out, in Cell.vertices (one Fraction per
-distinct axis value) and in one Cell.affine_map per distinct output map, and
-in the independent checks validate_complex and cell_volume.
+the first axis's distinct values, as reduced (num, den) pairs, are sorted
+once, and each later axis only among the vertices still tied on the earlier
+ones.  Fraction appears only where the complex is handed out, in
+Cell.vertices (one Fraction per distinct axis value) and in one
+Cell.affine_map per distinct output map, and in the independent checks
+validate_complex and cell_volume.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ import gc
 import itertools
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import mul
+from operator import attrgetter, mul
 
 from .exactgeom import (
     BoxDomain,
@@ -436,26 +443,39 @@ def _order_points(coords):
 
     Returns the indices of coords sorted by the points' rational coordinates,
     and each point as a tuple of Fractions, one Fraction per distinct value
-    of an axis.  Each axis's distinct values, as reduced (num, den) pairs, are
-    sorted once by cross-multiplication; the points then sort by tuples of
-    their per-axis ranks.  No common denominator is formed: on perturbed
-    networks the lcm of the points' denominators runs to 10⁴–10⁵ bits.
+    of an axis.  Axis values are compared as reduced (num, den) pairs by
+    cross-multiplication, and an axis is ranked only among the points that
+    tie on every earlier axis: each point's key is its ranks so far as one
+    mixed-radix integer, and the ranking stops once the keys are distinct.
+    A point with no tie keeps rank 0 on later axes, which cannot reorder it.
+    On perturbed networks the first axis already tells every point apart.
+    No common denominator is formed: there the lcm of the points'
+    denominators runs to 10⁴–10⁵ bits.
     """
-    reduced = []  # per point, its (num, den) per axis in lowest terms
-    for p in coords:
-        w = p[-1]
-        reduced.append(tuple((x // g, w // g) for x in p[:-1] for g in (math.gcd(x, w),)))
-    ranks = [[] for _ in coords]
-    points = [[] for _ in coords]
-    for values in zip(*reduced):
-        by_value = sorted(set(values), key=cmp_to_key(_compare_ratios))
-        rank = {v: (x, Fraction(*v)) for x, v in enumerate(by_value)}
-        for i, v in enumerate(values):
-            x, q = rank[v]
-            ranks[i].append(x)
-            points[i].append(q)
-    order = sorted(range(len(coords)), key=ranks.__getitem__)
-    return order, [tuple(p) for p in points]
+    ws = [p[-1] for p in coords]
+    columns = [
+        [(x // (g := math.gcd(x, w)), w // g) for x, w in zip(xs, ws)]
+        for xs in list(zip(*coords))[:-1]
+    ]
+    n = len(coords)
+    keys = [0] * n
+    tied = None  # indices of the points whose key another point shares; None for all
+    for values in columns:
+        ranked = set(values) if tied is None else {values[i] for i in tied}
+        by_value = sorted(ranked, key=cmp_to_key(_compare_ratios))
+        rank = dict(zip(by_value, itertools.count(1)))
+        base = len(by_value) + 1
+        keys = [k * base + rank.get(v, 0) for k, v in zip(keys, values)]
+        count = Counter(keys)
+        if len(count) == n:
+            break
+        tied = [i for i, k in enumerate(keys) if count[k] > 1]
+    order = sorted(range(n), key=keys.__getitem__)
+    points = []
+    for values in columns:
+        fractions = {v: Fraction(*v) for v in set(values)}
+        points.append(map(fractions.__getitem__, values))
+    return order, list(zip(*points))
 
 
 def _assemble(b: _Builder) -> SignedComplex:
@@ -463,78 +483,136 @@ def _assemble(b: _Builder) -> SignedComplex:
 
     A face's owner is the first region, in build order, that holds it; the
     face takes its constraint signs, affine map and label from the owner.
+    The walk does each face's bookkeeping once, when it first reaches it.
+    A face of dimension ≥ 2 finds its facets among its tight sets, which it
+    intersects down from its coface's.  An edge's facets are its two
+    vertices, so edges are expanded straight to them, and a 0-cell takes
+    its zero signs from the vertex's incidence set.
+
+    The output has one sign on the owner and vanishes on a face of it only
+    if the face lies on the output's hyperplane.  When that hyperplane is
+    one of the owner's constraints, that is when the face is tight on it.
+    Otherwise the hyperplane touches the owner at most in a lower face, and
+    the face lies on it when all its vertices do.
     """
     regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
+    # the 0-cells come first, in the order of their rational points
+    vids = list(set().union(*(r.vertices for r in regions)))
+    order, points = _order_points([coords[v] for v in vids])
+    rank = [0] * len(coords)  # vertex id -> rank, for the vertices in vids
+    for x, i in enumerate(order):
+        rank[vids[i]] = x
+    points = [points[i] for i in order]
+    vertex_data = [None] * len(vids)  # rank -> (active constraints, affine map, label)
+    limit = cap - len(vids)  # for the faces of dimension ≥ 1
+    if limit < 0:
+        raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
+    # faces of dimension ≥ 1 by discovery index
     index = {}  # frozenset(vertex ids) -> discovery index
-    found = []  # discovery index -> (vertex ids, dim, owner, active constraints)
-    incid = set()  # (face index, coface index)
+    found = []  # discovery index -> (vertex ids, active constraints, affine map, label)
+    by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
+    # (face, coface) pairs as discovery indices, and an edge's vertex pairs
+    # as (vertex rank, edge discovery index)
+    faces, cofaces = [], []
+    vertex_faces, edge_cofaces = [], []
     for r in regions:
         key = frozenset(r.vertices)
         if key in index:
             continue
-        items = sorted(r.constraints.items())
-        index[key] = len(found)
-        found.append((key, d, r, tuple(items)))
+        constraints = r.constraints
+        items = sorted(constraints.items())
+        at = {hid: x for x, (hid, _) in enumerate(items)}  # hid -> its place in items
+        _, _, out_sign, out_hid = r.activations[0]
+        affine_map, label = r.out_affine, _label(out_sign)
+        cut = out_hid in constraints
+        # when it does not cut, the owner's vertices on the output's hyperplane
+        touched = () if cut else {v for v in key if out_hid in incidence[v]}
+        i = index[key] = len(found)
+        found.append((key, tuple(items), affine_map, label))
+        by_dim[d].append(i)
         # a face to expand: its index and dimension, the hids it lies on, and
         # for each other hid that meets it, its vertices on that hid.  A facet
-        # of the face is a spanning set among those, and its own sets are
-        # these sets intersected with it.
-        stack = [(index[key], d, frozenset(), r.tight)]
+        # of the face is a spanning set among those.
+        stack = [(i, d, set(), r.tight)] if d > 1 else []
+        edges = [] if d > 1 else [(i, key)]  # (discovery index, vertex ids)
         while stack:
             i, dim, on, tight = stack.pop()
+            k = dim - 1
             for group in tight.values():
-                if not _spans(group, dim - 1, coords):
+                # _spans, with its vertex count for k ≤ 2 inlined
+                if len(group) <= k or (k > 2 and not _spans(group, k, coords)):
                     continue
                 sub = frozenset(group)
                 j = index.get(sub)
                 if j is None:
                     j = index[sub] = len(found)
-                    if j >= cap:
+                    if j >= limit:
                         raise ComplexSizeError(
                             f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
                         )
-                    sub_on, sub_tight = set(on), {}
-                    for hid, other in tight.items():
-                        meet = other & sub
-                        if len(meet) == len(sub):
-                            sub_on.add(hid)
-                        elif meet:
-                            sub_tight[hid] = meet
-                    active = tuple((hid, 0 if hid in sub_on else s) for hid, s in items)
-                    found.append((sub, dim - 1, r, active))
-                    if dim > 1:
-                        stack.append((j, dim - 1, sub_on, sub_tight))
-                incid.add((j, i))
+                    if k == 1:
+                        u, v = sub
+                        sub_on = constraints.keys() & incidence[u] & incidence[v]
+                        edges.append((j, sub))
+                    else:
+                        sub_on, sub_tight = on.copy(), {}
+                        for hid, other in tight.items():
+                            meet = other & sub
+                            if len(meet) == len(sub):
+                                sub_on.add(hid)
+                            elif meet:
+                                sub_tight[hid] = meet
+                        stack.append((j, k, sub_on, sub_tight))
+                    active = items.copy()
+                    for hid in sub_on:
+                        active[at[hid]] = (hid, 0)
+                    zero = out_hid in sub_on if cut else sub <= touched
+                    found.append((sub, tuple(active), affine_map, "zero" if zero else label))
+                    by_dim[k].append(j)
+                faces.append(j)
+                cofaces.append(i)
+        for j, edge in edges:
+            for v in edge:
+                x = rank[v]
+                vertex_faces.append(x)
+                edge_cofaces.append(j)
+                if vertex_data[x] is None:
+                    lies_on = incidence[v]
+                    active = items.copy()
+                    for hid in constraints.keys() & lies_on:
+                        active[at[hid]] = (hid, 0)
+                    zero = out_hid in lies_on
+                    vertex_data[x] = (tuple(active), affine_map, "zero" if zero else label)
 
-    # cells, and the vertices within each, are ordered by their rational points
-    vids = list(set().union(*(r.vertices for r in regions)))
-    order, points = _order_points([coords[v] for v in vids])
-    rank = {vids[i]: x for x, i in enumerate(order)}
-    points = [points[i] for i in order]
-    ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
-    order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
-    ids = [0] * len(found)
-    cells = {}
-    for cid, i in enumerate(order):
-        ids[i] = cid
-        key, dim, owner, active = found[i]
-        # the output has one sign on the owner, and vanishes on a face of it
-        # only if the face lies on the output's hyperplane
-        _, _, out_sign, out_hid = owner.activations[0]
-        on_out = all(out_hid in incidence[v] for v in key)
-        cells[cid] = Cell(
-            id=cid,
-            dim=dim,
-            vertices=tuple(points[x] for x in ranked[i]),
-            active_constraints=active,
-            affine_map=owner.out_affine,
-            sign_label=_label(0 if on_out else out_sign),
-        )
+    # The cells are made in id order, which keeps them together in memory
+    # for the passes over them.  The other cells follow the 0-cells by
+    # dimension, and within one by their ranked vertex lists.
+    cells = [
+        Cell(x, 0, (point,), active, affine_map, label)
+        for x, (point, (active, affine_map, label)) in enumerate(zip(points, vertex_data))
+    ]
+    ids = [0] * len(found)  # discovery index -> cell id
+    for dim in range(1, d + 1):
+        bucket = by_dim[dim]
+        ranked = [sorted(map(rank.__getitem__, found[i][0])) for i in bucket]
+        for x in sorted(range(len(bucket)), key=ranked.__getitem__):
+            i = bucket[x]
+            ids[i] = cid = len(cells)
+            _, active, affine_map, label = found[i]
+            vertices = tuple(map(points.__getitem__, ranked[x]))
+            cells.append(Cell(cid, dim, vertices, active, affine_map, label))
+    # the face pairs and the cell table share each cell's id object, so
+    # their lookups match by identity before comparing values
+    keys = list(map(attrgetter("id"), cells))
+    pairs = itertools.chain(
+        zip(map(ids.__getitem__, faces), map(ids.__getitem__, cofaces)),
+        zip(map(keys.__getitem__, vertex_faces), map(ids.__getitem__, edge_cofaces)),
+    )
     return SignedComplex(
-        cells=cells,
-        faces=frozenset((ids[f], ids[c]) for f, c in incid),
+        cells=dict(zip(keys, cells)),
+        faces=frozenset(pairs),
         ambient_dim=d,
         box=box,
         constraints=tuple(registry.hyperplanes),

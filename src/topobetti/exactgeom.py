@@ -142,6 +142,8 @@ class BoxDomain:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("box bounds have mismatched dimensions")
+        if not self.lower:
+            raise ValueError("box needs at least one dimension")
         if not all(lo < up for lo, up in zip(self.lower, self.upper)):
             raise ValueError("box requires lower[i] < upper[i] for all i")
 

@@ -34,6 +34,8 @@ class AffineLayer:
         widths = {len(r) for r in self.weights}
         if len(widths) != 1:
             raise ValueError("ragged weight matrix")
+        if widths == {0}:
+            raise ValueError("layer has no inputs")
 
     @property
     def out_dim(self) -> int:

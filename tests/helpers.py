@@ -9,6 +9,9 @@
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
 - The digest that pins a signed complex's cells, faces and constraints.
+- The face-lattice assembly as it was before the walk settled labels and
+  expanded edges straight to their vertices: the reference that
+  arrangement._assemble is checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from topobetti.arrangement import Cell, PolyhedralComplex
+from topobetti.arrangement import (
+    Cell,
+    ComplexSizeError,
+    PolyhedralComplex,
+    SignedComplex,
+    _label,
+    _order_points,
+    _spans,
+)
 from topobetti.exactgeom import BoxDomain, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
@@ -223,3 +234,87 @@ def complex_digest(sc) -> str:
         )
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def reference_assemble(b) -> SignedComplex:
+    """The face lattice of the build's regions, with each cell's signs and label.
+
+    A face's owner is the first region, in build order, that holds it; the
+    face takes its constraint signs, affine map and label from the owner.
+    """
+    regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
+    coords, incidence = b.coords, b.incidence
+    d = box.dimension
+    index = {}  # frozenset(vertex ids) -> discovery index
+    found = []  # discovery index -> (vertex ids, dim, owner, active constraints)
+    incid = set()  # (face index, coface index)
+    for r in regions:
+        key = frozenset(r.vertices)
+        if key in index:
+            continue
+        items = sorted(r.constraints.items())
+        index[key] = len(found)
+        found.append((key, d, r, tuple(items)))
+        # a face to expand: its index and dimension, the hids it lies on, and
+        # for each other hid that meets it, its vertices on that hid.  A facet
+        # of the face is a spanning set among those, and its own sets are
+        # these sets intersected with it.
+        stack = [(index[key], d, frozenset(), r.tight)]
+        while stack:
+            i, dim, on, tight = stack.pop()
+            for group in tight.values():
+                if not _spans(group, dim - 1, coords):
+                    continue
+                sub = frozenset(group)
+                j = index.get(sub)
+                if j is None:
+                    j = index[sub] = len(found)
+                    if j >= cap:
+                        raise ComplexSizeError(
+                            f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
+                        )
+                    sub_on, sub_tight = set(on), {}
+                    for hid, other in tight.items():
+                        meet = other & sub
+                        if len(meet) == len(sub):
+                            sub_on.add(hid)
+                        elif meet:
+                            sub_tight[hid] = meet
+                    active = tuple((hid, 0 if hid in sub_on else s) for hid, s in items)
+                    found.append((sub, dim - 1, r, active))
+                    if dim > 1:
+                        stack.append((j, dim - 1, sub_on, sub_tight))
+                incid.add((j, i))
+
+    # cells, and the vertices within each, are ordered by their rational points
+    vids = list(set().union(*(r.vertices for r in regions)))
+    order, points = _order_points([coords[v] for v in vids])
+    rank = {vids[i]: x for x, i in enumerate(order)}
+    points = [points[i] for i in order]
+    ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
+    order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
+    ids = [0] * len(found)
+    cells = {}
+    for cid, i in enumerate(order):
+        ids[i] = cid
+        key, dim, owner, active = found[i]
+        # the output has one sign on the owner, and vanishes on a face of it
+        # only if the face lies on the output's hyperplane
+        _, _, out_sign, out_hid = owner.activations[0]
+        on_out = all(out_hid in incidence[v] for v in key)
+        cells[cid] = Cell(
+            id=cid,
+            dim=dim,
+            vertices=tuple(points[x] for x in ranked[i]),
+            active_constraints=active,
+            affine_map=owner.out_affine,
+            sign_label=_label(0 if on_out else out_sign),
+        )
+    return SignedComplex(
+        cells=cells,
+        faces=frozenset((ids[f], ids[c]) for f, c in incid),
+        ambient_dim=d,
+        box=box,
+        constraints=tuple(registry.hyperplanes),
+        violations=tuple(b.violations),
+    )

@@ -3,11 +3,21 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
-from helpers import box_complex, complex_digest, ring_cubes_2d
+from helpers import (
+    box_complex,
+    complex_digest,
+    network_and_box,
+    reference_assemble,
+    ring_cubes_2d,
+)
 from topobetti.arrangement import (
     ComplexSizeError,
+    _assemble,
+    _Builder,
     cell_volume,
     linear_region_count,
     signed_complex,
@@ -126,6 +136,53 @@ class TestNewVertices:
             tuple(half if j == i else 0 for j in range(d)) for i in range(d)
         )
         assert validate_complex(sc) == []
+
+
+class TestAssembly:
+    """_assemble against helpers.reference_assemble, the assembly it replaced."""
+
+    @staticmethod
+    def _both(net, box):
+        b = _Builder(net, box)
+        b.run()
+        return _assemble(b), reference_assemble(b)
+
+    @given(
+        network_and_box(dims=(1, 2, 3, 4), max_width=3),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference(self, case, seed):
+        # seed None keeps the network; otherwise it is perturbed at δ = 10⁻⁶,
+        # which breaks the coincidences of its small rational weights
+        net, box = case
+        if seed is not None:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random(seed))
+        sc, ref = self._both(net, box)
+        assert complex_digest(sc) == complex_digest(ref)
+
+    @pytest.mark.parametrize(
+        "d, zero_cells",
+        [
+            # x₁ + x₂ vanishes on [0,1]² only at the origin
+            (2, [((0, 0),)]),
+            # and on [0,1]³ along the edge x₁ = x₂ = 0
+            (3, [((0, 0, 0),), ((0, 0, 1),), ((0, 0, 0), (0, 0, 1))]),
+        ],
+        ids=["corner", "edge"],
+    )
+    def test_output_touches_an_uncut_region(self, d, zero_cells):
+        # the output's zero set meets the box's one region only at a face, so
+        # the labels come from the vertices on its hyperplane, not from the
+        # region's constraints
+        row = (Fraction(1), Fraction(1)) + (Fraction(0),) * (d - 2)
+        net = ReluNetwork((AffineLayer((row,), (Fraction(0),)),))
+        sc, ref = self._both(net, BoxDomain.unit_cube(d))
+        assert sorted(c.vertices for c in sc.cells.values() if c.sign_label == "zero") == sorted(
+            tuple(tuple(map(Fraction, p)) for p in cell) for cell in zero_cells
+        )
+        assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
+        assert complex_digest(sc) == complex_digest(ref)
 
 
 class TestValidateComplex:

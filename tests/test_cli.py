@@ -167,6 +167,19 @@ class TestMalformedInput:
         path.write_text("[1, 2]")
         self._fails_cleanly(["report", str(path)], capsys)
 
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["oracle", "--resolution", "3"], ["stability"]],
+        ids=["analyze", "oracle", "stability"],
+    )
+    def test_layer_with_no_inputs(self, command, tmp_path, capsys):
+        # a weight row of width 0 would make a network on a 0-dimensional box
+        path = tmp_path / "net.json"
+        path.write_text('{"layers": [{"weights": [[]], "bias": ["0"]}]}')
+        assert main([command[0], str(path), *command[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: malformed layer 0: layer has no inputs\n"
+        assert captured.out == ""
+
 
 class TestErrorMessages:
     """Exit code 1 and the exact stderr line for input errors in each command."""

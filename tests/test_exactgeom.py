@@ -121,6 +121,8 @@ class TestBoxDomain:
             BoxDomain((Fraction(1),), (Fraction(1),))
         with pytest.raises(ValueError):
             BoxDomain((Fraction(0), Fraction(0)), (Fraction(1),))
+        with pytest.raises(ValueError, match="at least one dimension"):
+            BoxDomain((), ())
 
     def test_facet_halfspaces_cut_out_the_box(self):
         box = BoxDomain((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(1, 2)))

@@ -38,6 +38,8 @@ class TestLayersAndNetworks:
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
             AffineLayer(((Fraction(1), Fraction(2)), (Fraction(3),)), (Fraction(0),) * 2)
+        with pytest.raises(ValueError, match="layer has no inputs"):
+            AffineLayer(((),), (Fraction(0),))
         with pytest.raises(ValueError):
             ReluNetwork(
                 (
