@@ -118,10 +118,14 @@ class Cell:
 
 @dataclass(frozen=True)
 class PolyhedralComplex:
-    """Full face lattice of the arrangement within the box."""
+    """Full face lattice of the arrangement within the box.
 
-    cells: dict
-    faces: frozenset  # (face_id, coface_id) pairs with dim difference 1
+    faces is the face relation: every cell id maps to the tuple of its facets'
+    ids, one dimension down, in increasing id order (() for a 0-cell).
+    """
+
+    cells: dict  # cell id -> Cell, in increasing id order
+    faces: dict  # cell id -> its facets' ids
     ambient_dim: int
     box: BoxDomain
     constraints: tuple  # hyperplane table referenced by active_constraints
@@ -132,21 +136,18 @@ class PolyhedralComplex:
     def full_cells(self):
         return self.cells_of_dim(self.ambient_dim)
 
-    def face_map(self):
-        """coface id -> list of face ids (one dimension down)."""
-        out = {cid: [] for cid in self.cells}
-        for f, c in self.faces:
-            out[c].append(f)
-        return out
-
     def euler_cells(self) -> int:
         return sum((-1) ** c.dim for c in self.cells.values())
 
     def restrict(self, ids) -> "PolyhedralComplex":
+        """The subcomplex of these cells, whose facet tuples are copied unfiltered.
+
+        ids must be closed under faces, as both callers' are: the sublevel
+        cells, and the cells a collapse leaves.
+        """
         ids = set(ids)
         cells = {cid: c for cid, c in self.cells.items() if cid in ids}
-        faces = frozenset((f, c) for f, c in self.faces if f in ids and c in ids)
-        return replace(self, cells=cells, faces=faces)
+        return replace(self, cells=cells, faces={cid: self.faces[cid] for cid in cells})
 
 
 @dataclass(frozen=True)
@@ -485,9 +486,9 @@ def _assemble(b: _Builder) -> SignedComplex:
     face takes its constraint signs, affine map and label from the owner.
     The walk does each face's bookkeeping once, when it first reaches it.
     A face of dimension ≥ 2 finds its facets among its tight sets, which it
-    intersects down from its coface's.  An edge's facets are its two
-    vertices, so edges are expanded straight to them, and a 0-cell takes
-    its zero signs from the vertex's incidence set.
+    intersects down from its coface's, and the walk records them.  An edge's
+    facets are its two vertices, so edges are expanded straight to them, and
+    a 0-cell takes its zero signs from the vertex's incidence set.
 
     The output has one sign on the owner and vanishes on a face of it only
     if the face lies on the output's hyperplane.  When that hyperplane is
@@ -513,10 +514,7 @@ def _assemble(b: _Builder) -> SignedComplex:
     index = {}  # frozenset(vertex ids) -> discovery index
     found = []  # discovery index -> (vertex ids, active constraints, affine map, label)
     by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
-    # (face, coface) pairs as discovery indices, and an edge's vertex pairs
-    # as (vertex rank, edge discovery index)
-    faces, cofaces = [], []
-    vertex_faces, edge_cofaces = [], []
+    below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
     for r in regions:
         key = frozenset(r.vertices)
         if key in index:
@@ -536,10 +534,11 @@ def _assemble(b: _Builder) -> SignedComplex:
         # for each other hid that meets it, its vertices on that hid.  A facet
         # of the face is a spanning set among those.
         stack = [(i, d, set(), r.tight)] if d > 1 else []
-        edges = [] if d > 1 else [(i, key)]  # (discovery index, vertex ids)
+        edges = [] if d > 1 else [key]  # each edge's vertex ids
         while stack:
             i, dim, on, tight = stack.pop()
             k = dim - 1
+            its_facets = below[i] = []
             for group in tight.values():
                 # _spans, with its vertex count for k ≤ 2 inlined
                 if len(group) <= k or (k > 2 and not _spans(group, k, coords)):
@@ -555,7 +554,7 @@ def _assemble(b: _Builder) -> SignedComplex:
                     if k == 1:
                         u, v = sub
                         sub_on = constraints.keys() & incidence[u] & incidence[v]
-                        edges.append((j, sub))
+                        edges.append(sub)
                     else:
                         sub_on, sub_tight = on.copy(), {}
                         for hid, other in tight.items():
@@ -571,13 +570,10 @@ def _assemble(b: _Builder) -> SignedComplex:
                     zero = out_hid in sub_on if cut else sub <= touched
                     found.append((sub, tuple(active), affine_map, "zero" if zero else label))
                     by_dim[k].append(j)
-                faces.append(j)
-                cofaces.append(i)
-        for j, edge in edges:
+                its_facets.append(j)
+        for edge in edges:
             for v in edge:
                 x = rank[v]
-                vertex_faces.append(x)
-                edge_cofaces.append(j)
                 if vertex_data[x] is None:
                     lies_on = incidence[v]
                     active = items.copy()
@@ -588,11 +584,14 @@ def _assemble(b: _Builder) -> SignedComplex:
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
-    # dimension, and within one by their ranked vertex lists.
+    # dimension, and within one by their ranked vertex lists, so a cell's
+    # facets have ids when it is made.  The face map and the cell table share
+    # each cell's id object, so their lookups match by identity first.
     cells = [
         Cell(x, 0, (point,), active, affine_map, label)
         for x, (point, (active, affine_map, label)) in enumerate(zip(points, vertex_data))
     ]
+    facets = [()] * len(cells)  # cell id -> its facets' ids
     ids = [0] * len(found)  # discovery index -> cell id
     for dim in range(1, d + 1):
         bucket = by_dim[dim]
@@ -603,16 +602,16 @@ def _assemble(b: _Builder) -> SignedComplex:
             _, active, affine_map, label = found[i]
             vertices = tuple(map(points.__getitem__, ranked[x]))
             cells.append(Cell(cid, dim, vertices, active, affine_map, label))
-    # the face pairs and the cell table share each cell's id object, so
-    # their lookups match by identity before comparing values
+            if dim == 1:
+                # an edge's facets are its vertices, whose ids are their ranks
+                facets.append(tuple(cells[y].id for y in ranked[x]))
+            else:
+                # for d ≥ 4 the walk may reach a facet through more than one hid
+                facets.append(tuple(sorted({ids[j] for j in below[i]})))
     keys = list(map(attrgetter("id"), cells))
-    pairs = itertools.chain(
-        zip(map(ids.__getitem__, faces), map(ids.__getitem__, cofaces)),
-        zip(map(keys.__getitem__, vertex_faces), map(ids.__getitem__, edge_cofaces)),
-    )
     return SignedComplex(
         cells=dict(zip(keys, cells)),
-        faces=frozenset(pairs),
+        faces=dict(zip(keys, facets)),
         ambient_dim=d,
         box=box,
         constraints=tuple(registry.hyperplanes),
@@ -644,8 +643,6 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
     merged before counting.
     """
     full = complex.full_cells()
-    if not full:
-        return 0
     parent = {c.id: c.id for c in full}
 
     def find(x):
@@ -656,9 +653,9 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
 
     affines = {c.id: c.affine_map for c in full}
     cofaces = {}
-    for f, c in complex.faces:
-        if complex.cells[c].dim == complex.ambient_dim and complex.cells[f].dim == complex.ambient_dim - 1:
-            cofaces.setdefault(f, []).append(c)
+    for c in full:
+        for f in complex.faces[c.id]:
+            cofaces.setdefault(f, []).append(c.id)
     for group in cofaces.values():
         for a, b in itertools.combinations(group, 2):
             if affines[a] == affines[b]:
@@ -696,10 +693,10 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """
     if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    return _cell_volume(complex.cells, complex.face_map(), complex.ambient_dim, cell_id)
+    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id)
 
 
-def _cell_volume(cells, fmap, d: int, cell_id: int):
+def _cell_volume(cells, faces, d: int, cell_id: int):
     # each stack entry is a face and the apexes of the faces above it, so a
     # 0-cell completes one simplex of the triangulation
     total = Fraction(0)
@@ -711,28 +708,35 @@ def _cell_volume(cells, fmap, d: int, cell_id: int):
             p0, *rest = apexes + (apex,)
             total += abs(_det([[x - y for x, y in zip(p, p0)] for p in rest]))
             continue
-        stack.extend((f, apexes + (apex,)) for f in fmap[cid] if apex not in cells[f].vertices)
+        stack.extend((f, apexes + (apex,)) for f in faces[cid] if apex not in cells[f].vertices)
     return total / math.factorial(d)
 
 
 def validate_complex(complex: PolyhedralComplex):
     """Check complex invariants; returns a list of violation strings."""
     out = []
-    cells = complex.cells
-    for f, c in complex.faces:
-        if f not in cells or c not in cells:
-            out.append(f"incidence: unknown cell in pair ({f},{c})")
+    cells, faces = complex.cells, complex.faces
+    for cid in cells:
+        if cid not in faces:
+            out.append(f"faces: cell {cid} has no entry")
+    for c, fs in faces.items():
+        if c not in cells:
+            out.append(f"faces: entry for unknown cell {c}")
             continue
-        if cells[c].dim - cells[f].dim != 1:
-            out.append(f"incidence: dim mismatch in pair ({f},{c})")
-        if not set(cells[f].vertices) < set(cells[c].vertices):
-            out.append(f"incidence: vertices of {f} not contained in {c}")
-    fmap = complex.face_map()
+        if any(a >= b for a, b in zip(fs, fs[1:])):
+            out.append(f"faces: facets of cell {c} are not in increasing id order")
+        for f in fs:
+            if f not in cells:
+                out.append(f"incidence: unknown cell in pair ({f},{c})")
+                continue
+            if cells[c].dim - cells[f].dim != 1:
+                out.append(f"incidence: dim mismatch in pair ({f},{c})")
+            if not set(cells[f].vertices) < set(cells[c].vertices):
+                out.append(f"incidence: vertices of {f} not contained in {c}")
     below = {}  # cell id -> the points of the 0-cells below it
     for c in sorted(cells.values(), key=lambda c: c.dim):
-        below[c.id] = (
-            set(c.vertices) if c.dim == 0 else set().union(*(below.get(f, ()) for f in fmap[c.id]))
-        )
+        fs = faces.get(c.id, ())
+        below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else set(c.vertices)
         if below[c.id] != set(c.vertices):
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
     # each distinct vertex x/w cleared once; a constraint's value at it is
@@ -742,7 +746,7 @@ def validate_complex(complex: PolyhedralComplex):
     for cid, c in cells.items():
         if affine_rank(c.vertices) != c.dim:
             out.append(f"dimension: cell {cid} has affine rank != dim")
-        if c.dim >= 1 and len(fmap[cid]) < c.dim + 1:
+        if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
         for hid, s in c.active_constraints:
             h = complex.constraints[hid]
@@ -758,7 +762,7 @@ def validate_complex(complex: PolyhedralComplex):
     full = complex.full_cells()
     if full:
         try:
-            vol = sum(_cell_volume(cells, fmap, complex.ambient_dim, c.id) for c in full)
+            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:

@@ -144,6 +144,9 @@ class BoxDomain:
             raise ValueError("box bounds have mismatched dimensions")
         if not self.lower:
             raise ValueError("box needs at least one dimension")
+        for v in (*self.lower, *self.upper):
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"box bounds must be int or Fraction, got {v!r}")
         if not all(lo < up for lo, up in zip(self.lower, self.upper)):
             raise ValueError("box requires lower[i] < upper[i] for all i")
 

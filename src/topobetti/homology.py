@@ -46,35 +46,33 @@ class SimplicialComplex:
     simplices: tuple  # simplices[k] = sorted tuple of k-simplices (tuples of cell ids)
 
 
-def _poset_successors(pc: PolyhedralComplex):
-    """Full strict order relation of the face poset, as successor sets.
+def _poset_predecessors(pc: PolyhedralComplex):
+    """Full strict order relation of the face poset, as predecessor sets.
 
-    The poset is graded by cell dimension and the incidence pairs are its
-    covering relation, so the full order is the transitive closure.
+    The poset is graded by cell dimension and the face map is its covering
+    relation, so the full order is the transitive closure, read off the map
+    with the cells taken by increasing dimension.
     """
-    covers = {cid: [] for cid in pc.cells}
-    for f, c in pc.faces:
-        covers[f].append(c)
-    order = sorted(pc.cells, key=lambda cid: -pc.cells[cid].dim)
-    succ = {}
-    for cid in order:
+    faces = pc.faces
+    pred = {}
+    for cid in sorted(pc.cells, key=lambda cid: pc.cells[cid].dim):
         s = set()
-        for c in covers[cid]:
-            s.add(c)
-            s |= succ[c]
-        succ[cid] = s
-    return succ
+        for f in faces[cid]:
+            s.add(f)
+            s |= pred[f]
+        pred[cid] = s
+    return pred
 
 
 def order_complex(pc: PolyhedralComplex) -> SimplicialComplex:
     """Barycentric subdivision: all strictly increasing chains in the face poset."""
-    succ = _poset_successors(pc)
+    pred = _poset_predecessors(pc)
     by_dim = {}
     stack = [(cid,) for cid in pc.cells]
     while stack:
         chain = stack.pop()
         by_dim.setdefault(len(chain) - 1, []).append(chain)
-        stack.extend(chain + (nxt,) for nxt in succ[chain[-1]])
+        stack.extend((prev,) + chain for prev in pred[chain[0]])
     top = max(by_dim) if by_dim else -1
     return SimplicialComplex(
         tuple(tuple(sorted(by_dim.get(k, []))) for k in range(top + 1))
@@ -103,14 +101,16 @@ def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
     diamond property, give σ a second coface, so τ is maximal and the cells
     left form a closed subcomplex of the same homotopy type.  The queue is
     seeded in pc.cells order and served first in first out, and neighbours
-    are visited in sorted id order, so no set iteration order decides which
-    cells survive.
+    are visited in increasing id order: the face map keeps each cell's
+    facets that way, and inverting it over the cells in id order lists each
+    cell's cofaces that way.  So neither the order in which the map was
+    filled nor any set iteration order decides which cells survive.
     """
+    faces = pc.faces
     cofaces = {cid: [] for cid in pc.cells}
-    faces = {cid: [] for cid in pc.cells}
-    for f, c in sorted(pc.faces):
-        cofaces[f].append(c)
-        faces[c].append(f)
+    for c in pc.cells:
+        for f in faces[c]:
+            cofaces[f].append(c)
     live = {cid: len(cf) for cid, cf in cofaces.items()}  # live coface counts
     alive = dict.fromkeys(pc.cells, True)
     queue = deque(cid for cid in pc.cells if live[cid] == 1)
@@ -156,11 +156,15 @@ def analyze_network(
     Runs the arrangement pipeline (output-refined signed complex → sublevel
     subcomplex → homology) and packages region counts and upper
     bounds; optional closed-form predictions and an oracle β₀ are recorded for
-    reconciliation.
+    reconciliation.  A prediction must have one number per dimension 0 … d−1.
     """
     if box is None:
         box = BoxDomain.unit_cube(net.input_dim)
     d = box.dimension
+    if predicted is not None and len(predicted.values) != d:
+        raise ValueError(
+            f"predicted Betti vector has {len(predicted.values)} entries, expected {d}"
+        )
     with _gc_paused():
         sc = signed_complex(net, box)
         sub = sublevel_subcomplex(sc)
@@ -168,14 +172,10 @@ def analyze_network(
         regions = linear_region_count(sc)
     serra = serra_region_bound(net.architecture)
     binom = [betti_upper_bound(net.architecture, k) for k in range(d)]
-    complement_cells = [
-        sum(
-            1
-            for c in sc.cells.values()
-            if c.dim == k + 1 and c.sign_label == "positive"
-        )
-        for k in range(d)
-    ]
+    positive = [0] * (d + 1)  # dim -> cells of that dim labelled positive
+    for c in sc.cells.values():
+        if c.sign_label == "positive":
+            positive[c.dim] += 1
     return AnalysisReport(
         architecture=net.architecture,
         fingerprint=network_fingerprint(net),
@@ -184,7 +184,7 @@ def analyze_network(
         region_count=regions,
         serra_bound=serra,
         binomial_bounds=tuple(binom),
-        complement_cell_bounds=tuple(complement_cells),
+        complement_cell_bounds=tuple(positive[1:]),
         predicted=predicted,
         euler=euler_characteristic(betti),
         euler_cells=sub.euler_cells(),

@@ -8,6 +8,7 @@ rationals; evaluation, composition and serialization are exact.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ class AffineLayer:
             raise ValueError("ragged weight matrix")
         if widths == {0}:
             raise ValueError("layer has no inputs")
+        for v in itertools.chain(*self.weights, self.bias):
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"layer entries must be int or Fraction, got {v!r}")
 
     @property
     def out_dim(self) -> int:

@@ -71,20 +71,20 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
         )
         for dim, verts in ordered
     }
-    incidence = set()
+    # cells are numbered in increasing (dim, vertices) order, so each cell's
+    # facets come out in increasing id order
+    facets = {}
     for dim, verts in ordered:
-        if dim == 0:
-            continue
         vset = set(verts)
-        for fdim, fverts in ordered:
-            if fdim == dim - 1 and set(fverts) <= vset:
-                incidence.add((ids[fverts], ids[verts]))
+        facets[ids[verts]] = tuple(
+            ids[fverts] for fdim, fverts in ordered if fdim == dim - 1 and set(fverts) <= vset
+        )
     los = [min(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
     his = [max(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
     box = BoxDomain(tuple(Fraction(l) for l in los), tuple(Fraction(h) for h in his))
     return PolyhedralComplex(
         cells=cells,
-        faces=frozenset(incidence),
+        faces=facets,
         ambient_dim=ambient_dim,
         box=box,
         constraints=(),
@@ -222,18 +222,30 @@ def reference_grid_beta0(sg: SignGrid) -> int:
 
 
 def complex_digest(sc) -> str:
-    blob = repr(
-        (
-            sorted(
-                (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
-                for cid, c in sc.cells.items()
-            ),
-            sorted(sc.faces),
-            sc.constraints,
-            sc.violations,
-        )
+    """sha256 of the repr of (cells, face pairs, constraints, violations).
+
+    cells is the sorted list of (id, dim, vertices, active constraints,
+    affine map, label) tuples, and face pairs the sorted list of (face id,
+    coface id) pairs of the face map.  The repr is fed to the hash piece by
+    piece, so the whole string is never held in memory.
+    """
+    h = hashlib.sha256()
+
+    def feed_list(items):
+        h.update(b"[")
+        for n, item in enumerate(items):
+            h.update((", " + repr(item) if n else repr(item)).encode("utf-8"))
+        h.update(b"]")
+
+    h.update(b"(")
+    feed_list(
+        (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
+        for cid, c in sorted(sc.cells.items())
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    h.update(b", ")
+    feed_list(sorted((f, c) for c, fs in sc.faces.items() for f in fs))
+    h.update(f", {sc.constraints!r}, {sc.violations!r})".encode("utf-8"))
+    return h.hexdigest()
 
 
 def reference_assemble(b) -> SignedComplex:
@@ -310,9 +322,12 @@ def reference_assemble(b) -> SignedComplex:
             affine_map=owner.out_affine,
             sign_label=_label(0 if on_out else out_sign),
         )
+    facets = {cid: [] for cid in cells}
+    for f, c in sorted((ids[f], ids[c]) for f, c in incid):
+        facets[c].append(f)
     return SignedComplex(
         cells=cells,
-        faces=frozenset((ids[f], ids[c]) for f, c in incid),
+        faces={cid: tuple(fs) for cid, fs in facets.items()},
         ambient_dim=d,
         box=box,
         constraints=tuple(registry.hyperplanes),

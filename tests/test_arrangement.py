@@ -184,6 +184,16 @@ class TestAssembly:
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
         assert complex_digest(sc) == complex_digest(ref)
 
+    def test_a_facet_reached_twice_is_listed_once(self):
+        # 2x₁ + x₂ − x₄ = 0 holds edges of [−1, 1]⁴ along x₃, so the walk
+        # reaches some facets through two hids
+        net = ReluNetwork(
+            (AffineLayer(((2, 1, 0, -1),), (0,)), AffineLayer(((1,),), (Fraction(-1, 4),)))
+        )
+        sc, ref = self._both(net, BoxDomain((-1,) * 4, (1,) * 4))
+        assert validate_complex(sc) == []
+        assert complex_digest(sc) == complex_digest(ref)
+
 
 class TestValidateComplex:
     def test_extra_vertex_is_reported(self):
@@ -196,6 +206,41 @@ class TestValidateComplex:
         broken = replace(pc, cells={**pc.cells, square.id: extra})
         assert validate_complex(broken) == [
             f"vertices: cell {square.id} does not list exactly the 0-cells below it"
+        ]
+
+    def test_cell_without_entry_is_reported(self):
+        pc = box_complex([(0, 0)], 2)
+        vertex = pc.cells_of_dim(0)[0].id
+        faces = {cid: fs for cid, fs in pc.faces.items() if cid != vertex}
+        assert validate_complex(replace(pc, faces=faces)) == [f"faces: cell {vertex} has no entry"]
+
+    def test_entry_for_unknown_cell_is_reported(self):
+        pc = box_complex([(0, 0)], 2)
+        unknown = max(pc.cells) + 1
+        broken = replace(pc, faces={**pc.faces, unknown: ()})
+        assert validate_complex(broken) == [f"faces: entry for unknown cell {unknown}"]
+
+    def test_facet_of_the_wrong_dimension_is_reported(self):
+        # the square's corner replaces one of the two edges through it: the
+        # other edges still hold every corner, and the volume, coned from
+        # that corner, is unchanged, so only the dimension check sees it
+        pc = box_complex([(0, 0)], 2)
+        (square,) = pc.full_cells()
+        corner = square.vertices[0]
+        (vertex,) = (c.id for c in pc.cells_of_dim(0) if c.vertices == (corner,))
+        edge = next(f for f in pc.faces[square.id] if corner in pc.cells[f].vertices)
+        facets = tuple(sorted({*pc.faces[square.id]} - {edge} | {vertex}))
+        broken = replace(pc, faces={**pc.faces, square.id: facets})
+        assert validate_complex(broken) == [
+            f"incidence: dim mismatch in pair ({vertex},{square.id})"
+        ]
+
+    def test_facets_out_of_order_are_reported(self):
+        pc = box_complex([(0, 0)], 2)
+        (square,) = pc.full_cells()
+        broken = replace(pc, faces={**pc.faces, square.id: pc.faces[square.id][::-1]})
+        assert validate_complex(broken) == [
+            f"faces: facets of cell {square.id} are not in increasing id order"
         ]
 
     def test_constraint_signs_are_checked(self):

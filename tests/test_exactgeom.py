@@ -124,6 +124,16 @@ class TestBoxDomain:
         with pytest.raises(ValueError, match="at least one dimension"):
             BoxDomain((), ())
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((0.0, 0.0), (1.0, 1.0)), ((0, Fraction(0)), (1, 1.0))],
+        ids=["all-float", "one-float"],
+    )
+    def test_float_bounds_are_rejected(self, lower, upper):
+        # a float box used to die in the build, on 'float' has no 'denominator'
+        with pytest.raises(ValueError, match="box bounds must be int or Fraction, got"):
+            BoxDomain(lower, upper)
+
     def test_facet_halfspaces_cut_out_the_box(self):
         box = BoxDomain((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(1, 2)))
         halves = box.facet_halfspaces()

@@ -17,6 +17,7 @@ from helpers import (
 )
 from topobetti.arrangement import signed_complex, sublevel_subcomplex
 from topobetti.constructions import (
+    BettiVector,
     CuttingSpec,
     FoldingSpec,
     betti_upper_bound,
@@ -120,6 +121,14 @@ class TestPipelineHomology:
         assert report.euler == report.euler_cells == 2
         assert report.region_count <= report.serra_bound
 
+    @pytest.mark.parametrize("values", [(12,), (12, 4, 7)], ids=["short", "long"])
+    def test_prediction_of_the_wrong_length_is_rejected(self, values, reference_networks):
+        # reconcile compares the prediction entry by entry, so one of the
+        # wrong length would agree with the report on their common prefix
+        net = reference_networks["d2-M4-w3"][0]
+        with pytest.raises(ValueError, match=f"has {len(values)} entries, expected 2"):
+            analyze_network(net, predicted=BettiVector(values))
+
     def test_constant_positive_network_is_empty(self):
         from topobetti.relunet import AffineLayer, ReluNetwork
 
@@ -159,10 +168,11 @@ class TestPosetCollapse:
     def test_survivors_are_closed(self, d3_m4_w11_sublevel):
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
             kept = _poset_collapse(pc)
-            for f, c in pc.faces:
+            for c, fs in pc.faces.items():
                 if c in kept.cells:
-                    assert f in kept.cells
-                    assert (f, c) in kept.faces
+                    assert all(f in kept.cells for f in fs)
+                    assert kept.faces[c] == fs
+            assert kept.faces.keys() == kept.cells.keys()
 
     def test_euler_characteristic_is_unchanged(self, d3_m4_w11_sublevel):
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
@@ -175,7 +185,7 @@ class TestPosetCollapse:
     def test_single_cube_collapses_to_one_vertex(self):
         kept = _poset_collapse(box_complex([(0, 0, 0)], 3))
         assert [c.dim for c in kept.cells.values()] == [0]
-        assert kept.faces == frozenset()
+        assert list(kept.faces.values()) == [()]
 
     def test_ring_and_shell_keep_their_homology(self):
         ring = _poset_collapse(box_complex(ring_cubes_2d(), 2))
@@ -187,10 +197,11 @@ class TestPosetCollapse:
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
             first = sorted(_poset_collapse(pc).cells)
             assert sorted(_poset_collapse(pc).cells) == first
-            # the same incidences, inserted into the frozenset in another order
-            shuffled = list(pc.faces)
+            # the same face map, with its entries inserted in another order
+            shuffled = list(pc.faces.items())
             random.Random("collapse").shuffle(shuffled)
-            rebuilt = replace(pc, faces=frozenset(shuffled))
+            rebuilt = replace(pc, faces=dict(shuffled))
+            assert list(rebuilt.faces) != list(pc.faces)
             assert sorted(_poset_collapse(rebuilt).cells) == first
 
 

@@ -48,6 +48,16 @@ class TestLayersAndNetworks:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [(((1.0, Fraction(1, 10)),), (0,)), (((1, 0.1),), (0,)), (((1, 2),), (0.5,))],
+        ids=["weight-one", "weight-tenth", "bias"],
+    )
+    def test_float_entries_are_rejected(self, weights, bias):
+        # 0.1 would otherwise be analysed as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="int or Fraction, got"):
+            AffineLayer(weights, bias)
+
 
 class TestEvaluation:
     def test_two_fold_tent_values(self):
