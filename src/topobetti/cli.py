@@ -141,6 +141,10 @@ def cmd_stability(args) -> int:
 def cmd_oracle(args) -> int:
     net = load_network(args.network)
     box = _parse_box(args.box, net.input_dim)
+    # the dumps take only 2-d grids: refuse before sampling, not after
+    for path, kind in ((args.pgm, "PGM"), (args.csv, "CSV")):
+        if path is not None and box.dimension != 2:
+            raise CliError(f"{kind} dump requires a 2-d grid")
     sg = grid_sign_sample(net, box, args.resolution)
     beta0 = grid_beta0(sg)
     if args.pgm is not None:

@@ -8,18 +8,24 @@ integer matrix, and numpy runs the pass one layer at a time over blocks of
 grid lines along the last axis.  The first layer is affine in the grid index,
 so it is summed from a constant column and one table per axis: each block
 gathers its lines' leading-axis terms, with index arithmetic once per line,
-and adds the last axis's table by broadcasting; the other layers are integer
-matmuls.  Before it runs, a bound on every integer the pass can form is
-proved in Python ints; below 2^62 the arrays are int64, otherwise they hold
-Python ints (dtype object), in the same code path.  β₀ is counted by run
-labelling in numpy: the nonpositive points, as sorted flat indices, are cut
-into maximal runs along the last axis, each other axis joins the runs of
-neighbouring points (found by binary search), and the runs are merged by
-min-label hooking and pointer jumping.  Its integer arrays are sized by the
-nonpositive points, never by the grid.  For the constructed classifier
-family the smallest feature has ℓ₁-diameter 1/(4wM), so any resolution
-above 8·w·M resolves every component; the default used by callers is
-16·w_max·M.
+and adds the last axis's table by broadcasting; the other layers multiply
+with ``einsum('ij,jk->ik')``, as numpy runs integer ``@`` in a plain loop,
+not in BLAS (on Python ints ``@`` is the faster of the two and is kept).
+Before it runs, a bound on every integer each layer can form is proved in
+Python ints, as a running maximum over the layers.  Each layer's arrays take
+the narrowest type its bound allows: int32 below 2^30, int64 below 2^62 and
+Python ints (dtype object) otherwise, in the same code path; an array is
+widened with ``astype`` where the bound crosses a tier, never narrowed.  The
+reference instances run in int32, but for an int64 output layer on one of
+them; perturbed networks start in int64 and widen to Python ints.  β₀ is
+counted by run labelling in numpy: the nonpositive points, as sorted flat
+indices, are cut into maximal runs along the last axis, each other axis
+joins the runs of neighbouring points (found by binary search), and the runs
+are merged by min-label hooking and pointer jumping.  Its integer arrays are
+sized by the nonpositive points, never by the grid.  For the constructed
+classifier family the smallest feature has ℓ₁-diameter 1/(4wM), so any
+resolution above 8·w·M resolves every component; the default used by
+callers is 16·w_max·M.
 """
 
 from __future__ import annotations
@@ -70,21 +76,30 @@ def _scaled_layers(net: ReluNetwork):
     return out
 
 
-def _magnitude_bound(layers, top: int, den: int) -> int:
-    """Bound, in Python ints, on every integer the scaled pass forms.
+def _magnitude_bound(layers, top: int, den: int) -> list:
+    """Per-layer bounds, in Python ints, on every integer the scaled pass forms.
 
     ``top`` bounds the grid numerators over the denominator ``den``.  A
     layer's outputs at the running denominator D are bounded by
     max over rows of |b|·D + Σ|w|·(bound on its inputs), which also bounds
-    every product and partial sum of the row; ReLU only shrinks them.  The
-    weights and D itself are counted too.
+    every product and partial sum of the row, in whatever order they are
+    added; ReLU only shrinks them.  The weights and D itself are counted
+    too.  The bounds are a running maximum, so a layer's bound also covers
+    the inputs it receives and the bounds never decrease; each layer's
+    arrays take the narrowest dtype its bound allows (see ``_dtype``).
     """
-    x, D, peak = top, den, max(top, den)
+    x, D, peak, bounds = top, den, max(top, den), []
     for wint, bint, t in layers:
         x = max(abs(b) * D + sum(abs(w) for w in row) * x for row, b in zip(wint, bint))
         D *= t
         peak = max(peak, x, D, *(abs(w) for row in wint for w in row))
-    return peak
+        bounds.append(peak)
+    return bounds
+
+
+def _dtype(bound: int):
+    """int32 below 2^30, int64 below 2^62, Python ints (object) otherwise."""
+    return np.int32 if bound < 2**30 else np.int64 if bound < 2**62 else object
 
 
 def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignGrid:
@@ -109,9 +124,10 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     top = max(
         max(abs(b), abs(b + resolution * s), resolution * abs(s)) for b, s in zip(base, steps)
     )
-    # int64 when no integer of the pass can reach 2^62, Python ints otherwise
-    dtype = np.int64 if _magnitude_bound(layers, top, den) < 2**62 else object
+    # each layer on the narrowest dtype that no integer it forms can overflow
+    dtypes = [_dtype(bound) for bound in _magnitude_bound(layers, top, den)]
     (w0, b0, t0), rest = layers[0], layers[1:]
+    dtype = dtypes[0]
     # the first layer is affine in the grid index: at index i it is
     # w·base + b·D + Σ_t w[:, t]·step_t·i_t, so it is summed from one constant
     # column and one table per axis.  Every table entry is at most
@@ -125,8 +141,8 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     n = resolution + 1
     tables = [wstep[:, t:t + 1] * np.arange(n).astype(dtype) for t in range(d - 1)]
     mats, D = [], den * t0
-    for wint, bint, t in rest:
-        mats.append((np.array(wint, dtype=dtype), np.array([[b * D] for b in bint], dtype=dtype)))
+    for (wint, bint, t), dt in zip(rest, dtypes[1:]):
+        mats.append((np.array(wint, dtype=dt), np.array([[b * D] for b in bint], dtype=dt)))
         D *= t
     # the grid as lines along the last axis, in C order
     lines = n ** (d - 1)
@@ -149,7 +165,11 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
                 lead = lead + table[:, i]
             v = (lead[:, :, None] + tail[:, None, :]).reshape(len(w0), -1)
             for w, bd in mats:
-                v = w @ np.maximum(v, 0, out=v)
+                # widen where the bound crosses a tier; never narrow
+                v = np.maximum(v, 0, out=v).astype(w.dtype, copy=False)
+                # numpy's integer @ is a plain loop; einsum beats it on
+                # int32 and int64, while @ stays faster on Python ints
+                v = w @ v if w.dtype == object else np.einsum("ij,jk->ik", w, v)
                 v += bd
             signs[l0:l0 + per, j0:j0 + chunk] = np.sign(v[0]).reshape(-1, tail.shape[1])
     return SignGrid(resolution=resolution, d=d, signs=signs.reshape((n,) * d))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from topobetti import cli
 from topobetti.cli import EXIT_DISAGREE, EXIT_OK, EXIT_USAGE, main
 from topobetti.relunet import load_network
 
@@ -224,3 +225,22 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.err == "error: arrangement exceeded TOPOBETTI_MAX_CELLS=4\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, kind", [("--pgm", "PGM"), ("--csv", "CSV")])
+    def test_dump_of_a_3d_grid_fails_before_sampling(
+        self, flag, kind, tmp_path, monkeypatch, capsys
+    ):
+        net = tmp_path / "d3.json"
+        assert main(["build", "--d", "3", "--m", "2", "--w", "1,1", "-o", str(net)]) == EXIT_OK
+
+        def never(*args):
+            raise AssertionError("grid sampled before the dimension check")
+
+        monkeypatch.setattr(cli, "grid_sign_sample", never)
+        dump = tmp_path / "grid.out"
+        capsys.readouterr()
+        assert main(["oracle", str(net), "--resolution", "4", flag, str(dump)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {kind} dump requires a 2-d grid\n"
+        assert captured.out == ""
+        assert not dump.exists()

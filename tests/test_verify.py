@@ -82,6 +82,49 @@ def _beyond_int64():
     )
 
 
+def _three_tiers():
+    """A network whose layers step from int32 to int64 to Python ints.
+
+    A first layer of small weights stays below 2^30; the last two layers of
+    _beyond_int64, with one denominator near 2^40 each, take the bound past
+    2^30 and then past 2^62.
+    """
+    first = AffineLayer(
+        tuple(tuple(map(Fraction, row)) for row in ((1, -2), (-3, 1), (2, 2))),
+        (Fraction(1, 3),) * 3,
+    )
+    return ReluNetwork((first, *_beyond_int64().layers[1:]))
+
+
+def _scaled_pair(c):
+    """relu(c·(x₁ + x₂ − 1)) − relu(c·(x₁ − x₂)), all weights integers.
+
+    On the unit square at N = 16 the grid numerators are at most 16, so the
+    layer bounds are 48c and 96c.
+    """
+    c = Fraction(c)
+    return ReluNetwork(
+        (
+            AffineLayer(((c, c), (c, -c)), (-c, Fraction(0))),
+            AffineLayer(((Fraction(1), Fraction(-1)),), (Fraction(0),)),
+        )
+    )
+
+
+def _signs_match_on_tiers(net, box, N, monkeypatch):
+    """_assert_signs_match, returning the (bound, dtype) each layer of the pass took."""
+    taken = []
+    choose = verify._dtype
+
+    def spy(bound):
+        taken.append((bound, choose(bound)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(verify, "_dtype", spy)
+    _assert_signs_match(net, box, N)
+    return taken
+
+
 def _through_relu(coeffs, bias):
     """c·x + bias as relu(c·x + bias) − relu(−c·x − bias): one hidden layer."""
     c = tuple(Fraction(v) for v in coeffs)
@@ -146,6 +189,52 @@ class TestGridSignSample:
 
     def test_magnitudes_beyond_int64(self):
         _assert_signs_match(_beyond_int64(), BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2), 8)
+
+    @pytest.mark.parametrize(
+        "c, tiers",
+        [((2**30 - 1) // 96, [np.int32, np.int32]), ((2**30 - 1) // 96 + 1, [np.int32, np.int64])],
+        ids=["just-below-2^30", "just-above-2^30"],
+    )
+    def test_int32_tier_edge(self, c, tiers, monkeypatch):
+        taken = _signs_match_on_tiers(_scaled_pair(c), BoxDomain.unit_cube(2), 16, monkeypatch)
+        assert [bound for bound, _ in taken] == [48 * c, 96 * c]
+        assert abs(96 * c - 2**30) < 96
+        assert [dtype for _, dtype in taken] == tiers
+
+    def test_int32_to_int64_to_python_ints(self, monkeypatch):
+        box = BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2)
+        taken = _signs_match_on_tiers(_three_tiers(), box, 12, monkeypatch)
+        assert [dtype for _, dtype in taken] == [np.int32, np.int64, object]
+
+    @given(network_box_resolution())
+    @settings(max_examples=60, deadline=None)
+    def test_magnitude_bound_covers_the_scaled_pass(self, case):
+        # replay the pass in Python ints: |b·D| + Σ|w_j·x_j| bounds every
+        # partial sum of a row, in whatever order einsum adds them
+        net, box, N = case
+        layers = verify._scaled_layers(net)
+        den = N * math.lcm(*(v.denominator for v in (*box.lower, *box.upper)))
+        axes = [
+            [int((lo + (up - lo) * Fraction(i, N)) * den) for i in range(N + 1)]
+            for lo, up in zip(box.lower, box.upper)
+        ]
+        spans = [int((up - lo) * den) for lo, up in zip(box.lower, box.upper)]
+        top = max(*(abs(c) for axis in axes for c in axis), *spans)
+        bounds = verify._magnitude_bound(layers, top, den)
+        assert len(bounds) == len(layers)
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+        # the first layer's per-axis table entries w_t·N·step_t
+        assert all(abs(w * s) <= bounds[0] for row in layers[0][0] for w, s in zip(row, spans))
+        for k, (wint, _, _) in enumerate(layers):
+            assert all(abs(w) <= bounds[k] for row in wint for w in row)
+        for point in product(*axes):
+            x, D = list(point), den
+            for (wint, bint, t), bound in zip(layers, bounds):
+                rows = list(zip(wint, bint))
+                for row, b in rows:
+                    assert abs(b * D) + sum(abs(w * v) for w, v in zip(row, x)) <= bound
+                x = [max(0, b * D + sum(w * v for w, v in zip(row, x))) for row, b in rows]
+                D *= t
 
     def test_one_dimensional_grid(self):
         net = ReluNetwork(
