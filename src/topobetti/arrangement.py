@@ -56,7 +56,6 @@ from .exactgeom import (
     Hyperplane,
     affine_rank,
     homogenize,
-    matrix_rank,
     sign,
 )
 from .relunet import NeuronId, ReluNetwork
@@ -228,16 +227,18 @@ def _restrict_functional(affine, wrow, b):
     return tuple([_dot(wrow, col) for col in cols]), _dot(wrow, consts) + b * den
 
 
-def _spans(verts, k: int, coords) -> bool:
-    """Whether the face of a polytope with these vertex ids has dimension ≥ k.
+def _facets(groups, k: int) -> dict:
+    """The entries of a (k + 1)-face's sets {hid: its vertices on hid} that are facets.
 
-    A face of dimension at most 1 has at most 2 vertices, so for k ≤ 2 the
-    vertex count decides.  Beyond that the rank decides: the homogeneous
-    coordinates of points with affine rank r have rank r + 1.
+    The sets hold every facet and never the whole face.  A facet lies on one
+    hyperplane only and every smaller face lies in a facet, so a facet is a
+    set of more than k vertices that no other set strictly contains.  For
+    k ≤ 2 the count alone decides: faces of dimension ≤ 1 have ≤ 2 vertices.
     """
-    if len(verts) <= k:
-        return False
-    return k <= 2 or matrix_rank([coords[v] for v in verts]) > k
+    big = {hid: group for hid, group in groups.items() if len(group) > k}
+    if k <= 2:
+        return big
+    return {hid: group for hid, group in big.items() if not any(group < g for g in big.values())}
 
 
 class _Builder:
@@ -394,18 +395,18 @@ class _Builder:
         children = []
         for side, other, s in ((pos, neg, 1), (neg, pos, -1)):
             # a child's vertices on an old constraint are the parent's, less
-            # those on the other side, plus the new vertices on it; a
-            # constraint stays only while it holds a facet of the child.  h
-            # crosses the region's interior, so the facet on it always spans
-            # and the parent has no constraint on h.
-            tight = {}
+            # those on the other side, plus the new vertices on it.  These
+            # sets and the one on h hold every facet of the child, and a
+            # constraint stays only while its set is one (_facets).  h crosses
+            # the region's interior, so the parent has no constraint on h.
+            groups = {}
             for k, group in on.items():
                 group = group.difference(other)
                 if k in cut:
                     group.update(cut[k])
-                if _spans(group, self.d - 1, coords):
-                    tight[k] = group
-            tight[hid] = facet
+                groups[k] = group
+            groups[hid] = facet
+            tight = _facets(groups, self.d - 1)
             constraints = {k: r.constraints.get(k, s * orient) for k in tight}
             activations = r.activations + [(grad, const, s, hid)]
             children.append(
@@ -531,18 +532,15 @@ def _assemble(b: _Builder) -> SignedComplex:
         found.append((key, tuple(items), affine_map, label))
         by_dim[d].append(i)
         # a face to expand: its index and dimension, the hids it lies on, and
-        # for each other hid that meets it, its vertices on that hid.  A facet
-        # of the face is a spanning set among those.
+        # for each other hid that meets it, its vertices on that hid.  Those
+        # sets hold the face's facets, and _facets picks them out.
         stack = [(i, d, set(), r.tight)] if d > 1 else []
         edges = [] if d > 1 else [key]  # each edge's vertex ids
         while stack:
             i, dim, on, tight = stack.pop()
             k = dim - 1
             its_facets = below[i] = []
-            for group in tight.values():
-                # _spans, with its vertex count for k ≤ 2 inlined
-                if len(group) <= k or (k > 2 and not _spans(group, k, coords)):
-                    continue
+            for group in _facets(tight, k).values():
                 sub = frozenset(group)
                 j = index.get(sub)
                 if j is None:
@@ -665,24 +663,24 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
     return len({find(c.id) for c in full})
 
 
-def _det(rows):
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
     rows = [list(r) for r in rows]
     n = len(rows)
-    det = Fraction(1)
+    det, prev = 1, 1  # det carries the sign of the row swaps
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
+        p = rows[col][col]
         for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return det
+            a = rows[r][col]
+            rows[r] = [(p * v - a * w) // prev for v, w in zip(rows[r], rows[col])]
+        prev = p
+    return det * prev
 
 
 def cell_volume(complex: PolyhedralComplex, cell_id: int):
@@ -693,20 +691,22 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """
     if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id)
+    coords = {v: homogenize(v) for v in complex.cells[cell_id].vertices}
+    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id, coords)
 
 
-def _cell_volume(cells, faces, d: int, cell_id: int):
+def _cell_volume(cells, faces, d: int, cell_id: int, coords):
     # each stack entry is a face and the apexes of the faces above it, so a
-    # 0-cell completes one simplex of the triangulation
+    # 0-cell completes one simplex; its vertices' rows (x…, w) in coords have
+    # determinant Π w times that of its edge vectors p − p₀
     total = Fraction(0)
     stack = [(cell_id, ())]
     while stack:
         cid, apexes = stack.pop()
         apex = cells[cid].vertices[0]
         if cells[cid].dim == 0:
-            p0, *rest = apexes + (apex,)
-            total += abs(_det([[x - y for x, y in zip(p, p0)] for p in rest]))
+            rows = [coords[p] for p in apexes + (apex,)]
+            total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
             continue
         stack.extend((f, apexes + (apex,)) for f in faces[cid] if apex not in cells[f].vertices)
     return total / math.factorial(d)
@@ -716,6 +716,8 @@ def validate_complex(complex: PolyhedralComplex):
     """Check complex invariants; returns a list of violation strings."""
     out = []
     cells, faces = complex.cells, complex.faces
+    # built once per cell: hashing a point hashes each of its Fractions
+    vsets = {cid: set(c.vertices) for cid, c in cells.items()}
     for cid in cells:
         if cid not in faces:
             out.append(f"faces: cell {cid} has no entry")
@@ -731,28 +733,29 @@ def validate_complex(complex: PolyhedralComplex):
                 continue
             if cells[c].dim - cells[f].dim != 1:
                 out.append(f"incidence: dim mismatch in pair ({f},{c})")
-            if not set(cells[f].vertices) < set(cells[c].vertices):
+            if not vsets[f] < vsets[c]:
                 out.append(f"incidence: vertices of {f} not contained in {c}")
     below = {}  # cell id -> the points of the 0-cells below it
     for c in sorted(cells.values(), key=lambda c: c.dim):
         fs = faces.get(c.id, ())
-        below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else set(c.vertices)
-        if below[c.id] != set(c.vertices):
+        below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else vsets[c.id]
+        if below[c.id] != vsets[c.id]:
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
     # each distinct vertex x/w cleared once; a constraint's value at it is
     # (normal·x + offset·w)/w with w > 0, so the integer dot product with the
     # row (normal…, offset) has the same sign
-    coords = {v: homogenize(v) for v in {v for c in cells.values() for v in c.vertices}}
+    coords = {v: homogenize(v) for v in set().union(*vsets.values())}
     for cid, c in cells.items():
         if affine_rank(c.vertices) != c.dim:
             out.append(f"dimension: cell {cid} has affine rank != dim")
         if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
+        points = [coords[v] for v in c.vertices]
         for hid, s in c.active_constraints:
             h = complex.constraints[hid]
             row = (*h.normal, h.offset)
-            for v in c.vertices:
-                val = sum(map(mul, row, coords[v]))
+            for p in points:
+                val = sum(map(mul, row, p))
                 if s == 0 and val != 0:
                     out.append(f"constraint: cell {cid} not tight on constraint {hid}")
                     break
@@ -762,7 +765,7 @@ def validate_complex(complex: PolyhedralComplex):
     full = complex.full_cells()
     if full:
         try:
-            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id) for c in full)
+            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id, coords) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:

@@ -226,8 +226,4 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     pts = list(points)
     if not pts:
         return -1
-    p0 = pts[0]
-    if len(pts) == 1:
-        return 0
-    diffs = [[v - w for v, w in zip(p, p0)] for p in pts[1:]]
-    return matrix_rank(diffs)
+    return matrix_rank([[v - w for v, w in zip(p, pts[0])] for p in pts[1:]])

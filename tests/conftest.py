@@ -28,6 +28,7 @@ REFERENCE_INSTANCES = (
 # every benchmark run on it.
 LARGE_INSTANCES = (
     ("d4-M2-w111", 4, (2,), (1, 1, 1), (6, 0, 0, 0)),
+    ("d4-M4-w111", 4, (2, 2), (1, 1, 1), (42, 2, 4, 8)),
     ("d2-M16-w6", 2, (4, 4), (6,), (216, 168)),
     # five and six folding layers: the deep side of the depth-separation test
     ("d2-M32-w4", 2, (2,) * 5, (4,), (544, 480)),

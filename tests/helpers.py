@@ -30,9 +30,8 @@ from topobetti.arrangement import (
     SignedComplex,
     _label,
     _order_points,
-    _spans,
 )
-from topobetti.exactgeom import BoxDomain, sparse_rank
+from topobetti.exactgeom import BoxDomain, matrix_rank, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.verify import SignGrid
@@ -269,13 +268,14 @@ def reference_assemble(b) -> SignedComplex:
         found.append((key, d, r, tuple(items)))
         # a face to expand: its index and dimension, the hids it lies on, and
         # for each other hid that meets it, its vertices on that hid.  A facet
-        # of the face is a spanning set among those, and its own sets are
-        # these sets intersected with it.
+        # of the face is a set among those whose points have affine rank
+        # dim − 1 (homogeneous rank dim), and its own sets are these sets
+        # intersected with it.
         stack = [(index[key], d, frozenset(), r.tight)]
         while stack:
             i, dim, on, tight = stack.pop()
             for group in tight.values():
-                if not _spans(group, dim - 1, coords):
+                if len(group) < dim or matrix_rank([coords[v] for v in group]) < dim:
                     continue
                 sub = frozenset(group)
                 j = index.get(sub)

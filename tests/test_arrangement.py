@@ -1,6 +1,8 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from topobetti.arrangement import (
     ComplexSizeError,
     _assemble,
     _Builder,
+    _det,
     cell_volume,
     linear_region_count,
     signed_complex,
@@ -184,13 +187,14 @@ class TestAssembly:
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
         assert complex_digest(sc) == complex_digest(ref)
 
-    def test_a_facet_reached_twice_is_listed_once(self):
-        # 2x₁ + x₂ − x₄ = 0 holds edges of [−1, 1]⁴ along x₃, so the walk
-        # reaches some facets through two hids
-        net = ReluNetwork(
-            (AffineLayer(((2, 1, 0, -1),), (0,)), AffineLayer(((1,),), (Fraction(-1, 4),)))
-        )
-        sc, ref = self._both(net, BoxDomain((-1,) * 4, (1,) * 4))
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_a_facet_reached_twice_is_listed_once(self, d):
+        # 2x₁ + x₂ − x₄ = 0 holds edges of [−1, 1]^d along x₃, so the walk
+        # reaches some facets through two hids: _facets must keep both equal
+        # sets, and for d ≥ 5 it must drop the lower faces below the facets
+        row = (2, 1, 0, -1) + (0,) * (d - 4)
+        net = ReluNetwork((AffineLayer((row,), (0,)), AffineLayer(((1,),), (Fraction(-1, 4),))))
+        sc, ref = self._both(net, BoxDomain((-1,) * d, (1,) * d))
         assert validate_complex(sc) == []
         assert complex_digest(sc) == complex_digest(ref)
 
@@ -270,6 +274,23 @@ class TestVolumes:
         pc = signed_complex(net, BoxDomain.unit_cube(2))
         total = sum(cell_volume(pc, c.id) for c in pc.full_cells())
         assert total == pc.box.volume()
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_det_matches_the_leibniz_formula(self, rows):
+        # small entries make zero pivots, row swaps and singular matrices common
+        n = len(rows)
+        leibniz = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            * math.prod(rows[i][p[i]] for i in range(n))
+            for p in permutations(range(n))
+        )
+        assert _det(rows) == leibniz
 
 
 class TestLinearRegions:
@@ -367,9 +388,12 @@ GOLDEN_DIGESTS = {
 # from the build that regrouped incidence sets instead of carrying each
 # region's tight sets; d2-M64-w4's from the build that interned hyperplanes
 # through Hyperplane.from_coefficients and sorted vertices by Fraction tuples.
-# d = 4 is the only construction on which _spans needs its rank test.
+# The d = 4 constructions are the only ones on which _facets needs its
+# containment test; d4-M4-w111's digest was recorded from the build that
+# decided facets by the rank of their points.
 LARGE_DIGESTS = {
     "d4-M2-w111": "59152db29c5f6f8b44ed1bb45ae4d2581b0b16704df0b5a7918ae2c7cf669307",
+    "d4-M4-w111": "b64f87af965dd22a3cfde53216adaf8c23407a25947108b5229643cc5d93a4f3",
     "d2-M16-w6": "467beac8baab242f26d0a86a277c11a92a75d7cd33465707a88da4dcadd5c534",
     "d2-M32-w4": "88db7ec797b546f3630f5e792b9272d9b27fb6ad22195f82c003c743108ce97f",
     "d2-M64-w4": "9b0a70000d1a60769dff9db3f4f6e1df8d2cac2dafbb3217d2f11819fe42ff99",

@@ -82,8 +82,9 @@ def _check_carried_tight_sets(net, box):
 def _square_face_case():
     # after the split at x1 = 0, the second neuron's plane 5·x1 − x2 − 1 = 0
     # leaves x1 ≥ 0 tight on only the square {x1 = 0, x2 = −1} of its
-    # positive side: four vertices, yet no facet in d = 4, so only the
-    # builder's rank test can drop it
+    # positive side: four vertices, yet no facet in d = 4.  Its vertex count
+    # passes, so the builder drops it only because the side's sets on
+    # x2 = −1 and on the new plane strictly contain it
     one, zero = Fraction(1), Fraction(0)
     net = ReluNetwork(
         (
@@ -103,8 +104,8 @@ class TestRandomNetworks:
     @given(network_and_box(dims=(4,), max_width=2, max_hidden=1))
     @settings(max_examples=6, deadline=None)
     def test_four_dimensional_complex_is_valid_and_exact(self, case):
-        # in d = 4 a facet of a 4-cell can have 3 vertices and still not be
-        # 3-dimensional, so the builder's rank test is exercised here
+        # in d = 4 a set of 4 or more vertices on a constraint can still be a
+        # square, so the builder's containment test is exercised here
         _check_kernel_invariants(*case)
 
     def test_constraint_touching_a_square_face_is_pruned(self):
