@@ -27,15 +27,14 @@ vertices' incidence, where the output's hyperplane touches a region it does
 not cut).  Edges expand straight to their two vertices.  Cells are
 deduplicated by canonical keys, so the construction is deterministic.
 
-Hyperplanes and output maps are interned by integer keys: a split's
-hyperplane by its primitive row (normal…, offset), and a region's output map
-by its reduced (grad…, const, den).  Vertices are ordered by integer ranks:
-the first axis's distinct values, as reduced (num, den) pairs, are sorted
-once, and each later axis only among the vertices still tied on the earlier
-ones.  Fraction appears only where the complex is handed out, in
-Cell.vertices (one Fraction per distinct axis value) and in one
-Cell.affine_map per distinct output map, and in the independent checks
-validate_complex and cell_volume.
+The build interns by integer keys: a split's hyperplane by its primitive
+row (normal…, offset), and a region's output map by its reduced
+(grad…, const, den).  Vertices are ordered by integer ranks: the first
+axis's distinct values, as reduced (num, den) pairs, are sorted once, and
+each later axis only among the vertices still tied on the earlier ones.  The complex hands out the build's own integer data: Cell.vertices
+holds the build's homogeneous points and PolyhedralComplex.constraints the
+registry's rows.  Fraction appears only in one Cell.affine_map per distinct
+output map and in the volumes cell_volume sums.
 """
 
 from __future__ import annotations
@@ -51,13 +50,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from operator import attrgetter, mul
 
-from .exactgeom import (
-    BoxDomain,
-    Hyperplane,
-    affine_rank,
-    homogenize,
-    sign,
-)
+from .exactgeom import BoxDomain, homogenize, matrix_rank, sign
 from .relunet import NeuronId, ReluNetwork
 
 DEFAULT_MAX_CELLS = 2_000_000
@@ -101,9 +94,11 @@ def _max_cells() -> int:
 class Cell:
     """A closed polyhedron of the complex, identified by its vertex set.
 
-    active_constraints lists (constraint-id, sign) pairs over the complex's
-    hyperplane table; sign 0 marks constraints the cell satisfies with
-    equality.  affine_map = (matrix, bias) is the network's affine restriction
+    vertices are homogeneous integer points (x_1, …, x_d, w), the point
+    x / w with w > 0 and gcd 1 (see exactgeom.homogenize), in lexicographic
+    order of the points.  active_constraints lists (constraint-id, sign)
+    pairs over the complex's hyperplane table; sign 0 marks constraints the
+    cell satisfies with equality.  affine_map = (matrix, bias) is the network's affine restriction
     on the cell (a 1×d matrix: the output is scalar).
     """
 
@@ -127,7 +122,9 @@ class PolyhedralComplex:
     faces: dict  # cell id -> its facets' ids
     ambient_dim: int
     box: BoxDomain
-    constraints: tuple  # hyperplane table referenced by active_constraints
+    # the hyperplane table that active_constraints refer to: primitive integer
+    # rows (normal…, offset) of the hyperplanes normal·x + offset = 0
+    constraints: tuple
 
     def cells_of_dim(self, k: int):
         return [c for c in self.cells.values() if c.dim == k]
@@ -164,7 +161,6 @@ class _Registry:
     """The hyperplane table: each distinct hyperplane gets the next id."""
 
     def __init__(self):
-        self.hyperplanes = []
         self.rows = []  # hid -> (normal…, offset), to dot with homogeneous vertices
         self._index = {}  # row -> hid
 
@@ -172,8 +168,7 @@ class _Registry:
         """Id of the hyperplane with this primitive integer row (normal…, offset)."""
         hid = self._index.get(row)
         if hid is None:
-            hid = len(self.hyperplanes)
-            self.hyperplanes.append(Hyperplane(row[:-1], row[-1]))
+            hid = len(self.rows)
             self.rows.append(row)
             self._index[row] = hid
         return hid
@@ -182,13 +177,16 @@ class _Registry:
 def _primitive(grad, const):
     """The hyperplane grad·x + const = 0 as a primitive integer row, and its orientation.
 
-    The integer counterpart of Hyperplane.from_coefficients: the row
-    (grad…, const) is divided by its gcd and negated when its leading nonzero
-    grad entry is negative, and the orientation is −1 exactly when it was
-    negated.  grad must not be all zero.
+    The row (grad…, const) is divided by its gcd and negated when its leading
+    nonzero grad entry is negative, and the orientation is −1 exactly when it
+    was negated, so sign(grad·x + const) == orientation · sign(row·(x, 1))
+    and equal hyperplanes have equal rows.
     """
+    lead = next((x for x in grad if x), 0)
+    if not lead:
+        raise ValueError("hyperplane with zero normal is invalid")
     g = math.gcd(*grad, const)
-    if next(x for x in grad if x) < 0:
+    if lead < 0:
         g = -g
     return tuple(x // g for x in (*grad, const)), (1 if g > 0 else -1)
 
@@ -265,8 +263,13 @@ class _Builder:
         self._next_rid = 0
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
         base = self._new_region({}, None, set(), (identity, (0,) * self.d, 1), [])
-        for h, s in box.facet_halfspaces():
-            base.constraints[self.registry.intern(h.normal + (h.offset,))] = s
+        # the box is lower_i ≤ x_i ≤ upper_i; a bound p/q (gcd 1) is the
+        # primitive row q·x_i − p = 0, with sign +1 at the lower bound and −1
+        # at the upper, so hids 0 … 2d − 1 are lower₀, upper₀, lower₁, …
+        for i, bounds in enumerate(zip(box.lower, box.upper)):
+            for bound, s in zip(bounds, (1, -1)):
+                row = tuple(bound.denominator if j == i else 0 for j in range(self.d))
+                base.constraints[self.registry.intern((*row, -bound.numerator))] = s
         rows = self.registry.rows
         for corner in box.corners():
             p = homogenize(corner)
@@ -441,11 +444,10 @@ def _compare_ratios(a, b) -> int:
 
 
 def _order_points(coords):
-    """The lexicographic order of homogeneous integer points, and their rational points.
+    """The lexicographic order of homogeneous integer points.
 
-    Returns the indices of coords sorted by the points' rational coordinates,
-    and each point as a tuple of Fractions, one Fraction per distinct value
-    of an axis.  Axis values are compared as reduced (num, den) pairs by
+    Returns the indices of coords sorted by the points' rational coordinates.
+    Axis values are compared as reduced (num, den) pairs by
     cross-multiplication, and an axis is ranked only among the points that
     tie on every earlier axis: each point's key is its ranks so far as one
     mixed-radix integer, and the ranking stops once the keys are distinct.
@@ -472,12 +474,7 @@ def _order_points(coords):
         if len(count) == n:
             break
         tied = [i for i, k in enumerate(keys) if count[k] > 1]
-    order = sorted(range(n), key=keys.__getitem__)
-    points = []
-    for values in columns:
-        fractions = {v: Fraction(*v) for v in set(values)}
-        points.append(map(fractions.__getitem__, values))
-    return order, list(zip(*points))
+    return sorted(range(n), key=keys.__getitem__)
 
 
 def _assemble(b: _Builder) -> SignedComplex:
@@ -502,11 +499,11 @@ def _assemble(b: _Builder) -> SignedComplex:
     d = box.dimension
     # the 0-cells come first, in the order of their rational points
     vids = list(set().union(*(r.vertices for r in regions)))
-    order, points = _order_points([coords[v] for v in vids])
+    order = _order_points([coords[v] for v in vids])
     rank = [0] * len(coords)  # vertex id -> rank, for the vertices in vids
     for x, i in enumerate(order):
         rank[vids[i]] = x
-    points = [points[i] for i in order]
+    points = [coords[vids[i]] for i in order]
     vertex_data = [None] * len(vids)  # rank -> (active constraints, affine map, label)
     limit = cap - len(vids)  # for the faces of dimension ≥ 1
     if limit < 0:
@@ -612,7 +609,7 @@ def _assemble(b: _Builder) -> SignedComplex:
         faces=dict(zip(keys, facets)),
         ambient_dim=d,
         box=box,
-        constraints=tuple(registry.hyperplanes),
+        constraints=tuple(registry.rows),
         violations=tuple(b.violations),
     )
 
@@ -691,13 +688,12 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """
     if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    coords = {v: homogenize(v) for v in complex.cells[cell_id].vertices}
-    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id, coords)
+    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id)
 
 
-def _cell_volume(cells, faces, d: int, cell_id: int, coords):
+def _cell_volume(cells, faces, d: int, cell_id: int):
     # each stack entry is a face and the apexes of the faces above it, so a
-    # 0-cell completes one simplex; its vertices' rows (x…, w) in coords have
+    # 0-cell completes one simplex; its vertices' rows (x…, w) have
     # determinant Π w times that of its edge vectors p − p₀
     total = Fraction(0)
     stack = [(cell_id, ())]
@@ -705,7 +701,7 @@ def _cell_volume(cells, faces, d: int, cell_id: int, coords):
         cid, apexes = stack.pop()
         apex = cells[cid].vertices[0]
         if cells[cid].dim == 0:
-            rows = [coords[p] for p in apexes + (apex,)]
+            rows = apexes + (apex,)
             total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
             continue
         stack.extend((f, apexes + (apex,)) for f in faces[cid] if apex not in cells[f].vertices)
@@ -716,8 +712,11 @@ def validate_complex(complex: PolyhedralComplex):
     """Check complex invariants; returns a list of violation strings."""
     out = []
     cells, faces = complex.cells, complex.faces
-    # built once per cell: hashing a point hashes each of its Fractions
     vsets = {cid: set(c.vertices) for cid, c in cells.items()}
+    # the checks below read a vertex (x…, w) as the point x / w, so it must be
+    # in homogenize's form
+    bad = sorted(p for p in set().union(*vsets.values()) if p[-1] <= 0 or math.gcd(*p) != 1)
+    out.extend(f"vertices: {p} is not a point (x…, w) with w > 0 and gcd 1" for p in bad)
     for cid in cells:
         if cid not in faces:
             out.append(f"faces: cell {cid} has no entry")
@@ -741,20 +740,17 @@ def validate_complex(complex: PolyhedralComplex):
         below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else vsets[c.id]
         if below[c.id] != vsets[c.id]:
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
-    # each distinct vertex x/w cleared once; a constraint's value at it is
-    # (normal·x + offset·w)/w with w > 0, so the integer dot product with the
-    # row (normal…, offset) has the same sign
-    coords = {v: homogenize(v) for v in set().union(*vsets.values())}
+    # a vertex is (x…, w) with w > 0: its points' homogeneous rank is their
+    # affine rank + 1, and a constraint row (normal…, offset) dotted with it
+    # is w·(normal·x/w + offset), of the same sign as the constraint's value
     for cid, c in cells.items():
-        if affine_rank(c.vertices) != c.dim:
+        if matrix_rank(c.vertices) != c.dim + 1:
             out.append(f"dimension: cell {cid} has affine rank != dim")
         if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
-        points = [coords[v] for v in c.vertices]
         for hid, s in c.active_constraints:
-            h = complex.constraints[hid]
-            row = (*h.normal, h.offset)
-            for p in points:
+            row = complex.constraints[hid]
+            for p in c.vertices:
                 val = sum(map(mul, row, p))
                 if s == 0 and val != 0:
                     out.append(f"constraint: cell {cid} not tight on constraint {hid}")
@@ -763,9 +759,9 @@ def validate_complex(complex: PolyhedralComplex):
                     out.append(f"constraint: cell {cid} violates constraint {hid}")
                     break
     full = complex.full_cells()
-    if full:
+    if full and not bad:
         try:
-            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id, coords) for c in full)
+            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:

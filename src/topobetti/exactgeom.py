@@ -2,11 +2,9 @@
 
 All core arithmetic is over the rationals: scalars are Python ints or
 fractions.Fraction, vectors are tuples of scalars, matrices are tuples of row
-tuples.  Hyperplanes are normalized to primitive integer coefficients so that
-geometrically equal hyperplanes compare equal structurally, which the
-arrangement module relies on for deduplication.  Points can also be held in
-homogeneous integer coordinates (homogenize), the form in which the
-arrangement stores its vertices.
+tuples.  Points can also be held in homogeneous integer coordinates
+(homogenize), the form in which the arrangement builds its vertices and hands
+them out in its cells.
 
 Floating point never appears here.
 """
@@ -96,43 +94,6 @@ def dehomogenize(coords: Sequence) -> tuple:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : normal·x + offset = 0}, stored in primitive integer form.
-
-    The constructor expects already-normalized data; use from_coefficients to
-    build one from arbitrary rational coefficients.
-    """
-
-    normal: tuple
-    offset: int
-
-    def __post_init__(self):
-        if not any(self.normal):
-            raise ValueError("hyperplane with zero normal is invalid")
-
-    @staticmethod
-    def from_coefficients(normal: Sequence, offset) -> tuple:
-        """Normalize (normal, offset) up to positive scaling.
-
-        Returns (hyperplane, orientation) where orientation ∈ {+1,−1} satisfies
-        sign(normal·x + offset) == orientation · sign(h.normal·x + h.offset).
-        """
-        if not any(normal):
-            raise ValueError("hyperplane with zero normal is invalid")
-        ints = _clear_row(list(normal) + [Fraction(offset)])
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        orientation = 1
-        lead = next(v for v in ints[:-1] if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-            orientation = -1
-        return Hyperplane(tuple(ints[:-1]), ints[-1]), orientation
-
-
-@dataclass(frozen=True)
 class BoxDomain:
     """An axis-aligned box, the compact domain all analysis is restricted to."""
 
@@ -161,21 +122,6 @@ class BoxDomain:
     def corners(self):
         for choice in itertools.product(*zip(self.lower, self.upper)):
             yield tuple(choice)
-
-    def facet_halfspaces(self):
-        """Halfspaces whose intersection is the box, as (hyperplane, sign) pairs.
-
-        The box is {x : s · (h.normal·x + h.offset) ≥ 0 for each pair (h, s)}.
-        """
-        d = self.dimension
-        out = []
-        for i in range(d):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(d))
-            h, orient = Hyperplane.from_coefficients(e, -self.lower[i])
-            out.append((h, orient))  # x_i ≥ lower
-            h, orient = Hyperplane.from_coefficients(e, -self.upper[i])
-            out.append((h, -orient))  # x_i ≤ upper
-        return out
 
     def volume(self):
         vol = Fraction(1)
@@ -220,10 +166,3 @@ def matrix_rank(m: Sequence[Sequence]) -> int:
     """Exact rank over the rationals: sparse_rank of the rows cleared to integers."""
     return sparse_rank({j: v for j, v in enumerate(_clear_row(r)) if v} for r in m)
 
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of a point set (−1 for the empty set)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    return matrix_rank([[v - w for v, w in zip(p, pts[0])] for p in pts[1:]])

@@ -108,7 +108,10 @@ def eval_network(net: ReluNetwork, x: Sequence) -> tuple:
     """
     if len(x) != net.input_dim:
         raise ValueError("input dimension does not match the network")
-    *v, den = homogenize([Fraction(c) for c in x])
+    for c in x:
+        if not isinstance(c, (int, Fraction)):
+            raise ValueError(f"input coordinates must be int or Fraction, got {c!r}")
+    *v, den = homogenize(x)
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
         weights, bias, layer_den = layer.scaled

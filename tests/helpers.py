@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -31,7 +32,7 @@ from topobetti.arrangement import (
     _label,
     _order_points,
 )
-from topobetti.exactgeom import BoxDomain, matrix_rank, sparse_rank
+from topobetti.exactgeom import BoxDomain, dehomogenize, matrix_rank, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.verify import SignGrid
@@ -42,7 +43,8 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
 
     `cubes` is an iterable of lower-corner integer tuples; each cube is
     [a, a+1]^d.  Faces pick, per axis, the lower endpoint, the upper endpoint,
-    or the whole interval; shared faces are deduplicated by vertex set.
+    or the whole interval; shared faces are deduplicated by vertex set.  A
+    cell's vertices are homogeneous points (x…, 1), as the arrangement's are.
     """
     faces = {}  # frozenset of vertices -> (dim, sorted vertex tuple)
     for base in cubes:
@@ -64,7 +66,7 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
         ids[verts]: Cell(
             id=ids[verts],
             dim=dim,
-            vertices=tuple(tuple(Fraction(v) for v in p) for p in verts),
+            vertices=tuple((*p, 1) for p in verts),
             active_constraints=(),
             affine_map=zero_map,
         )
@@ -220,14 +222,24 @@ def reference_grid_beta0(sg: SignGrid) -> int:
     return len({find(int(i)) for i in idxs})
 
 
+# The constraint type the pinned digests were recorded with: a repr of
+# Hyperplane(normal=(…), offset=…) for each row (normal…, offset).
+Hyperplane = namedtuple("Hyperplane", "normal offset")
+
+
 def complex_digest(sc) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
     cells is the sorted list of (id, dim, vertices, active constraints,
     affine map, label) tuples, and face pairs the sorted list of (face id,
-    coface id) pairs of the face map.  The repr is fed to the hash piece by
-    piece, so the whole string is never held in memory.
+    coface id) pairs of the face map.  Vertices enter as tuples of Fractions
+    and constraints as Hyperplanes, the forms the digests were recorded in.
+    The repr is fed to the hash piece by piece, so the whole string is never
+    held in memory.
     """
+    points = dict.fromkeys(v for c in sc.cells.values() for v in c.vertices)
+    points = {v: dehomogenize(v) for v in points}
+    constraints = tuple(Hyperplane(row[:-1], row[-1]) for row in sc.constraints)
     h = hashlib.sha256()
 
     def feed_list(items):
@@ -238,12 +250,19 @@ def complex_digest(sc) -> str:
 
     h.update(b"(")
     feed_list(
-        (cid, c.dim, c.vertices, c.active_constraints, c.affine_map, c.sign_label)
+        (
+            cid,
+            c.dim,
+            tuple(map(points.__getitem__, c.vertices)),
+            c.active_constraints,
+            c.affine_map,
+            c.sign_label,
+        )
         for cid, c in sorted(sc.cells.items())
     )
     h.update(b", ")
     feed_list(sorted((f, c) for c, fs in sc.faces.items() for f in fs))
-    h.update(f", {sc.constraints!r}, {sc.violations!r})".encode("utf-8"))
+    h.update(f", {constraints!r}, {sc.violations!r})".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -300,9 +319,9 @@ def reference_assemble(b) -> SignedComplex:
 
     # cells, and the vertices within each, are ordered by their rational points
     vids = list(set().union(*(r.vertices for r in regions)))
-    order, points = _order_points([coords[v] for v in vids])
+    order = _order_points([coords[v] for v in vids])
     rank = {vids[i]: x for x, i in enumerate(order)}
-    points = [points[i] for i in order]
+    points = [coords[vids[i]] for i in order]
     ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
     order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
     ids = [0] * len(found)
@@ -330,6 +349,6 @@ def reference_assemble(b) -> SignedComplex:
         faces={cid: tuple(fs) for cid, fs in facets.items()},
         ambient_dim=d,
         box=box,
-        constraints=tuple(registry.hyperplanes),
+        constraints=tuple(registry.rows),
         violations=tuple(b.violations),
     )

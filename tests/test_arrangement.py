@@ -34,7 +34,7 @@ from topobetti.constructions import (
     build_folding_network,
     build_topo_network,
 )
-from topobetti.exactgeom import BoxDomain
+from topobetti.exactgeom import BoxDomain, centroid, dehomogenize, homogenize, sign
 from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_scalar
 from topobetti.stability import _perturbed
 
@@ -85,7 +85,7 @@ class TestCanonicalComplex:
             # the cell's affine restriction must agree with the network on
             # its vertices (interior points are covered by convexity)
             (grad,), (const,) = cell.affine_map
-            for v in cell.vertices:
+            for v in map(dehomogenize, cell.vertices):
                 assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
 
     def test_deterministic(self):
@@ -134,8 +134,8 @@ class TestNewVertices:
         sc = signed_complex(net, BoxDomain.unit_cube(d))
         points = {v for c in sc.cells.values() for v in c.vertices}
         assert points == {c.vertices[0] for c in sc.cells_of_dim(0)}
-        new = points - set(BoxDomain.unit_cube(d).corners())
-        assert sorted(new) == sorted(
+        new = points - set(map(homogenize, BoxDomain.unit_cube(d).corners()))
+        assert sorted(map(dehomogenize, new)) == sorted(
             tuple(half if j == i else 0 for j in range(d)) for i in range(d)
         )
         assert validate_complex(sc) == []
@@ -182,7 +182,7 @@ class TestAssembly:
         net = ReluNetwork((AffineLayer((row,), (Fraction(0),)),))
         sc, ref = self._both(net, BoxDomain.unit_cube(d))
         assert sorted(c.vertices for c in sc.cells.values() if c.sign_label == "zero") == sorted(
-            tuple(tuple(map(Fraction, p)) for p in cell) for cell in zero_cells
+            tuple((*p, 1) for p in cell) for cell in zero_cells
         )
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
         assert complex_digest(sc) == complex_digest(ref)
@@ -206,10 +206,27 @@ class TestValidateComplex:
         pc = box_complex([(0, 0)], 2)
         assert validate_complex(pc) == []
         (square,) = pc.full_cells()
-        extra = replace(square, vertices=square.vertices + ((Fraction(1, 2), Fraction(0)),))
+        extra = replace(square, vertices=square.vertices + ((1, 0, 2),))
         broken = replace(pc, cells={**pc.cells, square.id: extra})
         assert validate_complex(broken) == [
             f"vertices: cell {square.id} does not list exactly the 0-cells below it"
+        ]
+
+    @pytest.mark.parametrize(
+        "point", [(-1, -1, -1), (2, 2, 2), (1, 1, 0)], ids=["negative-w", "not-reduced", "zero-w"]
+    )
+    def test_vertex_not_in_homogeneous_form_is_reported(self, point):
+        # the corner (1, 1) written otherwise keeps every rank, so only the
+        # form check sees it, and the volume, which would divide by w = 0 or
+        # take the wrong sign, is not summed
+        pc = box_complex([(0, 0)], 2)
+        moved = {(1, 1, 1): point}
+        cells = {
+            cid: replace(c, vertices=tuple(moved.get(v, v) for v in c.vertices))
+            for cid, c in pc.cells.items()
+        }
+        assert validate_complex(replace(pc, cells=cells)) == [
+            f"vertices: {point} is not a point (x…, w) with w > 0 and gcd 1"
         ]
 
     def test_cell_without_entry_is_reported(self):
@@ -238,6 +255,25 @@ class TestValidateComplex:
         assert validate_complex(broken) == [
             f"incidence: dim mismatch in pair ({vertex},{square.id})"
         ]
+
+    def test_cell_of_the_wrong_rank_is_reported(self):
+        # the cube's boundary with its corner (1, 1, 1) raised to (1, 1, 2):
+        # the faces on x = 1 and y = 1 stay flat and the one on z = 1 bends.
+        # Without a full cell there is no volume to change, so only the rank
+        # check sees it
+        pc = box_complex([(0, 0, 0)], 3)
+        (cube,) = pc.full_cells()
+        moved = {(1, 1, 1, 1): (1, 1, 2, 1)}
+        cells = {
+            cid: replace(c, vertices=tuple(moved.get(v, v) for v in c.vertices))
+            for cid, c in pc.cells.items()
+            if cid != cube.id
+        }
+        broken = replace(pc, cells=cells, faces={cid: pc.faces[cid] for cid in cells})
+        (bent,) = (
+            c.id for c in pc.cells_of_dim(2) if all(v[2] == 1 for v in c.vertices)
+        )
+        assert validate_complex(broken) == [f"dimension: cell {bent} has affine rank != dim"]
 
     def test_facets_out_of_order_are_reported(self):
         pc = box_complex([(0, 0)], 2)
@@ -318,10 +354,8 @@ class TestSignedAndSublevel:
     def test_labels_match_pointwise_evaluation(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         sc = signed_complex(net, BoxDomain.unit_cube(2))
-        from topobetti.exactgeom import centroid, sign
-
         for cell in sc.cells.values():
-            c = centroid(cell.vertices)
+            c = centroid(map(dehomogenize, cell.vertices))
             expected = sign(eval_scalar(net, c))
             label = {-1: "negative", 0: "zero", 1: "positive"}[expected]
             assert cell.sign_label == label
@@ -343,7 +377,7 @@ class TestSignedAndSublevel:
         net = build_topo_network(FoldingSpec(2, (4,)), CuttingSpec(2, (3,)))
         sub = sublevel_subcomplex(signed_complex(net, BoxDomain.unit_cube(2)))
         for cell in sub.cells.values():
-            for v in cell.vertices:
+            for v in map(dehomogenize, cell.vertices):
                 assert eval_scalar(net, v) <= 0
 
     def test_validate_reference_instance(self):

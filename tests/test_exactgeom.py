@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topobetti.arrangement import _primitive, _Registry
 from topobetti.exactgeom import (
     BoxDomain,
-    Hyperplane,
-    affine_rank,
     centroid,
     dehomogenize,
     format_rational,
@@ -75,38 +74,36 @@ class TestSmallHelpers:
 
 
 class TestHyperplane:
+    """arrangement._primitive, the one normalizer of hyperplane rows."""
+
     def test_normalizes_to_primitive_integers(self):
-        h, orient = Hyperplane.from_coefficients(
-            (Fraction(2, 3), Fraction(-4, 3)), Fraction(2)
-        )
-        assert h.normal == (1, -2) and h.offset == 3
-        assert orient == 1
+        assert _primitive((2, -4), 6) == ((1, -2, 3), 1)
 
     def test_negative_leading_coefficient_flips(self):
-        h, orient = Hyperplane.from_coefficients((-2, 4), 6)
-        assert h.normal == (1, -2) and h.offset == -3
-        assert orient == -1
+        assert _primitive((-2, 4), 6) == ((1, -2, -3), -1)
+        assert _primitive((0, -3), 0) == ((0, 1, 0), -1)
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperplane.from_coefficients((0, 0), 1)
+        with pytest.raises(ValueError, match="zero normal"):
+            _primitive((0, 0), 1)
 
     @given(
-        st.lists(rationals, min_size=2, max_size=3),
-        rationals,
+        st.lists(small_ints, min_size=2, max_size=3),
+        small_ints,
         st.lists(rationals, min_size=2, max_size=3),
     )
     def test_orientation_preserves_signs(self, normal, offset, x):
         if not any(normal) or len(x) != len(normal):
             return
-        h, orient = Hyperplane.from_coefficients(tuple(normal), offset)
+        row, orient = _primitive(tuple(normal), offset)
         raw = sign(vdot(normal, x) + offset)
-        assert raw == orient * sign(vdot(h.normal, x) + h.offset)
+        assert raw == orient * sign(vdot(row[:-1], x) + row[-1])
 
-    def test_equal_hyperplanes_dedupe_structurally(self):
-        h1, _ = Hyperplane.from_coefficients((2, -2), 1)
-        h2, _ = Hyperplane.from_coefficients((Fraction(-1), Fraction(1)), Fraction(-1, 2))
-        assert h1 == h2
+    def test_equal_hyperplanes_intern_to_one_hid(self):
+        registry = _Registry()
+        (r1, _), (r2, _) = _primitive((2, -2), 1), _primitive((-4, 4), -2)
+        assert registry.intern(r1) == registry.intern(r2) == 0
+        assert registry.rows == [(2, -2, 1)]
 
 
 class TestBoxDomain:
@@ -133,19 +130,6 @@ class TestBoxDomain:
         # a float box used to die in the build, on 'float' has no 'denominator'
         with pytest.raises(ValueError, match="box bounds must be int or Fraction, got"):
             BoxDomain(lower, upper)
-
-    def test_facet_halfspaces_cut_out_the_box(self):
-        box = BoxDomain((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(1, 2)))
-        halves = box.facet_halfspaces()
-        assert len(halves) == 4
-
-        def inside(x):
-            return all(s * (vdot(h.normal, x) + h.offset) >= 0 for h, s in halves)
-
-        assert inside((0, Fraction(1, 4)))
-        assert inside((-1, 0))
-        assert not inside((Fraction(3, 2), 0))
-        assert not inside((0, 1))
 
     def test_volume(self):
         box = BoxDomain((Fraction(0), Fraction(-1, 2)), (Fraction(1, 3), Fraction(1)))
@@ -286,15 +270,3 @@ class TestHomogeneousCoordinates:
         assert h[-1] > 0
         assert dehomogenize(h) == tuple(point)
 
-
-class TestAffineRank:
-    def test_cases(self):
-        assert affine_rank([]) == -1
-        assert affine_rank([(1, 2)]) == 0
-        assert affine_rank([(0, 0), (1, 1), (2, 2)]) == 1
-        assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
-
-    def test_translation_invariant(self):
-        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        shifted = [tuple(v + 7 for v in p) for p in pts]
-        assert affine_rank(pts) == affine_rank(shifted) == 2

@@ -19,7 +19,11 @@ ORACLES = (
     ("build_cutting_network", "the reference the carving network is tested against"),
     ("centroid", "the Fraction centroid the sign-label test evaluates the network at"),
     ("cell_volume", "the exact volume of one cell, which the volume tests check cells against"),
-    ("dehomogenize", "the Fraction point the builder's integer vertex order is tested against"),
+    (
+        "dehomogenize",
+        "the Fraction point of a cell's integer vertex: the builder's vertex order is"
+        " tested against it, and complex_digest hashes it as the digests were recorded",
+    ),
 )
 
 

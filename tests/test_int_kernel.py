@@ -1,13 +1,15 @@
 """Properties of the integer arrangement kernel on random small networks.
 
 The arrangement builds on homogeneous integer vertices with hyperplane
-incidence sets; everything here is checked against code that reads only the
-cells' Fraction vertices and shares no code with it (each constraint
-evaluated at each Fraction vertex, validate_complex, which clears each vertex
-on its own, the network evaluated at each cell's Fraction centroid, and a
-forward pass written out below).
+incidence sets, and its cells hand out those vertices and the hyperplanes'
+integer rows; everything here is checked against code that reads only those
+and shares no code with the build (each constraint evaluated at each vertex
+as a Fraction point, validate_complex, which checks signs and ranks on the
+homogeneous points, the network evaluated at each cell's Fraction centroid,
+and a forward pass written out below).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,21 +18,20 @@ from hypothesis import strategies as st
 
 from helpers import network_and_box, networks, weights
 from topobetti.arrangement import (
+    _assemble,
     _Builder,
     _order_points,
     _primitive,
-    _Registry,
     signed_complex,
     validate_complex,
 )
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import (
     BoxDomain,
-    Hyperplane,
-    affine_rank,
     centroid,
     dehomogenize,
     homogenize,
+    matrix_rank,
     sign,
     vdot,
 )
@@ -52,22 +53,24 @@ def _check_kernel_invariants(net, box):
     assert validate_complex(sc) == []
     for cell in sc.full_cells():
         (grad,), (const,) = cell.affine_map
-        for v in cell.vertices:
+        for v in map(dehomogenize, cell.vertices):
             assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
+        points = [dehomogenize(v) for v in cell.vertices]
         for hid, s in cell.active_constraints:
-            h = sc.constraints[hid]
-            assert (s == 0) == all(vdot(h.normal, v) + h.offset == 0 for v in cell.vertices)
+            *normal, offset = sc.constraints[hid]
+            assert (s == 0) == all(vdot(normal, v) + offset == 0 for v in points)
         # the builder reads labels from vertex signs, which is exact only if
         # the output has one sign on every cell
-        assert cell.sign_label == labels[sign(eval_scalar(net, centroid(cell.vertices)))]
+        assert cell.sign_label == labels[sign(eval_scalar(net, centroid(points)))]
 
 
 def _check_carried_tight_sets(net, box):
     # the tight sets each region carries out of the splits, against the vertex
     # incidence sets regrouped by the region's constraints, and each one
-    # against the affine rank of its points: every kept constraint is a facet
+    # against the rank of its points: every kept constraint is a facet, whose
+    # homogeneous points have rank d (affine rank d − 1)
     b = _Builder(net, box)
     b.run()
     for r in b.regions:
@@ -76,7 +79,7 @@ def _check_carried_tight_sets(net, box):
         }
         assert r.tight == regrouped
         for group in r.tight.values():
-            assert affine_rank([dehomogenize(b.coords[v]) for v in group]) == box.dimension - 1
+            assert matrix_rank([b.coords[v] for v in group]) == box.dimension
 
 
 def _square_face_case():
@@ -109,7 +112,25 @@ class TestRandomNetworks:
         _check_kernel_invariants(*case)
 
     def test_constraint_touching_a_square_face_is_pruned(self):
-        _check_kernel_invariants(*_square_face_case())
+        net, box = _square_face_case()
+        _check_kernel_invariants(net, box)
+        b = _Builder(net, box)
+        b.run()
+        sc = _assemble(b)
+        hid = b.registry.rows.index((1, 0, 0, 0, 0))  # x1 = 0
+
+        def on_square(points):
+            # x1 = 0 meets these points only in the square: 4 of them, whose
+            # homogeneous rank 3 is affine rank 2
+            on = [p for p in points if p[0] == 0]
+            return len(on) == 4 and matrix_rank(on) == 3
+
+        regions = [r for r in b.regions if on_square([b.coords[v] for v in r.vertices])]
+        cells = [c for c in sc.full_cells() if on_square(c.vertices)]
+        assert regions and cells
+        # such a region or cell keeps no nonzero sign on x1 = 0
+        assert all(r.constraints.get(hid, 0) == 0 for r in regions)
+        assert all(s == 0 for c in cells for k, s in c.active_constraints if k == hid)
 
     @given(network_and_box())
     @settings(max_examples=30, deadline=None)
@@ -133,9 +154,9 @@ class TestRandomNetworks:
         _check_kernel_invariants(perturbed, BoxDomain.unit_cube(2))
 
 
-class TestIntegerPathsMatchFractions:
-    """The builder's integer hyperplane interning and vertex order, against the
-    Fraction code they replace."""
+class TestIntegerPathsMatchDefinitions:
+    """The builder's hyperplane normalizer against its definition, and its
+    integer vertex order against the Fraction sort it replaced."""
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
@@ -145,15 +166,14 @@ class TestIntegerPathsMatchFractions:
     @example([0, -4, 6], 0, 1)  # negative leading entry after a zero, zero offset
     @example([-3, 6, 9], 12, 1)  # negative leading entry, content 3
     @example([2, 4], 0, 7)  # zero offset, content 14
-    def test_interning_matches_from_coefficients(self, grad, const, scale):
+    def test_primitive_matches_its_definition(self, grad, const, scale):
         # scale makes the row non-primitive
         grad, const = tuple(scale * g for g in grad), scale * const
         row, orient = _primitive(grad, const)
-        h, o = Hyperplane.from_coefficients([Fraction(g) for g in grad], Fraction(const))
-        assert orient == o
-        registry = _Registry()
-        assert registry.hyperplanes[registry.intern(row)] == h
-        assert registry.rows == [h.normal + (h.offset,)]
+        assert math.gcd(*row) == 1
+        assert next(x for x in row[:-1] if x) > 0
+        g = math.gcd(*grad, const)
+        assert tuple(orient * g * x for x in row) == (*grad, const)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -172,6 +192,5 @@ class TestIntegerPathsMatchFractions:
             st.lists(st.tuples(*[st.sampled_from(pool)] * d), min_size=1, max_size=12)
         )
         coords = [homogenize(p) for p in points]
-        order, fractions = _order_points(coords)
+        order = _order_points(coords)
         assert order == sorted(range(len(coords)), key=lambda i: dehomogenize(coords[i]))
-        assert fractions == [dehomogenize(c) for c in coords]

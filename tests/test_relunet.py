@@ -95,6 +95,14 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             eval_network(_tent(2), (Fraction(0), Fraction(0)))
 
+    @pytest.mark.parametrize("x", [(0.1, 0.2), ("1", "2")], ids=["float", "str"])
+    def test_non_exact_input_is_rejected(self, x):
+        # on x1 + x2 − 3/10, (0.1, 0.2) used to give 3/180143985094819840,
+        # not 0, and ("1", "2") to give 27/10
+        net = ReluNetwork((AffineLayer(((1, 1),), (Fraction(-3, 10),)),))
+        with pytest.raises(ValueError, match="int or Fraction, got"):
+            eval_scalar(net, x)
+
 
 class TestCompose:
     def test_fuses_affine_boundary(self):
