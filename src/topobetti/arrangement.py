@@ -17,24 +17,27 @@ split needs only the functional's values at the region's vertices: each new
 vertex is the point where it vanishes on an edge between a positive and a
 negative vertex.  The split is also the only place a functional is evaluated:
 each region records every neuron's functional on it and its sign there, and
-the ReLU, the output map and the cell labels are read from that record.
+the layer's composition and the cell labels are read from that record.
+Every layer, the output layer included, is split neuron by neuron and then
+composed into each region's map; only the hidden layers apply the ReLU.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  The assembly walks each
 region's faces down from those sets and does each face's bookkeeping once,
 when it first reaches it: its constraint signs, and its label, which the
 walk settles from the constraints the face is tight on (or from its
 vertices' incidence, where the output's hyperplane touches a region it does
-not cut).  Edges expand straight to their two vertices.  Cells are
-deduplicated by canonical keys, so the construction is deterministic.
+not cut).  Edges expand straight to their two vertices, each 0-cell takes
+its data from the first region that holds it, and faces are deduplicated by
+their vertex sets, so the construction is deterministic.
 
-The build interns by integer keys: a split's hyperplane by its primitive
-row (normal…, offset), and a region's output map by its reduced
-(grad…, const, den).  Vertices are ordered by integer ranks: the first
-axis's distinct values, as reduced (num, den) pairs, are sorted once, and
-each later axis only among the vertices still tied on the earlier ones.  The complex hands out the build's own integer data: Cell.vertices
-holds the build's homogeneous points and PolyhedralComplex.constraints the
-registry's rows.  Fraction appears only in one Cell.affine_map per distinct
-output map and in the volumes cell_volume sums.
+A split's hyperplane is interned by its primitive row (normal…, offset).
+Vertices are ordered by integer ranks: the first axis's distinct values, as
+reduced (num, den) pairs, are sorted once, and each later axis only among
+the vertices still tied on the earlier ones.  The complex hands out the
+build's own integer data: Cell.vertices holds the build's homogeneous
+points, Cell.affine_map the owning region's reduced integer output map and
+PolyhedralComplex.constraints the hyperplane table's rows.  Fraction appears
+only in the volumes cell_volume sums.
 """
 
 from __future__ import annotations
@@ -98,8 +101,11 @@ class Cell:
     x / w with w > 0 and gcd 1 (see exactgeom.homogenize), in lexicographic
     order of the points.  active_constraints lists (constraint-id, sign)
     pairs over the complex's hyperplane table; sign 0 marks constraints the
-    cell satisfies with equality.  affine_map = (matrix, bias) is the network's affine restriction
-    on the cell (a 1×d matrix: the output is scalar).
+    cell satisfies with equality.  affine_map = (cols, consts, den) is the
+    network's output on the cell's owning region, x -> (Σ_t x_t·cols[t][0]
+    + consts[0]) / den: d integer columns of length 1 (the output is
+    scalar), one integer constant and den > 0, with gcd 1 over all the
+    integers, so equal maps are equal tuples.
     """
 
     id: int
@@ -157,23 +163,6 @@ class SignedComplex(PolyhedralComplex):
     violations: tuple
 
 
-class _Registry:
-    """The hyperplane table: each distinct hyperplane gets the next id."""
-
-    def __init__(self):
-        self.rows = []  # hid -> (normal…, offset), to dot with homogeneous vertices
-        self._index = {}  # row -> hid
-
-    def intern(self, row: tuple) -> int:
-        """Id of the hyperplane with this primitive integer row (normal…, offset)."""
-        hid = self._index.get(row)
-        if hid is None:
-            hid = len(self.rows)
-            self.rows.append(row)
-            self._index[row] = hid
-        return hid
-
-
 def _primitive(grad, const):
     """The hyperplane grad·x + const = 0 as a primitive integer row, and its orientation.
 
@@ -192,7 +181,7 @@ def _primitive(grad, const):
 
 
 class _Region:
-    __slots__ = ("rid", "constraints", "tight", "vertices", "affine", "activations", "out_affine")
+    __slots__ = ("rid", "constraints", "tight", "vertices", "affine", "activations")
 
     def __init__(self, rid, constraints, tight, vertices, affine, activations):
         self.rid = rid
@@ -200,15 +189,15 @@ class _Region:
         # {hid: the vertex ids on it}, for the same hids: the region's facets
         self.tight = tight
         self.vertices = vertices  # set of vertex ids
-        # (cols, consts, den) over ints, the previous layer's output held by
-        # columns: input x -> (Σ_t x_t·cols[t] + consts) / den
+        # (cols, consts, den) over ints, the output of the layers composed so
+        # far held by columns: input x -> (Σ_t x_t·cols[t] + consts) / den,
+        # with den > 0 and gcd 1 over all the integers
         self.affine = affine
         # one (grad, const, sign, hid) per neuron of the current layer split so
         # far: its functional on the region (see _restrict_functional), its
         # sign on the region's interior (0 only where the functional is
         # identically 0) and its interned hyperplane (None when constant)
         self.activations = activations
-        self.out_affine = None  # Cell.affine_map, set once the output is reached
 
 
 def _dot(a, b) -> int:
@@ -254,7 +243,8 @@ class _Builder:
         self.net = net
         self.box = box
         self.d = box.dimension
-        self.registry = _Registry()
+        # the hyperplane table: primitive row (normal…, offset) -> hid, in hid order
+        self.hids = {}
         self.coords = []  # vertex id -> homogeneous int coordinates
         self.incidence = []  # vertex id -> ids of the hyperplanes it lies on
         self._vertex_ids = {}
@@ -269,12 +259,12 @@ class _Builder:
         for i, bounds in enumerate(zip(box.lower, box.upper)):
             for bound, s in zip(bounds, (1, -1)):
                 row = tuple(bound.denominator if j == i else 0 for j in range(self.d))
-                base.constraints[self.registry.intern((*row, -bound.numerator))] = s
-        rows = self.registry.rows
+                hid = self.hids.setdefault((*row, -bound.numerator), len(self.hids))
+                base.constraints[hid] = s
         for corner in box.corners():
             p = homogenize(corner)
             vid = self._vertex(p)
-            self.incidence[vid].update(k for k in base.constraints if _dot(rows[k], p) == 0)
+            self.incidence[vid].update(k for row, k in self.hids.items() if _dot(row, p) == 0)
             base.vertices.add(vid)
         base.tight = {
             k: {v for v in base.vertices if k in self.incidence[v]} for k in base.constraints
@@ -300,36 +290,19 @@ class _Builder:
         self.violations.append((neuron, rid, reason))
 
     def run(self):
-        """Split by every hidden neuron, then by the output zero-set.
+        """Split by every neuron, layer by layer, composing each layer after its splits.
 
-        Afterwards every region's one activation is the network output, and
-        out_affine is its map in Fraction (Cell.affine_map).  Regions with the
-        same map share one out_affine object, built once from the map's
-        reduced integer form.
+        Afterwards every region's affine is its output map, and its one
+        activation is the output's record, which the labels are read from.
         """
         if self.net.output_dim != 1:
             raise ValueError("the arrangement requires a scalar-output network")
-        for ell, layer in enumerate(self.net.layers[:-1], start=1):
-            weights, bias, _ = layer.scaled
+        last = len(self.net.layers)
+        for ell, layer in enumerate(self.net.layers, start=1):
+            weights, bias, layer_den = layer.scaled
             for i, (wrow, b) in enumerate(zip(weights, bias), start=1):
-                self._split_all(NeuronId(ell, i), wrow, b, output=False)
-            self._apply_relu(layer)
-        weights, bias, layer_den = self.net.layers[-1].scaled
-        self._split_all(NeuronId(len(self.net.layers), 1), weights[0], bias[0], output=True)
-        maps = {}  # reduced (grad…, const, den) -> Cell.affine_map
-        for r in self.regions:
-            ((grad, const, _, _),) = r.activations
-            den = layer_den * r.affine[2]
-            g = math.gcd(den, const, *grad)
-            key = tuple(x // g for x in (*grad, const, den))
-            out = maps.get(key)
-            if out is None:
-                *grad, const, den = key
-                out = maps[key] = (
-                    (tuple(Fraction(x, den) for x in grad),),
-                    (Fraction(const, den),),
-                )
-            r.out_affine = out
+                self._split_all(NeuronId(ell, i), wrow, b, output=ell == last)
+            self._compose(layer_den, relu=ell < last)
 
     def _split_all(self, nid: NeuronId, wrow, b, output: bool):
         new_regions = []
@@ -349,7 +322,7 @@ class _Builder:
             r.activations.append((grad, const, sign(const), None))
             return [r]
         hrow, orient = _primitive(grad, const)
-        hid = self.registry.intern(hrow)
+        hid = self.hids.setdefault(hrow, len(self.hids))
         coords, incidence = self.coords, self.incidence
         pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
         for v in r.vertices:
@@ -417,15 +390,20 @@ class _Builder:
             )
         return children
 
-    def _apply_relu(self, layer):
-        """Each region's layer output: its positive activations, and 0 for the rest."""
-        layer_den = layer.scaled[2]
+    def _compose(self, layer_den: int, relu: bool):
+        """Each region's map composed with the layer just split, reduced.
+
+        The layer's outputs are the region's activations.  With relu, those
+        of nonpositive sign are 0 and the record is cleared for the next
+        layer; without (the output layer) every row and the record are kept.
+        """
         zero = (0,) * self.d
         for r in self.regions:
             den = layer_den * r.affine[2]
-            rows = [grad if s > 0 else zero for grad, _, s, _ in r.activations]
-            consts = [const if s > 0 else 0 for _, const, s, _ in r.activations]
-            r.activations = []
+            rows = [grad if s > 0 or not relu else zero for grad, _, s, _ in r.activations]
+            consts = [const if s > 0 or not relu else 0 for _, const, s, _ in r.activations]
+            if relu:
+                r.activations = []
             g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
             r.affine = (
                 tuple(tuple(x // g for x in col) for col in zip(*rows)),
@@ -485,8 +463,12 @@ def _assemble(b: _Builder) -> SignedComplex:
     The walk does each face's bookkeeping once, when it first reaches it.
     A face of dimension ≥ 2 finds its facets among its tight sets, which it
     intersects down from its coface's, and the walk records them.  An edge's
-    facets are its two vertices, so edges are expanded straight to them, and
-    a 0-cell takes its zero signs from the vertex's incidence set.
+    facets are its two vertices, so edges are expanded straight to them.
+    After a region's walk, each of its vertices that no earlier region holds
+    takes its zero signs from the vertex's incidence set.  A split hands
+    every vertex of its region, and every new one, to a child, so every
+    vertex the build made is a 0-cell; and distinct regions are distinct
+    polytopes, so each region is one full cell.
 
     The output has one sign on the owner and vanishes on a face of it only
     if the face lies on the output's hyperplane.  When that hyperplane is
@@ -494,45 +476,40 @@ def _assemble(b: _Builder) -> SignedComplex:
     Otherwise the hyperplane touches the owner at most in a lower face, and
     the face lies on it when all its vertices do.
     """
-    regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
+    regions, box, cap = b.regions, b.box, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
     # the 0-cells come first, in the order of their rational points
-    vids = list(set().union(*(r.vertices for r in regions)))
-    order = _order_points([coords[v] for v in vids])
-    rank = [0] * len(coords)  # vertex id -> rank, for the vertices in vids
-    for x, i in enumerate(order):
-        rank[vids[i]] = x
-    points = [coords[vids[i]] for i in order]
-    vertex_data = [None] * len(vids)  # rank -> (active constraints, affine map, label)
-    limit = cap - len(vids)  # for the faces of dimension ≥ 1
+    order = _order_points(coords)
+    rank = [0] * len(coords)  # vertex id -> rank
+    for x, v in enumerate(order):
+        rank[v] = x
+    points = list(map(coords.__getitem__, order))
+    vertex_data = [None] * len(coords)  # rank -> (active constraints, affine map, label)
+    limit = cap - len(coords)  # for the faces of dimension ≥ 1
     if limit < 0:
         raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
     # faces of dimension ≥ 1 by discovery index
-    index = {}  # frozenset(vertex ids) -> discovery index
+    index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> discovery index
     found = []  # discovery index -> (vertex ids, active constraints, affine map, label)
     by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
     below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
     for r in regions:
-        key = frozenset(r.vertices)
-        if key in index:
-            continue
         constraints = r.constraints
         items = sorted(constraints.items())
         at = {hid: x for x, (hid, _) in enumerate(items)}  # hid -> its place in items
         _, _, out_sign, out_hid = r.activations[0]
-        affine_map, label = r.out_affine, _label(out_sign)
+        affine_map, label = r.affine, _label(out_sign)
         cut = out_hid in constraints
         # when it does not cut, the owner's vertices on the output's hyperplane
-        touched = () if cut else {v for v in key if out_hid in incidence[v]}
-        i = index[key] = len(found)
-        found.append((key, tuple(items), affine_map, label))
+        touched = () if cut else {v for v in r.vertices if out_hid in incidence[v]}
+        i = len(found)
+        found.append((r.vertices, tuple(items), affine_map, label))
         by_dim[d].append(i)
         # a face to expand: its index and dimension, the hids it lies on, and
         # for each other hid that meets it, its vertices on that hid.  Those
         # sets hold the face's facets, and _facets picks them out.
         stack = [(i, d, set(), r.tight)] if d > 1 else []
-        edges = [] if d > 1 else [key]  # each edge's vertex ids
         while stack:
             i, dim, on, tight = stack.pop()
             k = dim - 1
@@ -549,7 +526,6 @@ def _assemble(b: _Builder) -> SignedComplex:
                     if k == 1:
                         u, v = sub
                         sub_on = constraints.keys() & incidence[u] & incidence[v]
-                        edges.append(sub)
                     else:
                         sub_on, sub_tight = on.copy(), {}
                         for hid, other in tight.items():
@@ -566,16 +542,15 @@ def _assemble(b: _Builder) -> SignedComplex:
                     found.append((sub, tuple(active), affine_map, "zero" if zero else label))
                     by_dim[k].append(j)
                 its_facets.append(j)
-        for edge in edges:
-            for v in edge:
-                x = rank[v]
-                if vertex_data[x] is None:
-                    lies_on = incidence[v]
-                    active = items.copy()
-                    for hid in constraints.keys() & lies_on:
-                        active[at[hid]] = (hid, 0)
-                    zero = out_hid in lies_on
-                    vertex_data[x] = (tuple(active), affine_map, "zero" if zero else label)
+        for v in r.vertices:
+            x = rank[v]
+            if vertex_data[x] is None:
+                lies_on = incidence[v]
+                active = items.copy()
+                for hid in constraints.keys() & lies_on:
+                    active[at[hid]] = (hid, 0)
+                zero = out_hid in lies_on
+                vertex_data[x] = (tuple(active), affine_map, "zero" if zero else label)
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
@@ -609,7 +584,7 @@ def _assemble(b: _Builder) -> SignedComplex:
         faces=dict(zip(keys, facets)),
         ambient_dim=d,
         box=box,
-        constraints=tuple(registry.rows),
+        constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )
 

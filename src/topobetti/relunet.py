@@ -168,10 +168,15 @@ def network_from_json(obj: dict) -> ReluNetwork:
     layers = []
     for i, layer in enumerate(obj["layers"]):
         try:
-            weights = tuple(
-                tuple(parse_rational(v) for v in row) for row in layer["weights"]
-            )
-            bias = tuple(parse_rational(v) for v in layer["bias"])
+            # a string or an object would iterate as its characters or keys
+            weights = layer["weights"]
+            if not (isinstance(weights, list) and all(isinstance(row, list) for row in weights)):
+                raise ValueError("weights must be a list of lists")
+            weights = tuple(tuple(parse_rational(v) for v in row) for row in weights)
+            bias = layer["bias"]
+            if not isinstance(bias, list):
+                raise ValueError("bias must be a list")
+            bias = tuple(parse_rational(v) for v in bias)
             layers.append(AffineLayer(weights, bias))
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed layer {i}: {e}") from e

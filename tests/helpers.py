@@ -61,7 +61,7 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
 
     ordered = sorted(faces.values())
     ids = {verts: i for i, (_, verts) in enumerate(ordered)}
-    zero_map = ((tuple(Fraction(0) for _ in range(ambient_dim)),), (Fraction(0),))
+    zero_map = (((0,),) * ambient_dim, (0,), 1)
     cells = {
         ids[verts]: Cell(
             id=ids[verts],
@@ -227,18 +227,26 @@ def reference_grid_beta0(sg: SignGrid) -> int:
 Hyperplane = namedtuple("Hyperplane", "normal offset")
 
 
+def fraction_map(affine_map):
+    """A cell's integer (cols, consts, den) output map as ((grad…,), (const,)) in Fractions."""
+    cols, (const,), den = affine_map
+    return (tuple(Fraction(g, den) for (g,) in cols),), (Fraction(const, den),)
+
+
 def complex_digest(sc) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
     cells is the sorted list of (id, dim, vertices, active constraints,
     affine map, label) tuples, and face pairs the sorted list of (face id,
-    coface id) pairs of the face map.  Vertices enter as tuples of Fractions
-    and constraints as Hyperplanes, the forms the digests were recorded in.
+    coface id) pairs of the face map.  Vertices enter as tuples of Fractions,
+    affine maps as ((grad…,), (const,)) in Fractions and constraints as
+    Hyperplanes, the forms the digests were recorded in.
     The repr is fed to the hash piece by piece, so the whole string is never
     held in memory.
     """
     points = dict.fromkeys(v for c in sc.cells.values() for v in c.vertices)
     points = {v: dehomogenize(v) for v in points}
+    maps = {m: fraction_map(m) for m in dict.fromkeys(c.affine_map for c in sc.cells.values())}
     constraints = tuple(Hyperplane(row[:-1], row[-1]) for row in sc.constraints)
     h = hashlib.sha256()
 
@@ -255,7 +263,7 @@ def complex_digest(sc) -> str:
             c.dim,
             tuple(map(points.__getitem__, c.vertices)),
             c.active_constraints,
-            c.affine_map,
+            maps[c.affine_map],
             c.sign_label,
         )
         for cid, c in sorted(sc.cells.items())
@@ -272,7 +280,7 @@ def reference_assemble(b) -> SignedComplex:
     A face's owner is the first region, in build order, that holds it; the
     face takes its constraint signs, affine map and label from the owner.
     """
-    regions, box, registry, cap = b.regions, b.box, b.registry, b.cap
+    regions, box, cap = b.regions, b.box, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
     index = {}  # frozenset(vertex ids) -> discovery index
@@ -338,7 +346,7 @@ def reference_assemble(b) -> SignedComplex:
             dim=dim,
             vertices=tuple(points[x] for x in ranked[i]),
             active_constraints=active,
-            affine_map=owner.out_affine,
+            affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
         )
     facets = {cid: [] for cid in cells}
@@ -349,6 +357,6 @@ def reference_assemble(b) -> SignedComplex:
         faces={cid: tuple(fs) for cid, fs in facets.items()},
         ambient_dim=d,
         box=box,
-        constraints=tuple(registry.rows),
+        constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )

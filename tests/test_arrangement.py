@@ -60,6 +60,15 @@ def _constant(value, d=2):
     )
 
 
+def _assert_maps_reproduce(net, pc):
+    # each full cell's map must agree with the network on its vertices
+    # (interior points are covered by convexity)
+    for cell in pc.full_cells():
+        cols, (const,), den = cell.affine_map
+        for v in map(dehomogenize, cell.vertices):
+            assert (sum(g * x for (g,), x in zip(cols, v)) + const) / den == eval_scalar(net, v)
+
+
 def _dims(pc):
     counts = {}
     for c in pc.cells.values():
@@ -80,13 +89,7 @@ class TestCanonicalComplex:
 
     def test_affine_maps_reproduce_the_network(self):
         net = _tent(4, d=2)
-        pc = signed_complex(net, BoxDomain.unit_cube(2))
-        for cell in pc.full_cells():
-            # the cell's affine restriction must agree with the network on
-            # its vertices (interior points are covered by convexity)
-            (grad,), (const,) = cell.affine_map
-            for v in map(dehomogenize, cell.vertices):
-                assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
+        _assert_maps_reproduce(net, signed_complex(net, BoxDomain.unit_cube(2)))
 
     def test_deterministic(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
@@ -348,6 +351,24 @@ class TestLinearRegions:
         )
         pc = signed_complex(net, BoxDomain.unit_cube(2))
         assert linear_region_count(pc) == 1
+
+    def test_output_split_leaves_one_linear_piece(self):
+        # h = relu(x1 − 1/2), y = h − 1/4: the output's zero-set x1 = 3/4 cuts
+        # the piece y = x1 − 3/4 in two, and y = −1/4 is negative on the left
+        net = ReluNetwork(
+            (
+                AffineLayer(((1, 0),), (Fraction(-1, 2),)),
+                AffineLayer(((1,),), (Fraction(-1, 4),)),
+            )
+        )
+        pc = signed_complex(net, BoxDomain.unit_cube(2))
+        full = pc.full_cells()
+        assert len(full) == 3
+        assert linear_region_count(pc) == 2
+        right = [c for c in full if min(dehomogenize(v)[0] for v in c.vertices) >= Fraction(1, 2)]
+        assert len(right) == 2 and right[0].affine_map == right[1].affine_map
+        # including the cells where y < 0, whose rows a ReLU would zero
+        _assert_maps_reproduce(net, pc)
 
 
 class TestSignedAndSublevel:

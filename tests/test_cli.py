@@ -190,6 +190,10 @@ class TestErrorMessages:
         [
             (["analyze", "{net}", "--box", "0,1/0"], "non-canonical rational string: '1/0'"),
             (
+                ["analyze", "{tmp}/string-row.json"],
+                "malformed layer 0: weights must be a list of lists",
+            ),
+            (
                 ["build", "--d", "2", "--m", "3", "--w", "1", "-o", "{tmp}/x.json"],
                 "every folding factor must be even and ≥ 2, got 3",
             ),
@@ -206,11 +210,14 @@ class TestErrorMessages:
                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
             ),
         ],
-        ids=["box", "build", "predict", "bounds", "stability", "oracle", "report-missing",
-             "report-not-json"],
+        ids=["box", "string-row", "build", "predict", "bounds", "stability", "oracle",
+             "report-missing", "report-not-json"],
     )
     def test_stderr(self, argv, message, small_net, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{not json")
+        # a string row would load as its characters, "1" and "2"
+        string_row = '{"layers": [{"weights": ["12"], "bias": ["3"]}]}'
+        (tmp_path / "string-row.json").write_text(string_row)
         capsys.readouterr()
         fill = {"net": str(small_net), "tmp": str(tmp_path)}
         assert main([a.format(**fill) for a in argv]) == EXIT_USAGE

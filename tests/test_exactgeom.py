@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topobetti.arrangement import _primitive, _Registry
+from topobetti.arrangement import _Builder, _primitive
 from topobetti.exactgeom import (
     BoxDomain,
     centroid,
@@ -18,6 +18,7 @@ from topobetti.exactgeom import (
     sparse_rank,
     vdot,
 )
+from topobetti.relunet import AffineLayer, ReluNetwork
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=64
@@ -100,10 +101,21 @@ class TestHyperplane:
         assert raw == orient * sign(vdot(row[:-1], x) + row[-1])
 
     def test_equal_hyperplanes_intern_to_one_hid(self):
-        registry = _Registry()
         (r1, _), (r2, _) = _primitive((2, -2), 1), _primitive((-4, 4), -2)
-        assert registry.intern(r1) == registry.intern(r2) == 0
-        assert registry.rows == [(2, -2, 1)]
+        assert r1 == r2 == (2, -2, 1)
+        # two neurons on that hyperplane, and a constant output: the second
+        # neuron finds the first's row among the table's keys, so it adds no
+        # hyperplane and splits no region
+        net = ReluNetwork(
+            (
+                AffineLayer(((2, -2), (-4, 4)), (1, -2)),
+                AffineLayer(((0, 0),), (1,)),
+            )
+        )
+        b = _Builder(net, BoxDomain.unit_cube(2))
+        b.run()
+        assert list(b.hids) == [(1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1), (2, -2, 1)]
+        assert len(b.regions) == 2
 
 
 class TestBoxDomain:

@@ -52,9 +52,11 @@ def _check_kernel_invariants(net, box):
     sc = signed_complex(net, box)
     assert validate_complex(sc) == []
     for cell in sc.full_cells():
-        (grad,), (const,) = cell.affine_map
+        # the map is reduced, so equal maps are equal tuples
+        cols, (const,), den = cell.affine_map
+        assert den > 0 and math.gcd(den, const, *(g for (g,) in cols)) == 1
         for v in map(dehomogenize, cell.vertices):
-            assert sum(g * x for g, x in zip(grad, v)) + const == eval_scalar(net, v)
+            assert (sum(g * x for (g,), x in zip(cols, v)) + const) / den == eval_scalar(net, v)
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
         points = [dehomogenize(v) for v in cell.vertices]
@@ -117,7 +119,7 @@ class TestRandomNetworks:
         b = _Builder(net, box)
         b.run()
         sc = _assemble(b)
-        hid = b.registry.rows.index((1, 0, 0, 0, 0))  # x1 = 0
+        hid = b.hids[(1, 0, 0, 0, 0)]  # x1 = 0
 
         def on_square(points):
             # x1 = 0 meets these points only in the square: 4 of them, whose

@@ -150,6 +150,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [(["12"], ["3"]), ("12", ["3", "4"]), ([["1", "2"]], "3"), ([["1"]], {"1": 0})],
+        ids=["string-row", "string-weights", "string-bias", "object-bias"],
+    )
+    def test_non_list_entries_rejected(self, weights, bias):
+        # iterated, a string gives its characters and an object its keys,
+        # which parse as rationals of a wrongly shaped layer
+        obj = {"layers": [{"weights": weights, "bias": bias}]}
+        with pytest.raises(ValueError, match="^malformed layer 0: (weights|bias) must be a list"):
+            network_from_json(obj)
+
     def test_architecture_mismatch_rejected(self):
         obj = network_to_json(_tent(2))
         obj["architecture"] = [1, 3, 1]
