@@ -23,12 +23,11 @@ composed into each region's map; only the hidden layers apply the ReLU.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  The assembly walks each
 region's faces down from those sets and does each face's bookkeeping once,
-when it first reaches it: its constraint signs, and its label, which the
-walk settles from the constraints the face is tight on (or from its
-vertices' incidence, where the output's hyperplane touches a region it does
-not cut).  Edges expand straight to their two vertices, each 0-cell takes
-its data from the first region that holds it, and faces are deduplicated by
-their vertex sets, so the construction is deterministic.
+when it first reaches it: its constraint signs, and its label, the output's
+sign on the owning region or "zero" when all the face's vertices lie on the
+output's hyperplane.  Edges expand straight to their two vertices, each
+0-cell takes its data from the first region that holds it, and faces are
+deduplicated by their vertex sets, so the construction is deterministic.
 
 A split's hyperplane is interned by its primitive row (normal…, offset).
 Vertices are ordered by integer ranks: the first axis's distinct values, as
@@ -105,7 +104,9 @@ class Cell:
     network's output on the cell's owning region, x -> (Σ_t x_t·cols[t][0]
     + consts[0]) / den: d integer columns of length 1 (the output is
     scalar), one integer constant and den > 0, with gcd 1 over all the
-    integers, so equal maps are equal tuples.
+    integers, so equal maps are equal tuples.  sign_label is "zero" where
+    the output vanishes on the whole cell, and otherwise the output's sign
+    on the interior of the owning region, "negative" or "positive".
     """
 
     id: int
@@ -113,7 +114,7 @@ class Cell:
     vertices: tuple
     active_constraints: tuple
     affine_map: tuple
-    sign_label: str = "unsigned"
+    sign_label: str
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,8 @@ class PolyhedralComplex:
 
     faces is the face relation: every cell id maps to the tuple of its facets'
     ids, one dimension down, in increasing id order (() for a 0-cell).
+    violations are the stability events the build recorded, as (NeuronId,
+    region-id, reason) triples in build order.
     """
 
     cells: dict  # cell id -> Cell, in increasing id order
@@ -131,6 +134,7 @@ class PolyhedralComplex:
     # the hyperplane table that active_constraints refer to: primitive integer
     # rows (normal…, offset) of the hyperplanes normal·x + offset = 0
     constraints: tuple
+    violations: tuple
 
     def cells_of_dim(self, k: int):
         return [c for c in self.cells.values() if c.dim == k]
@@ -150,17 +154,6 @@ class PolyhedralComplex:
         ids = set(ids)
         cells = {cid: c for cid, c in self.cells.items() if cid in ids}
         return replace(self, cells=cells, faces={cid: self.faces[cid] for cid in cells})
-
-
-@dataclass(frozen=True)
-class SignedComplex(PolyhedralComplex):
-    """A complex whose every cell is labeled negative / zero / positive.
-
-    violations are the stability events the build recorded, as
-    (NeuronId, region-id, reason) triples in build order.
-    """
-
-    violations: tuple
 
 
 def _primitive(grad, const):
@@ -286,9 +279,6 @@ class _Builder:
             self._vertex_ids[coords] = vid
         return vid
 
-    def _record(self, reason: str, neuron: NeuronId, rid: int):
-        self.violations.append((neuron, rid, reason))
-
     def run(self):
         """Split by every neuron, layer by layer, composing each layer after its splits.
 
@@ -318,7 +308,7 @@ class _Builder:
         grad, const = _restrict_functional(r.affine, wrow, b)
         if not any(grad):
             if const == 0:
-                self._record("degenerate-pullback", nid, r.rid)
+                self.violations.append((nid, r.rid, "degenerate-pullback"))
             r.activations.append((grad, const, sign(const), None))
             return [r]
         hrow, orient = _primitive(grad, const)
@@ -334,15 +324,13 @@ class _Builder:
             else:
                 zeros.add(v)
                 incidence[v].add(hid)
-        if output and zeros:
-            # the output zero-set through a vertex of the canonical complex is
-            # a topological-stability violation whether or not it splits
-            self._record("vertex-on-hyperplane", nid, r.rid)
+        if zeros and (output or (pos and neg)):
+            # a hidden neuron's split through a vertex, or the output zero-set
+            # through any vertex whether or not it splits, is a stability event
+            self.violations.append((nid, r.rid, "vertex-on-hyperplane"))
         if not (pos and neg):
             r.activations.append((grad, const, 1 if pos else -1, hid))
             return [r]
-        if zeros and not output:
-            self._record("vertex-on-hyperplane", nid, r.rid)
         facet = zeros
         # A positive u and a negative v span an edge, which h cuts, exactly
         # when they are the only vertices tight on every constraint they share:
@@ -455,7 +443,7 @@ def _order_points(coords):
     return sorted(range(n), key=keys.__getitem__)
 
 
-def _assemble(b: _Builder) -> SignedComplex:
+def _assemble(b: _Builder) -> PolyhedralComplex:
     """The face lattice of the build's regions, with each cell's signs and label.
 
     A face's owner is the first region, in build order, that holds it; the
@@ -470,11 +458,9 @@ def _assemble(b: _Builder) -> SignedComplex:
     vertex the build made is a 0-cell; and distinct regions are distinct
     polytopes, so each region is one full cell.
 
-    The output has one sign on the owner and vanishes on a face of it only
-    if the face lies on the output's hyperplane.  When that hyperplane is
-    one of the owner's constraints, that is when the face is tight on it.
-    Otherwise the hyperplane touches the owner at most in a lower face, and
-    the face lies on it when all its vertices do.
+    The output has one sign on the owner's interior and vanishes on a face
+    of it exactly when all the face's vertices lie on the output's
+    hyperplane, which incidence, complete on every region's vertices, tells.
     """
     regions, box, cap = b.regions, b.box, b.cap
     coords, incidence = b.coords, b.incidence
@@ -500,9 +486,8 @@ def _assemble(b: _Builder) -> SignedComplex:
         at = {hid: x for x, (hid, _) in enumerate(items)}  # hid -> its place in items
         _, _, out_sign, out_hid = r.activations[0]
         affine_map, label = r.affine, _label(out_sign)
-        cut = out_hid in constraints
-        # when it does not cut, the owner's vertices on the output's hyperplane
-        touched = () if cut else {v for v in r.vertices if out_hid in incidence[v]}
+        # the owner's vertices on the output's hyperplane
+        touched = {v for v in r.vertices if out_hid in incidence[v]}
         i = len(found)
         found.append((r.vertices, tuple(items), affine_map, label))
         by_dim[d].append(i)
@@ -538,19 +523,18 @@ def _assemble(b: _Builder) -> SignedComplex:
                     active = items.copy()
                     for hid in sub_on:
                         active[at[hid]] = (hid, 0)
-                    zero = out_hid in sub_on if cut else sub <= touched
-                    found.append((sub, tuple(active), affine_map, "zero" if zero else label))
+                    found.append(
+                        (sub, tuple(active), affine_map, "zero" if sub <= touched else label)
+                    )
                     by_dim[k].append(j)
                 its_facets.append(j)
         for v in r.vertices:
             x = rank[v]
             if vertex_data[x] is None:
-                lies_on = incidence[v]
                 active = items.copy()
-                for hid in constraints.keys() & lies_on:
+                for hid in constraints.keys() & incidence[v]:
                     active[at[hid]] = (hid, 0)
-                zero = out_hid in lies_on
-                vertex_data[x] = (tuple(active), affine_map, "zero" if zero else label)
+                vertex_data[x] = (tuple(active), affine_map, "zero" if v in touched else label)
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
@@ -579,7 +563,7 @@ def _assemble(b: _Builder) -> SignedComplex:
                 # for d ≥ 4 the walk may reach a facet through more than one hid
                 facets.append(tuple(sorted({ids[j] for j in below[i]})))
     keys = list(map(attrgetter("id"), cells))
-    return SignedComplex(
+    return PolyhedralComplex(
         cells=dict(zip(keys, cells)),
         faces=dict(zip(keys, facets)),
         ambient_dim=d,
@@ -589,7 +573,7 @@ def _assemble(b: _Builder) -> SignedComplex:
     )
 
 
-def signed_complex(net: ReluNetwork, box: BoxDomain) -> SignedComplex:
+def signed_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
     """One-pass construction of the output-refined, sign-labeled complex."""
     with _gc_paused():
         b = _Builder(net, box)
@@ -597,10 +581,8 @@ def signed_complex(net: ReluNetwork, box: BoxDomain) -> SignedComplex:
         return _assemble(b)
 
 
-def sublevel_subcomplex(sc: SignedComplex) -> PolyhedralComplex:
+def sublevel_subcomplex(sc: PolyhedralComplex) -> PolyhedralComplex:
     """Subcomplex of cells labeled negative or zero; support is F⁻¹((−∞,0]) ∩ box."""
-    if any(c.sign_label == "unsigned" for c in sc.cells.values()):
-        raise ValueError("sublevel_subcomplex requires a signed complex")
     return sc.restrict(
         cid for cid, c in sc.cells.items() if c.sign_label in ("negative", "zero")
     )

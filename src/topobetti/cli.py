@@ -52,7 +52,8 @@ def _parse_box(text: str | None, d: int) -> BoxDomain:
     if len(vals) == 2:
         vals = vals * d
     if len(vals) != 2 * d:
-        raise CliError(f"--box needs 2 or {2 * d} rationals for dimension {d}")
+        counts = "2" if d == 1 else f"2 or {2 * d}"
+        raise CliError(f"--box needs {counts} rationals for dimension {d}")
     lower = tuple(vals[0::2])
     upper = tuple(vals[1::2])
     return BoxDomain(lower, upper)

@@ -198,8 +198,7 @@ def predict_betti(M: int, w_vec: Sequence[int], d: int) -> BettiVector:
     """
     if M < 2 or M % 2 != 0:
         raise ValueError("M must be even and ≥ 2")
-    if len(w_vec) != d - 1:
-        raise ValueError("w_vec must have length d−1")
+    CuttingSpec(d, tuple(w_vec))  # the family's checks on d and the widths
     half = M // 2
     betas = [0] * d
     for k in range(1, d):

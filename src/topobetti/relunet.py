@@ -180,10 +180,7 @@ def network_from_json(obj: dict) -> ReluNetwork:
             layers.append(AffineLayer(weights, bias))
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"malformed layer {i}: {e}") from e
-    try:
-        net = ReluNetwork(tuple(layers))
-    except ValueError as e:
-        raise ValueError(f"layer shapes do not chain: {e}") from e
+    net = ReluNetwork(tuple(layers))
     if "architecture" in obj and obj["architecture"] != list(net.architecture):
         raise ValueError(
             f"declared architecture {obj['architecture']} does not match layers "

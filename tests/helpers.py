@@ -28,7 +28,6 @@ from topobetti.arrangement import (
     Cell,
     ComplexSizeError,
     PolyhedralComplex,
-    SignedComplex,
     _label,
     _order_points,
 )
@@ -44,7 +43,9 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
     `cubes` is an iterable of lower-corner integer tuples; each cube is
     [a, a+1]^d.  Faces pick, per axis, the lower endpoint, the upper endpoint,
     or the whole interval; shared faces are deduplicated by vertex set.  A
-    cell's vertices are homogeneous points (x…, 1), as the arrangement's are.
+    cell's vertices are homogeneous points (x…, 1), as the arrangement's are,
+    and every cell is labelled "negative", so the whole union is a sublevel
+    set.
     """
     faces = {}  # frozenset of vertices -> (dim, sorted vertex tuple)
     for base in cubes:
@@ -69,6 +70,7 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
             vertices=tuple((*p, 1) for p in verts),
             active_constraints=(),
             affine_map=zero_map,
+            sign_label="negative",
         )
         for dim, verts in ordered
     }
@@ -89,6 +91,7 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
         ambient_dim=ambient_dim,
         box=box,
         constraints=(),
+        violations=(),
     )
 
 
@@ -274,7 +277,7 @@ def complex_digest(sc) -> str:
     return h.hexdigest()
 
 
-def reference_assemble(b) -> SignedComplex:
+def reference_assemble(b) -> PolyhedralComplex:
     """The face lattice of the build's regions, with each cell's signs and label.
 
     A face's owner is the first region, in build order, that holds it; the
@@ -352,7 +355,7 @@ def reference_assemble(b) -> SignedComplex:
     facets = {cid: [] for cid in cells}
     for f, c in sorted((ids[f], ids[c]) for f, c in incid):
         facets[c].append(f)
-    return SignedComplex(
+    return PolyhedralComplex(
         cells=cells,
         faces={cid: tuple(fs) for cid, fs in facets.items()},
         ambient_dim=d,

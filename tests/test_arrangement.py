@@ -14,7 +14,6 @@ from helpers import (
     complex_digest,
     network_and_box,
     reference_assemble,
-    ring_cubes_2d,
 )
 from topobetti.arrangement import (
     ComplexSizeError,
@@ -35,7 +34,8 @@ from topobetti.constructions import (
     build_topo_network,
 )
 from topobetti.exactgeom import BoxDomain, centroid, dehomogenize, homogenize, sign
-from topobetti.relunet import AffineLayer, ReluNetwork, compose, eval_scalar
+from topobetti.homology import betti_numbers
+from topobetti.relunet import AffineLayer, NeuronId, ReluNetwork, compose, eval_scalar
 from topobetti.stability import _perturbed
 
 
@@ -188,6 +188,30 @@ class TestAssembly:
             tuple((*p, 1) for p in cell) for cell in zero_cells
         )
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
+        assert complex_digest(sc) == complex_digest(ref)
+
+    def test_output_on_a_constraint_of_both_regions(self):
+        # h₁ = relu(x₁ − 1/2) splits the square at x₁ = 1/2, h₂ = relu(1/2 − x₁)
+        # lies on that line too, and y = h₁ − h₂ = x₁ − 1/2 vanishes on it: the
+        # output's hyperplane bounds both regions and splits neither
+        half = Fraction(1, 2)
+        net = ReluNetwork(
+            (
+                AffineLayer(((1, 0), (-1, 0)), (-half, half)),
+                AffineLayer(((1, -1),), (0,)),
+            )
+        )
+        sc, ref = self._both(net, BoxDomain.unit_cube(2))
+        left, right = sorted(sc.full_cells(), key=lambda c: c.vertices)
+        assert (left.sign_label, right.sign_label) == ("negative", "positive")
+        zero = [c.vertices for c in sc.cells.values() if c.sign_label == "zero"]
+        assert sorted(zero) == [((1, 0, 2),), ((1, 0, 2), (1, 2, 2)), ((1, 2, 2),)]
+        assert linear_region_count(sc) == 1
+        assert betti_numbers(sublevel_subcomplex(sc)).values == (1, 0)
+        # h₂'s hyperplane is the same line, but it only bounds the regions
+        assert [(nid, reason) for nid, _, reason in sc.violations] == [
+            (NeuronId(2, 1), "vertex-on-hyperplane")
+        ] * 2
         assert complex_digest(sc) == complex_digest(ref)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
@@ -380,10 +404,6 @@ class TestSignedAndSublevel:
             expected = sign(eval_scalar(net, c))
             label = {-1: "negative", 0: "zero", 1: "positive"}[expected]
             assert cell.sign_label == label
-
-    def test_sublevel_rejects_unsigned_complexes(self):
-        with pytest.raises(ValueError):
-            sublevel_subcomplex(box_complex(ring_cubes_2d(), 2))
 
     def test_sublevel_of_constant_positive_is_empty(self):
         sc = signed_complex(_constant(1), BoxDomain.unit_cube(2))

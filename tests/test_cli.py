@@ -193,11 +193,20 @@ class TestErrorMessages:
                 ["analyze", "{tmp}/string-row.json"],
                 "malformed layer 0: weights must be a list of lists",
             ),
+            (["analyze", "{tmp}/no-layers.json"], "network needs at least one layer"),
+            (["analyze", "{tmp}/no-chain.json"], "layer dimensions do not chain: 1 -> 2"),
+            (["analyze", "{tmp}/one-input.json", "--predict", "2"],
+             "cutting requires dimension ≥ 2"),
+            (["analyze", "{tmp}/one-input.json", "--box", "0,1,2"],
+             "--box needs 2 rationals for dimension 1"),
+            (["analyze", "{tmp}/three-input.json", "--box", "0,1,0,1"],
+             "--box needs 2 or 6 rationals for dimension 3"),
             (
                 ["build", "--d", "2", "--m", "3", "--w", "1", "-o", "{tmp}/x.json"],
                 "every folding factor must be even and ≥ 2, got 3",
             ),
             (["predict", "--d", "2", "--M", "3", "--w", "1"], "M must be even and ≥ 2"),
+            (["predict", "--d", "2", "--M", "2", "--w", "0"], "cut counts must be ≥ 1"),
             (["bounds", "--arch", "2,3,2"], "scalar output required"),
             (["stability", "{net}", "--delta", "0.5"], "non-canonical rational string: '0.5'"),
             (["oracle", "{net}", "--resolution", "0"], "resolution must be ≥ 1"),
@@ -210,14 +219,26 @@ class TestErrorMessages:
                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
             ),
         ],
-        ids=["box", "string-row", "build", "predict", "bounds", "stability", "oracle",
-             "report-missing", "report-not-json"],
+        ids=["box", "string-row", "no-layers", "no-chain", "predict-d1", "box-count-d1",
+             "box-count-d3", "build", "predict", "predict-zero-width", "bounds", "stability",
+             "oracle", "report-missing", "report-not-json"],
     )
     def test_stderr(self, argv, message, small_net, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{not json")
         # a string row would load as its characters, "1" and "2"
         string_row = '{"layers": [{"weights": ["12"], "bias": ["3"]}]}'
         (tmp_path / "string-row.json").write_text(string_row)
+        (tmp_path / "no-layers.json").write_text('{"layers": []}')
+        # a layer with 1 output feeding a layer with 2 inputs
+        no_chain = (
+            '{"layers": [{"weights": [["1"]], "bias": ["0"]},'
+            ' {"weights": [["1", "1"]], "bias": ["0"]}]}'
+        )
+        (tmp_path / "no-chain.json").write_text(no_chain)
+        one_input = '{"layers": [{"weights": [["1"]], "bias": ["0"]}]}'
+        (tmp_path / "one-input.json").write_text(one_input)
+        three_input = '{"layers": [{"weights": [["1", "1", "1"]], "bias": ["0"]}]}'
+        (tmp_path / "three-input.json").write_text(three_input)
         capsys.readouterr()
         fill = {"net": str(small_net), "tmp": str(tmp_path)}
         assert main([a.format(**fill) for a in argv]) == EXIT_USAGE

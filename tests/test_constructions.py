@@ -188,11 +188,15 @@ class TestPredictions:
     def test_reference_vectors(self, M, w_vec, d, expected):
         assert predict_betti(M, w_vec, d).values == expected
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "M,w_vec,d",
+        [(3, (1,), 2), (4, (1,), 3), (2, (), 1), (4, (0,), 2), (4, (1, -1), 3)],
+        ids=["odd-M", "short-w", "d1", "zero-width", "negative-width"],
+    )
+    def test_validation(self, M, w_vec, d):
+        # no network of the family has these inputs
         with pytest.raises(ValueError):
-            predict_betti(3, (1,), 2)
-        with pytest.raises(ValueError):
-            predict_betti(4, (1,), 3)
+            predict_betti(M, w_vec, d)
 
     def test_euler_characteristic(self):
         assert euler_characteristic(BettiVector((12, 4))) == 8
