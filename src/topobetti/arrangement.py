@@ -35,8 +35,7 @@ reduced (num, den) pairs, are sorted once, and each later axis only among
 the vertices still tied on the earlier ones.  The complex hands out the
 build's own integer data: Cell.vertices holds the build's homogeneous
 points, Cell.affine_map the owning region's reduced integer output map and
-PolyhedralComplex.constraints the hyperplane table's rows.  Fraction appears
-only in the volumes cell_volume sums.
+PolyhedralComplex.constraints the hyperplane table's rows.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import attrgetter, mul
 
-from .exactgeom import BoxDomain, homogenize, matrix_rank, sign
+from .exactgeom import BoxDomain, homogenize, sign
 from .relunet import NeuronId, ReluNetwork
 
 DEFAULT_MAX_CELLS = 2_000_000
@@ -615,116 +613,3 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
                 if ra != rb:
                     parent[ra] = rb
     return len({find(c.id) for c in full})
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det, prev = 1, 1  # det carries the sign of the row swaps
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        p = rows[col][col]
-        for r in range(col + 1, n):
-            a = rows[r][col]
-            rows[r] = [(p * v - a * w) // prev for v, w in zip(rows[r], rows[col])]
-        prev = p
-    return det * prev
-
-
-def cell_volume(complex: PolyhedralComplex, cell_id: int):
-    """Exact volume of a full-dimensional cell via a pulling triangulation.
-
-    Each face is coned from its first vertex over its facets that miss that
-    vertex; the volume is Σ |det| / d! over the resulting simplices.
-    """
-    if complex.cells[cell_id].dim != complex.ambient_dim:
-        raise ValueError("volume is defined for full-dimensional cells")
-    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id)
-
-
-def _cell_volume(cells, faces, d: int, cell_id: int):
-    # each stack entry is a face and the apexes of the faces above it, so a
-    # 0-cell completes one simplex; its vertices' rows (x…, w) have
-    # determinant Π w times that of its edge vectors p − p₀
-    total = Fraction(0)
-    stack = [(cell_id, ())]
-    while stack:
-        cid, apexes = stack.pop()
-        apex = cells[cid].vertices[0]
-        if cells[cid].dim == 0:
-            rows = apexes + (apex,)
-            total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
-            continue
-        stack.extend((f, apexes + (apex,)) for f in faces[cid] if apex not in cells[f].vertices)
-    return total / math.factorial(d)
-
-
-def validate_complex(complex: PolyhedralComplex):
-    """Check complex invariants; returns a list of violation strings."""
-    out = []
-    cells, faces = complex.cells, complex.faces
-    vsets = {cid: set(c.vertices) for cid, c in cells.items()}
-    # the checks below read a vertex (x…, w) as the point x / w, so it must be
-    # in homogenize's form
-    bad = sorted(p for p in set().union(*vsets.values()) if p[-1] <= 0 or math.gcd(*p) != 1)
-    out.extend(f"vertices: {p} is not a point (x…, w) with w > 0 and gcd 1" for p in bad)
-    for cid in cells:
-        if cid not in faces:
-            out.append(f"faces: cell {cid} has no entry")
-    for c, fs in faces.items():
-        if c not in cells:
-            out.append(f"faces: entry for unknown cell {c}")
-            continue
-        if any(a >= b for a, b in zip(fs, fs[1:])):
-            out.append(f"faces: facets of cell {c} are not in increasing id order")
-        for f in fs:
-            if f not in cells:
-                out.append(f"incidence: unknown cell in pair ({f},{c})")
-                continue
-            if cells[c].dim - cells[f].dim != 1:
-                out.append(f"incidence: dim mismatch in pair ({f},{c})")
-            if not vsets[f] < vsets[c]:
-                out.append(f"incidence: vertices of {f} not contained in {c}")
-    below = {}  # cell id -> the points of the 0-cells below it
-    for c in sorted(cells.values(), key=lambda c: c.dim):
-        fs = faces.get(c.id, ())
-        below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else vsets[c.id]
-        if below[c.id] != vsets[c.id]:
-            out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
-    # a vertex is (x…, w) with w > 0: its points' homogeneous rank is their
-    # affine rank + 1, and a constraint row (normal…, offset) dotted with it
-    # is w·(normal·x/w + offset), of the same sign as the constraint's value
-    for cid, c in cells.items():
-        if matrix_rank(c.vertices) != c.dim + 1:
-            out.append(f"dimension: cell {cid} has affine rank != dim")
-        if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
-            out.append(f"face-closure: cell {cid} is missing facets")
-        for hid, s in c.active_constraints:
-            row = complex.constraints[hid]
-            for p in c.vertices:
-                val = sum(map(mul, row, p))
-                if s == 0 and val != 0:
-                    out.append(f"constraint: cell {cid} not tight on constraint {hid}")
-                    break
-                if s != 0 and val * s < 0:
-                    out.append(f"constraint: cell {cid} violates constraint {hid}")
-                    break
-    full = complex.full_cells()
-    if full and not bad:
-        try:
-            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id) for c in full)
-        except (KeyError, ValueError):
-            vol = None
-        if vol is not None:
-            box_vol = complex.box.volume()
-            if vol > box_vol:
-                out.append("interior-overlap: full cells exceed box volume")
-            elif vol < box_vol:
-                out.append("coverage-gap: full cells do not cover the box")
-    return out

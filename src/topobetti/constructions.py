@@ -130,18 +130,6 @@ def _cutting_rows(w: int, d: int):
     return rows, biases, outs
 
 
-def build_cutting_network(w: int, d: int) -> ReluNetwork:
-    """One-hidden-layer network of width w+2 computing g^(w,d)."""
-    if w < 1:
-        raise ValueError("w must be ≥ 1")
-    if d < 1:
-        raise ValueError("dimension must be ≥ 1")
-    rows, biases, outs = _cutting_rows(w, d)
-    hidden = AffineLayer(tuple(rows), tuple(biases))
-    output = AffineLayer((tuple(outs),), (Fraction(0),))
-    return ReluNetwork((hidden, output))
-
-
 def build_carving_network(spec: CuttingSpec) -> ReluNetwork:
     """Sum of cutting networks over nested coordinate projections.
 

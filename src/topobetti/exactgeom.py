@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
 
@@ -58,39 +58,19 @@ def sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def centroid(points: Iterable[Sequence]) -> tuple:
-    pts = list(points)
-    if not pts:
-        raise ValueError("centroid of empty point set")
-    n = Fraction(len(pts))
-    return tuple(sum(p[i] for p in pts) / n for i in range(len(pts[0])))
-
-
-def _clear_row(row: Sequence) -> list:
-    """Scale a rational row to integers (multiply by the lcm of denominators).
-
-    Each entry x = p/q becomes p·(lcm/q), an integer product: no Fraction is
-    formed, and an int (denominator 1) passes through the same expression.
-    """
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def homogenize(point: Sequence) -> tuple:
     """Homogeneous integer coordinates (x_1, …, x_d, w) of a rational point.
 
     The point is x / w with w > 0 and gcd(x_1, …, x_d, w) = 1, so every
     rational point has exactly one such tuple.
     """
-    ints = _clear_row([*point, 1])
+    row = [*point, 1]
+    # each x = p/q becomes p·(lcm/q), an integer product with no Fraction
+    # formed; an int (denominator 1) passes through the same expression
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
-
-
-def dehomogenize(coords: Sequence) -> tuple:
-    """The rational point x / w of homogeneous coordinates (x_1, …, x_d, w)."""
-    w = coords[-1]
-    return tuple(Fraction(x, w) for x in coords[:-1])
 
 
 @dataclass(frozen=True)
@@ -123,12 +103,6 @@ class BoxDomain:
         for choice in itertools.product(*zip(self.lower, self.upper)):
             yield tuple(choice)
 
-    def volume(self):
-        vol = Fraction(1)
-        for lo, up in zip(self.lower, self.upper):
-            vol *= up - lo
-        return vol
-
 
 def sparse_rank(rows) -> int:
     """Exact rank of a sparse integer matrix (rows are dicts col -> nonzero value).
@@ -160,9 +134,3 @@ def sparse_rank(rows) -> int:
             g = math.gcd(*merged.values())
             row = {c: x // g for c, x in merged.items()} if g > 1 else merged
     return len(pivots)
-
-
-def matrix_rank(m: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals: sparse_rank of the rows cleared to integers."""
-    return sparse_rank({j: v for j, v in enumerate(_clear_row(r)) if v} for r in m)
-

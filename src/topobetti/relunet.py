@@ -93,7 +93,7 @@ class ReluNetwork:
 
 @dataclass(frozen=True)
 class NeuronId:
-    """Neuron (index, layer), both 1-based; layer L+1 is the output layer."""
+    """Neuron (layer, index), both 1-based; layer L+1 is the output layer."""
 
     layer: int
     index: int

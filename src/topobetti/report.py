@@ -21,7 +21,9 @@ class AnalysisReport:
     region_count: int
     serra_bound: int
     binomial_bounds: tuple  # per k, betti_upper_bound
-    complement_cell_bounds: tuple  # per k, #(k+1)-cells labeled positive
+    # per k, #(k+1)-cells labeled positive: β_k ≤ this for k ≥ 1 and β₀ ≤ this + 1,
+    # since H̃_k(sublevel set) ≅ H_{k+1}(box, sublevel set) (see verify.reconcile)
+    complement_cell_bounds: tuple
     predicted: Optional[BettiVector]
     euler: int
     euler_cells: int  # alternating cell count of the sublevel subcomplex

@@ -1,13 +1,17 @@
 """Combinatorial / topological stability checks and perturbation harness.
 
-A network is combinatorially stable over a box when the canonical-complex
-construction never routes a pullback hyperplane through a vertex of the region
-it splits and never produces a degenerate (identically zero) pullback;
-topological stability additionally requires the output zero-set to avoid all
-vertices of the final complex.  Stable networks keep the decision-region
-topology under small weight perturbations, which the perturbation harness
-confirms empirically by recomputing exact Betti vectors for seeded rational
-perturbations of all parameters.
+The arrangement build (arrangement._Builder.run) records a stability event,
+keyed by neuron, on each region where a hidden neuron's pullback hyperplane
+splits the region through one of its vertices ("vertex-on-hyperplane"), and
+on each region where any neuron's pullback is identically zero
+("degenerate-pullback").  The output neuron records "vertex-on-hyperplane"
+wherever its zero-set passes through a vertex of a final region, whether or
+not it splits it.  A network is combinatorially stable over a box when no
+hidden neuron records an event, and topologically stable when no neuron does.
+Stable networks keep the decision-region topology under small weight
+perturbations, which the perturbation harness confirms empirically by
+recomputing exact Betti vectors for seeded rational perturbations of all
+parameters.
 """
 
 from __future__ import annotations
@@ -63,14 +67,11 @@ def _classify(net: ReluNetwork, violations) -> StabilityReport:
 
 
 def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
-    """Build the canonical complex's regions and classify the build's events.
+    """Split the box into the network's regions and classify the build's events.
 
-    Hidden neurons violate stability when their pullback hyperplane passes
-    through a vertex of a region it properly splits, or when their pullback is
-    identically zero on a region; supporting hyperplanes that merely touch a
-    region's boundary do not count, since they do not split anything.  The
-    output neuron's zero-set must avoid every vertex of the final complex.
-    The face lattice is not assembled.
+    _Builder.run records the events the module docstring lists; a hidden
+    neuron's hyperplane that only touches a region's boundary records none,
+    since it splits nothing.  The face lattice is not assembled.
     """
     b = _Builder(net, box)
     b.run()

@@ -265,6 +265,16 @@ def reconcile(report: AnalysisReport) -> Reconciliation:
 
     Disagreements are reported with all values present, never silently
     resolved.
+
+    The complement bound.  The box K is a complex and the sublevel set X a
+    subcomplex whose complement is the positive cells, so H_{k+1}(K, X) has
+    rank at most the number of positive (k+1)-cells.  For non-empty X, since
+    K is contractible, the pair's reduced sequence
+    H̃_{k+1}(K) = 0 → H_{k+1}(K, X) → H̃_k(X) → H̃_k(K) = 0 makes
+    H̃_k(X) ≅ H_{k+1}(K, X).  So β_k ≤ that count for k ≥ 1, and
+    β₀ = rank H̃₀(X) + 1 ≤ the count + 1; an empty X has β = 0.  With no
+    positive cell, X is the whole box: β₀ = 1 against a count of 0.  The
+    report keeps the raw count.
     """
     betti = report.betti.values
     predicted = None if report.predicted is None else report.predicted.values
@@ -281,7 +291,8 @@ def reconcile(report: AnalysisReport) -> Reconciliation:
             b <= bound for b, bound in zip(betti, report.binomial_bounds)
         ),
         complement_ok=tuple(
-            b <= bound for b, bound in zip(betti, report.complement_cell_bounds)
+            b <= bound + (k == 0)
+            for k, (b, bound) in enumerate(zip(betti, report.complement_cell_bounds))
         ),
         euler_ok=report.euler == report.euler_cells,
     )

@@ -31,7 +31,8 @@ from topobetti.arrangement import (
     _label,
     _order_points,
 )
-from topobetti.exactgeom import BoxDomain, dehomogenize, matrix_rank, sparse_rank
+from oracles import dehomogenize, matrix_rank
+from topobetti.exactgeom import BoxDomain, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.verify import SignGrid

@@ -74,6 +74,15 @@ class TestAnalyze:
         out = _last_json(capsys)
         assert out["reconciliation"]["all_agree"] is False
 
+    def test_sublevel_set_that_is_the_whole_box_agrees(self, tmp_path, capsys):
+        # x₁ + x₂ − 3 < 0 on the unit square: no cell is positive, and β₀ = 1
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({"layers": [{"weights": [["1", "1"]], "bias": ["-3"]}]}))
+        assert main(["analyze", str(path)]) == EXIT_OK
+        out = _last_json(capsys)
+        assert out["betti"] == [1, 0] and out["complement_cell_bounds"] == [0, 0]
+        assert out["reconciliation"]["complement_ok"] == [True, True]
+
     def test_missing_file_exits_one(self):
         assert main(["analyze", "/nonexistent/net.json"]) == EXIT_USAGE
 

@@ -5,13 +5,13 @@ from itertools import product
 import pytest
 
 from helpers import folding_closed_form, random_point_in_cube
+from oracles import build_cutting_network
 from topobetti.constructions import (
     BettiVector,
     CuttingSpec,
     FoldingSpec,
     betti_upper_bound,
     build_carving_network,
-    build_cutting_network,
     build_folding_network,
     build_topo_network,
     closure_offset,

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import box_volume, centroid, dehomogenize, matrix_rank
 from topobetti.arrangement import _Builder, _primitive
 from topobetti.exactgeom import (
     BoxDomain,
-    centroid,
-    dehomogenize,
     format_rational,
     homogenize,
-    matrix_rank,
     parse_rational,
     sign,
     sparse_rank,
@@ -122,7 +120,7 @@ class TestBoxDomain:
     def test_unit_cube(self):
         box = BoxDomain.unit_cube(3)
         assert box.dimension == 3
-        assert box.volume() == 1
+        assert box_volume(box) == 1
         assert len(list(box.corners())) == 8
 
     def test_invalid_bounds(self):
@@ -145,7 +143,7 @@ class TestBoxDomain:
 
     def test_volume(self):
         box = BoxDomain((Fraction(0), Fraction(-1, 2)), (Fraction(1, 3), Fraction(1)))
-        assert box.volume() == Fraction(1, 2)
+        assert box_volume(box) == Fraction(1, 2)
 
 
 def _naive_rank(rows):

@@ -14,7 +14,8 @@ import pytest
 
 from conftest import REFERENCE_INSTANCES
 from topobetti import homology
-from topobetti.arrangement import ComplexSizeError, signed_complex, validate_complex
+from oracles import validate_complex
+from topobetti.arrangement import ComplexSizeError, signed_complex
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.stability import perturbation_test

@@ -1,5 +1,6 @@
-"""Every name a topobetti module imports is used in that module, and every
-public function, class or method has a caller outside the tests."""
+"""Every name a topobetti or test module imports is used in that module, and
+every public function, class or method of topobetti has a caller outside the
+tests."""
 
 import ast
 from collections import Counter
@@ -11,20 +12,7 @@ import topobetti
 
 PACKAGE = Path(topobetti.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
-
-# Public names kept with no program caller, because tests use them as
-# independent references.
-ORACLES = (
-    ("validate_complex", "checks every complex the arrangement builds"),
-    ("build_cutting_network", "the reference the carving network is tested against"),
-    ("centroid", "the Fraction centroid the sign-label test evaluates the network at"),
-    ("cell_volume", "the exact volume of one cell, which the volume tests check cells against"),
-    (
-        "dehomogenize",
-        "the Fraction point of a cell's integer vertex: the builder's vertex order is"
-        " tested against it, and complex_digest hashes it as the digests were recorded",
-    ),
-)
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list:
@@ -41,7 +29,9 @@ def _unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]), ids=lambda p: p.name
+)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -118,11 +108,7 @@ def _uncalled(modules: dict, callers: list) -> list:
 def test_public_api_has_a_caller():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
-    oracles = {name for name, _ in ORACLES}
-    uncalled = _uncalled(modules, callers)
-    assert [n for n in uncalled if n.split(".", 1)[1] not in oracles] == []
-    # an oracle that gains a caller leaves the list
-    assert sorted(oracles) == sorted(n.split(".", 1)[1] for n in uncalled)
+    assert _uncalled(modules, callers) == []
 
 
 def test_scan_finds_an_uncalled_name():

@@ -17,24 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import network_and_box, networks, weights
-from topobetti.arrangement import (
-    _assemble,
-    _Builder,
-    _order_points,
-    _primitive,
-    signed_complex,
-    validate_complex,
-)
+from oracles import centroid, dehomogenize, matrix_rank, validate_complex
+from topobetti.arrangement import _assemble, _Builder, _order_points, _primitive, signed_complex
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
-from topobetti.exactgeom import (
-    BoxDomain,
-    centroid,
-    dehomogenize,
-    homogenize,
-    matrix_rank,
-    sign,
-    vdot,
-)
+from topobetti.exactgeom import BoxDomain, homogenize, sign, vdot
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
 from topobetti.stability import _perturbed
 

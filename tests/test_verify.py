@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,7 @@ from topobetti.constructions import (
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_scalar
-from helpers import reference_grid_beta0
+from helpers import network_and_box, reference_grid_beta0
 from topobetti import verify
 from topobetti.verify import (
     _BLOCK,
@@ -496,6 +496,15 @@ class TestReconcile:
         assert not rec.euler_ok
         assert not rec.all_agree
         assert rec.to_json()["euler_ok"] is False
+
+    @given(network_and_box())
+    @example((ReluNetwork((AffineLayer(((1, 1),), (-3,)),)), BoxDomain.unit_cube(2)))
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_hold_on_random_networks(self, case):
+        # with no positive cell the sublevel set is the whole box: β₀ = 1 and
+        # complement_cell_bounds[0] = 0, which only the k = 0 allowance admits
+        rec = reconcile(analyze_network(*case))
+        assert all(rec.complement_ok) and rec.euler_ok
 
 
 class TestDumps:
