@@ -23,18 +23,21 @@ composed into each region's map; only the hidden layers apply the ReLU.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  The assembly walks each
 region's faces down from those sets and does each face's bookkeeping once,
-when it first reaches it: its constraint signs, and its label, the output's
-sign on the owning region or "zero" when all the face's vertices lie on the
-output's hyperplane.  Edges expand straight to their two vertices, each
-0-cell takes its data from the first region that holds it, and faces are
-deduplicated by their vertex sets, so the construction is deterministic.
+when it first reaches it: its label, the output's sign on the owning region
+or "zero" when all the face's vertices lie on the output's hyperplane.  Every
+cell of a region shares the region's sorted constraint table and output map,
+and no face's zero signs are computed.  Edges expand straight to their two
+vertices, each 0-cell takes its data from the first region that holds it,
+and faces are deduplicated by their vertex sets, so the construction is
+deterministic.
 
 A split's hyperplane is interned by its primitive row (normal…, offset).
 Vertices are ordered by integer ranks: the first axis's distinct values, as
 reduced (num, den) pairs, are sorted once, and each later axis only among
 the vertices still tied on the earlier ones.  The complex hands out the
 build's own integer data: Cell.vertices holds the build's homogeneous
-points, Cell.affine_map the owning region's reduced integer output map and
+points, Cell.owner_constraints and Cell.affine_map the owning region's
+constraint table and reduced integer output map, and
 PolyhedralComplex.constraints the hyperplane table's rows.
 """
 
@@ -90,15 +93,18 @@ def _max_cells() -> int:
     return val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A closed polyhedron of the complex, identified by its vertex set.
 
     vertices are homogeneous integer points (x_1, …, x_d, w), the point
     x / w with w > 0 and gcd 1 (see exactgeom.homogenize), in lexicographic
-    order of the points.  active_constraints lists (constraint-id, sign)
-    pairs over the complex's hyperplane table; sign 0 marks constraints the
-    cell satisfies with equality.  affine_map = (cols, consts, den) is the
+    order of the points.  owner_constraints is the owning region's table:
+    its (constraint-id, sign) pairs over the complex's hyperplane table in
+    increasing id order, with the region ⊆ {sign·row·(x, 1) ≥ 0} for each,
+    one tuple object that every cell of the region shares.  A cell lies on
+    those of its owner's constraints that vanish at all its vertices; no
+    sign of 0 is recorded for them.  affine_map = (cols, consts, den) is the
     network's output on the cell's owning region, x -> (Σ_t x_t·cols[t][0]
     + consts[0]) / den: d integer columns of length 1 (the output is
     scalar), one integer constant and den > 0, with gcd 1 over all the
@@ -110,7 +116,7 @@ class Cell:
     id: int
     dim: int
     vertices: tuple
-    active_constraints: tuple
+    owner_constraints: tuple
     affine_map: tuple
     sign_label: str
 
@@ -129,7 +135,7 @@ class PolyhedralComplex:
     faces: dict  # cell id -> its facets' ids
     ambient_dim: int
     box: BoxDomain
-    # the hyperplane table that active_constraints refer to: primitive integer
+    # the hyperplane table that owner_constraints refer to: primitive integer
     # rows (normal…, offset) of the hyperplanes normal·x + offset = 0
     constraints: tuple
     violations: tuple
@@ -442,19 +448,20 @@ def _order_points(coords):
 
 
 def _assemble(b: _Builder) -> PolyhedralComplex:
-    """The face lattice of the build's regions, with each cell's signs and label.
+    """The face lattice of the build's regions, with each cell's table and label.
 
     A face's owner is the first region, in build order, that holds it; the
-    face takes its constraint signs, affine map and label from the owner.
-    The walk does each face's bookkeeping once, when it first reaches it.
-    A face of dimension ≥ 2 finds its facets among its tight sets, which it
-    intersects down from its coface's, and the walk records them.  An edge's
-    facets are its two vertices, so edges are expanded straight to them.
-    After a region's walk, each of its vertices that no earlier region holds
-    takes its zero signs from the vertex's incidence set.  A split hands
-    every vertex of its region, and every new one, to a child, so every
-    vertex the build made is a 0-cell; and distinct regions are distinct
-    polytopes, so each region is one full cell.
+    face shares the owner's sorted constraint table and affine map, and
+    takes its label from the owner.  The walk does each face's bookkeeping
+    once, when it first reaches it.  A face of dimension ≥ 2 finds its
+    facets among its tight sets, which it intersects down from its coface's,
+    and the walk records them.  An edge's facets are its two vertices, so
+    edges are expanded straight to them.  After a region's walk, each of its
+    vertices that no earlier region holds takes the region's data, and the
+    cell count so far is checked against the cap.  A split hands every
+    vertex of its region, and every new one, to a child, so every vertex the
+    build made is a 0-cell; and distinct regions are distinct polytopes, so
+    each region is one full cell.
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
@@ -469,32 +476,28 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     for x, v in enumerate(order):
         rank[v] = x
     points = list(map(coords.__getitem__, order))
-    vertex_data = [None] * len(coords)  # rank -> (active constraints, affine map, label)
+    vertex_data = [None] * len(coords)  # rank -> (owner's table, affine map, label)
     limit = cap - len(coords)  # for the faces of dimension ≥ 1
-    if limit < 0:
-        raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
     # faces of dimension ≥ 1 by discovery index
     index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> discovery index
-    found = []  # discovery index -> (vertex ids, active constraints, affine map, label)
+    found = []  # discovery index -> (vertex ids, owner's table, affine map, label)
     by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
     below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
     for r in regions:
-        constraints = r.constraints
-        items = sorted(constraints.items())
-        at = {hid: x for x, (hid, _) in enumerate(items)}  # hid -> its place in items
+        table = tuple(sorted(r.constraints.items()))
         _, _, out_sign, out_hid = r.activations[0]
         affine_map, label = r.affine, _label(out_sign)
         # the owner's vertices on the output's hyperplane
         touched = {v for v in r.vertices if out_hid in incidence[v]}
         i = len(found)
-        found.append((r.vertices, tuple(items), affine_map, label))
+        found.append((r.vertices, table, affine_map, label))
         by_dim[d].append(i)
-        # a face to expand: its index and dimension, the hids it lies on, and
-        # for each other hid that meets it, its vertices on that hid.  Those
-        # sets hold the face's facets, and _facets picks them out.
-        stack = [(i, d, set(), r.tight)] if d > 1 else []
+        # a face to expand: its index and dimension, and for each hid that
+        # meets it without holding it, its vertices on that hid.  Those sets
+        # hold the face's facets, and _facets picks them out.
+        stack = [(i, d, r.tight)] if d > 1 else []
         while stack:
-            i, dim, on, tight = stack.pop()
+            i, dim, tight = stack.pop()
             k = dim - 1
             its_facets = below[i] = []
             for group in _facets(tight, k).values():
@@ -502,37 +505,22 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
                 j = index.get(sub)
                 if j is None:
                     j = index[sub] = len(found)
-                    if j >= limit:
-                        raise ComplexSizeError(
-                            f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
-                        )
-                    if k == 1:
-                        u, v = sub
-                        sub_on = constraints.keys() & incidence[u] & incidence[v]
-                    else:
-                        sub_on, sub_tight = on.copy(), {}
-                        for hid, other in tight.items():
-                            meet = other & sub
-                            if len(meet) == len(sub):
-                                sub_on.add(hid)
-                            elif meet:
-                                sub_tight[hid] = meet
-                        stack.append((j, k, sub_on, sub_tight))
-                    active = items.copy()
-                    for hid in sub_on:
-                        active[at[hid]] = (hid, 0)
-                    found.append(
-                        (sub, tuple(active), affine_map, "zero" if sub <= touched else label)
-                    )
+                    if k > 1:
+                        sub_tight = {
+                            hid: meet
+                            for hid, other in tight.items()
+                            if 0 < len(meet := other & sub) < len(sub)
+                        }
+                        stack.append((j, k, sub_tight))
+                    found.append((sub, table, affine_map, "zero" if sub <= touched else label))
                     by_dim[k].append(j)
                 its_facets.append(j)
         for v in r.vertices:
             x = rank[v]
             if vertex_data[x] is None:
-                active = items.copy()
-                for hid in constraints.keys() & incidence[v]:
-                    active[at[hid]] = (hid, 0)
-                vertex_data[x] = (tuple(active), affine_map, "zero" if v in touched else label)
+                vertex_data[x] = (table, affine_map, "zero" if v in touched else label)
+        if len(found) > limit:
+            raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
@@ -540,8 +528,8 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     # facets have ids when it is made.  The face map and the cell table share
     # each cell's id object, so their lookups match by identity first.
     cells = [
-        Cell(x, 0, (point,), active, affine_map, label)
-        for x, (point, (active, affine_map, label)) in enumerate(zip(points, vertex_data))
+        Cell(x, 0, (point,), table, affine_map, label)
+        for x, (point, (table, affine_map, label)) in enumerate(zip(points, vertex_data))
     ]
     facets = [()] * len(cells)  # cell id -> its facets' ids
     ids = [0] * len(found)  # discovery index -> cell id
@@ -551,9 +539,9 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
         for x in sorted(range(len(bucket)), key=ranked.__getitem__):
             i = bucket[x]
             ids[i] = cid = len(cells)
-            _, active, affine_map, label = found[i]
+            _, table, affine_map, label = found[i]
             vertices = tuple(map(points.__getitem__, ranked[x]))
-            cells.append(Cell(cid, dim, vertices, active, affine_map, label))
+            cells.append(Cell(cid, dim, vertices, table, affine_map, label))
             if dim == 1:
                 # an edge's facets are its vertices, whose ids are their ranks
                 facets.append(tuple(cells[y].id for y in ranked[x]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .arrangement import _Builder
+from .arrangement import _Builder, _gc_paused
 from .exactgeom import BoxDomain, format_rational
 from .relunet import AffineLayer, ReluNetwork
 
@@ -71,10 +71,12 @@ def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
 
     _Builder.run records the events the module docstring lists; a hidden
     neuron's hyperplane that only touches a region's boundary records none,
-    since it splits nothing.  The face lattice is not assembled.
+    since it splits nothing.  The face lattice is not assembled.  The
+    collector is paused around the build, as signed_complex pauses it.
     """
-    b = _Builder(net, box)
-    b.run()
+    with _gc_paused():
+        b = _Builder(net, box)
+        b.run()
     return _classify(net, b.violations)
 
 

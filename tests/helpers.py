@@ -31,7 +31,7 @@ from topobetti.arrangement import (
     _label,
     _order_points,
 )
-from oracles import dehomogenize, matrix_rank
+from oracles import active_constraints, dehomogenize, matrix_rank
 from topobetti.exactgeom import BoxDomain, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
@@ -69,7 +69,7 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
             id=ids[verts],
             dim=dim,
             vertices=tuple((*p, 1) for p in verts),
-            active_constraints=(),
+            owner_constraints=(),
             affine_map=zero_map,
             sign_label="negative",
         )
@@ -241,8 +241,9 @@ def complex_digest(sc) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
     cells is the sorted list of (id, dim, vertices, active constraints,
-    affine map, label) tuples, and face pairs the sorted list of (face id,
-    coface id) pairs of the face map.  Vertices enter as tuples of Fractions,
+    affine map, label) tuples, with the active constraints rebuilt from the
+    owner's table by oracles.active_constraints, and face pairs the sorted
+    list of (face id, coface id) pairs of the face map.  Vertices enter as tuples of Fractions,
     affine maps as ((grad…,), (const,)) in Fractions and constraints as
     Hyperplanes, the forms the digests were recorded in.
     The repr is fed to the hash piece by piece, so the whole string is never
@@ -266,7 +267,7 @@ def complex_digest(sc) -> str:
             cid,
             c.dim,
             tuple(map(points.__getitem__, c.vertices)),
-            c.active_constraints,
+            active_constraints(sc, c),
             maps[c.affine_map],
             c.sign_label,
         )
@@ -279,32 +280,32 @@ def complex_digest(sc) -> str:
 
 
 def reference_assemble(b) -> PolyhedralComplex:
-    """The face lattice of the build's regions, with each cell's signs and label.
+    """The face lattice of the build's regions, with each cell's table and label.
 
     A face's owner is the first region, in build order, that holds it; the
-    face takes its constraint signs, affine map and label from the owner.
+    face takes its constraint table, affine map and label from the owner.
     """
     regions, box, cap = b.regions, b.box, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
     index = {}  # frozenset(vertex ids) -> discovery index
-    found = []  # discovery index -> (vertex ids, dim, owner, active constraints)
+    found = []  # discovery index -> (vertex ids, dim, owner, owner's table)
     incid = set()  # (face index, coface index)
     for r in regions:
         key = frozenset(r.vertices)
         if key in index:
             continue
-        items = sorted(r.constraints.items())
+        table = tuple(sorted(r.constraints.items()))
         index[key] = len(found)
-        found.append((key, d, r, tuple(items)))
-        # a face to expand: its index and dimension, the hids it lies on, and
-        # for each other hid that meets it, its vertices on that hid.  A facet
-        # of the face is a set among those whose points have affine rank
-        # dim − 1 (homogeneous rank dim), and its own sets are these sets
-        # intersected with it.
-        stack = [(index[key], d, frozenset(), r.tight)]
+        found.append((key, d, r, table))
+        # a face to expand: its index and dimension, and for each hid that
+        # meets it without holding it, its vertices on that hid.  A facet of
+        # the face is a set among those whose points have affine rank dim − 1
+        # (homogeneous rank dim), and its own sets are these sets intersected
+        # with it.
+        stack = [(index[key], d, r.tight)]
         while stack:
-            i, dim, on, tight = stack.pop()
+            i, dim, tight = stack.pop()
             for group in tight.values():
                 if len(group) < dim or matrix_rank([coords[v] for v in group]) < dim:
                     continue
@@ -316,17 +317,14 @@ def reference_assemble(b) -> PolyhedralComplex:
                         raise ComplexSizeError(
                             f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
                         )
-                    sub_on, sub_tight = set(on), {}
-                    for hid, other in tight.items():
-                        meet = other & sub
-                        if len(meet) == len(sub):
-                            sub_on.add(hid)
-                        elif meet:
-                            sub_tight[hid] = meet
-                    active = tuple((hid, 0 if hid in sub_on else s) for hid, s in items)
-                    found.append((sub, dim - 1, r, active))
+                    found.append((sub, dim - 1, r, table))
                     if dim > 1:
-                        stack.append((j, dim - 1, sub_on, sub_tight))
+                        sub_tight = {}
+                        for hid, other in tight.items():
+                            meet = other & sub
+                            if meet and len(meet) < len(sub):
+                                sub_tight[hid] = meet
+                        stack.append((j, dim - 1, sub_tight))
                 incid.add((j, i))
 
     # cells, and the vertices within each, are ordered by their rational points
@@ -340,7 +338,7 @@ def reference_assemble(b) -> PolyhedralComplex:
     cells = {}
     for cid, i in enumerate(order):
         ids[i] = cid
-        key, dim, owner, active = found[i]
+        key, dim, owner, table = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
         _, _, out_sign, out_hid = owner.activations[0]
@@ -349,7 +347,7 @@ def reference_assemble(b) -> PolyhedralComplex:
             id=cid,
             dim=dim,
             vertices=tuple(points[x] for x in ranked[i]),
-            active_constraints=active,
+            owner_constraints=table,
             affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
         )

@@ -11,13 +11,15 @@ over into its check.
   not in that form. It then checks the face map (an entry for every cell
   and none for an unknown id, facets one dimension down, contained and in
   increasing id order), that each cell lists exactly the 0-cells below it,
-  each cell's dimension, its facet count, and every constraint's sign as an
-  integer dot product of the row (normal…, offset) with a vertex: with w > 0
-  that is w·(normal·x/w + offset), of the same sign as the constraint's
-  value. A cell's dimension is checked as the rank of its homogeneous
-  vertices, which with w > 0 is the affine rank plus 1, by sparse_rank on
-  the integer vertices directly. Last, the full cells' volumes must sum to
-  the box's: more means two cells overlap, less that the box is not covered.
+  each cell's dimension, its facet count, and that each sign in the cell's
+  owner's table is ±1 and the cell lies in that half-space. A constraint's
+  sign at a vertex is an integer dot product of the row (normal…, offset)
+  with the vertex: with w > 0 that is w·(normal·x/w + offset), of the same
+  sign as the constraint's value. A cell's dimension is checked as the rank
+  of its homogeneous vertices, which with w > 0 is the affine rank plus 1,
+  by sparse_rank on the integer vertices directly. Last, the full cells'
+  volumes must sum to the box's: more means two cells overlap, less that the
+  box is not covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
   coned from its first vertex over its facets that miss that vertex. A
   simplex's rows (x…, w) of homogeneous integer coordinates have Π w times
@@ -26,6 +28,10 @@ over into its check.
   walks the faces with an explicit stack, so validate_complex, which sums
   every full cell's volume this way, leaves no reference cycles behind.
   These volumes are the one place a complex's check forms Fractions.
+- active_constraints gives a cell's owner's (constraint-id, sign) pairs with
+  the sign set to 0 on each constraint whose row vanishes at every vertex of
+  the cell, by the same integer dot products: the constraints the cell
+  satisfies with equality, which the complex does not record.
 - matrix_rank is sparse_rank on rational rows, each cleared to integers as
   homogenize(r)[:-1], a positive multiple of r, so the rank is the same.
 - dehomogenize gives the Fraction point of a homogeneous vertex, centroid the
@@ -63,6 +69,15 @@ def dehomogenize(coords: Sequence) -> tuple:
 
 def box_volume(box: BoxDomain):
     return math.prod((up - lo for lo, up in zip(box.lower, box.upper)), start=Fraction(1))
+
+
+def active_constraints(complex: PolyhedralComplex, cell) -> tuple:
+    """The cell's owner's (constraint-id, sign) pairs, with sign 0 where the cell is tight."""
+    rows = complex.constraints
+    return tuple(
+        (hid, 0 if all(sum(map(mul, rows[hid], p)) == 0 for p in cell.vertices) else s)
+        for hid, s in cell.owner_constraints
+    )
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:
@@ -170,16 +185,14 @@ def validate_complex(complex: PolyhedralComplex):
             out.append(f"dimension: cell {cid} has affine rank != dim")
         if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
-        for hid, s in c.active_constraints:
+        # the owner is full-dimensional, so it lies strictly on one side of
+        # each of its constraints
+        for hid, s in c.owner_constraints:
             row = complex.constraints[hid]
-            for p in c.vertices:
-                val = sum(map(mul, row, p))
-                if s == 0 and val != 0:
-                    out.append(f"constraint: cell {cid} not tight on constraint {hid}")
-                    break
-                if s != 0 and val * s < 0:
-                    out.append(f"constraint: cell {cid} violates constraint {hid}")
-                    break
+            if s not in (-1, 1):
+                out.append(f"constraint: cell {cid} has sign {s} on constraint {hid}")
+            elif any(sum(map(mul, row, p)) * s < 0 for p in c.vertices):
+                out.append(f"constraint: cell {cid} violates constraint {hid}")
     full = complex.full_cells()
     if full and not bad:
         try:

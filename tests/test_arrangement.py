@@ -115,6 +115,24 @@ class TestCanonicalComplex:
         with pytest.raises(ComplexSizeError):
             signed_complex(_constant(1), BoxDomain.unit_cube(2))
 
+    @pytest.mark.parametrize("cap", range(1, 10))
+    def test_cell_cap_in_one_dimension(self, cap, monkeypatch):
+        # y = relu(x − 1/3) + relu(x − 2/3) − 1/10 has 5 vertices and 4 edges
+        # on [0, 1]; d = 1 has no walk below the full cells, which the cap
+        # must count too
+        net = ReluNetwork(
+            (
+                AffineLayer(((1,), (1,)), (Fraction(-1, 3), Fraction(-2, 3))),
+                AffineLayer(((1, 1),), (Fraction(-1, 10),)),
+            )
+        )
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", str(cap))
+        if cap < 9:
+            with pytest.raises(ComplexSizeError):
+                signed_complex(net, BoxDomain.unit_cube(1))
+        else:
+            assert len(signed_complex(net, BoxDomain.unit_cube(1)).cells) == 9
+
     def test_non_scalar_output_rejected(self):
         with pytest.raises(ValueError):
             signed_complex(build_folding_layer(2, 2), BoxDomain.unit_cube(2))
@@ -211,6 +229,15 @@ class TestAssembly:
             (NeuronId(2, 1), "vertex-on-hyperplane")
         ] * 2
         assert complex_digest(sc) == complex_digest(ref)
+
+    def test_cells_share_their_owners_tables(self, reference_networks):
+        # one table per region, the full cell's, which each face it owns holds
+        net, fold, _, _ = reference_networks["d3-M4-w11"]
+        sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
+        tables = {id(c.owner_constraints): c.owner_constraints for c in sc.full_cells()}
+        assert len(tables) == len(sc.full_cells())
+        for c in sc.cells.values():
+            assert tables.get(id(c.owner_constraints)) is c.owner_constraints
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_a_facet_reached_twice_is_listed_once(self, d):
@@ -314,9 +341,9 @@ class TestValidateComplex:
         sc = signed_complex(_tent(2, d=2), box)
         assert validate_complex(sc) == []
         for cell in sc.full_cells():
-            (hid, s), *others = cell.active_constraints
-            for wrong, reason in ((-s, "violates"), (0, "not tight on")):
-                moved = replace(cell, active_constraints=((hid, wrong), *others))
+            (hid, s), *others = cell.owner_constraints
+            for wrong, reason in ((-s, "violates"), (0, "has sign 0 on")):
+                moved = replace(cell, owner_constraints=((hid, wrong), *others))
                 broken = replace(sc, cells={**sc.cells, cell.id: moved})
                 assert validate_complex(broken) == [
                     f"constraint: cell {cell.id} {reason} constraint {hid}"

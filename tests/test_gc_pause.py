@@ -1,9 +1,9 @@
 """The cyclic garbage collector around the exact pipeline.
 
-signed_complex, betti_numbers and analyze_network pause the collector, since
-the build and the homology make no reference cycles.  These tests check both
-halves of that: nothing they leave behind needs the collector, and the
-collector's previous state comes back however they exit.  validate_complex
+signed_complex, check_stability, betti_numbers and analyze_network pause the
+collector, since the build and the homology make no reference cycles.  These
+tests check both halves of that: nothing they leave behind needs the
+collector, and the collector's previous state comes back however they exit.  validate_complex
 does not pause the collector, but makes no reference cycles either.
 """
 
@@ -15,10 +15,10 @@ import pytest
 from conftest import REFERENCE_INSTANCES
 from topobetti import homology
 from oracles import validate_complex
-from topobetti.arrangement import ComplexSizeError, signed_complex
+from topobetti.arrangement import ComplexSizeError, _Builder, signed_complex
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
-from topobetti.stability import perturbation_test
+from topobetti.stability import check_stability, perturbation_test
 
 
 @pytest.fixture
@@ -39,6 +39,8 @@ def test_analysis_leaves_no_cycles(name, reference_networks, collector_off):
     assert gc.collect() == 0
     perturbation_test(net, BoxDomain.unit_cube(fold.d), Fraction(1, 10**6), trials=1, seed=0)
     assert gc.collect() == 0
+    check_stability(net, BoxDomain.unit_cube(fold.d))
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
@@ -47,6 +49,22 @@ def test_validation_leaves_no_cycles(name, reference_networks, collector_off):
     sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
     assert validate_complex(sc) == []
     assert gc.collect() == 0
+
+
+def test_stability_check_pauses_the_collector(reference_networks, monkeypatch):
+    seen = []
+    real = _Builder.run
+
+    def recording(self):
+        seen.append(gc.isenabled())
+        return real(self)
+
+    monkeypatch.setattr(_Builder, "run", recording)
+    net, fold, _, _ = reference_networks["d2-M4-w3"]
+    assert gc.isenabled()
+    check_stability(net, BoxDomain.unit_cube(fold.d))
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_collector_is_restored_after_a_size_error(reference_networks, monkeypatch):

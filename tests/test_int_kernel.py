@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import network_and_box, networks, weights
-from oracles import centroid, dehomogenize, matrix_rank, validate_complex
+from oracles import active_constraints, centroid, dehomogenize, matrix_rank, validate_complex
 from topobetti.arrangement import _assemble, _Builder, _order_points, _primitive, signed_complex
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain, homogenize, sign, vdot
@@ -46,9 +46,14 @@ def _check_kernel_invariants(net, box):
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
         points = [dehomogenize(v) for v in cell.vertices]
-        for hid, s in cell.active_constraints:
+        # the owner's table, and the signs the oracle rebuilds from it, against
+        # each constraint evaluated at each Fraction point
+        tight = dict(active_constraints(sc, cell))
+        for hid, s in cell.owner_constraints:
             *normal, offset = sc.constraints[hid]
-            assert (s == 0) == all(vdot(normal, v) + offset == 0 for v in points)
+            values = [vdot(normal, v) + offset for v in points]
+            assert s in (-1, 1) and all(s * value >= 0 for value in values)
+            assert (tight[hid] == 0) == all(value == 0 for value in values)
         # the builder reads labels from vertex signs, which is exact only if
         # the output has one sign on every cell
         assert cell.sign_label == labels[sign(eval_scalar(net, centroid(points)))]
@@ -118,7 +123,7 @@ class TestRandomNetworks:
         assert regions and cells
         # such a region or cell keeps no nonzero sign on x1 = 0
         assert all(r.constraints.get(hid, 0) == 0 for r in regions)
-        assert all(s == 0 for c in cells for k, s in c.active_constraints if k == hid)
+        assert all(s == 0 for c in cells for k, s in active_constraints(sc, c) if k == hid)
 
     @given(network_and_box())
     @settings(max_examples=30, deadline=None)
