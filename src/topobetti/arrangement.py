@@ -456,12 +456,13 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     once, when it first reaches it.  A face of dimension ≥ 2 finds its
     facets among its tight sets, which it intersects down from its coface's,
     and the walk records them.  An edge's facets are its two vertices, so
-    edges are expanded straight to them.  After a region's walk, each of its
-    vertices that no earlier region holds takes the region's data, and the
-    cell count so far is checked against the cap.  A split hands every
-    vertex of its region, and every new one, to a child, so every vertex the
-    build made is a 0-cell; and distinct regions are distinct polytopes, so
-    each region is one full cell.
+    edges are expanded straight to them.  The cap is checked as each new
+    face, full cells included, is found, so an oversized lattice stops
+    part-way through a walk.  After a region's walk, each of its vertices
+    that no earlier region holds takes the region's data.  A split hands
+    every vertex of its region, and every new one, to a child, so every
+    vertex the build made is a 0-cell; and distinct regions are distinct
+    polytopes, so each region is one full cell.
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
@@ -478,6 +479,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     points = list(map(coords.__getitem__, order))
     vertex_data = [None] * len(coords)  # rank -> (owner's table, affine map, label)
     limit = cap - len(coords)  # for the faces of dimension ≥ 1
+    overflow = f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
     # faces of dimension ≥ 1 by discovery index
     index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> discovery index
     found = []  # discovery index -> (vertex ids, owner's table, affine map, label)
@@ -490,6 +492,8 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
         # the owner's vertices on the output's hyperplane
         touched = {v for v in r.vertices if out_hid in incidence[v]}
         i = len(found)
+        if i >= limit:
+            raise ComplexSizeError(overflow)
         found.append((r.vertices, table, affine_map, label))
         by_dim[d].append(i)
         # a face to expand: its index and dimension, and for each hid that
@@ -505,6 +509,8 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
                 j = index.get(sub)
                 if j is None:
                     j = index[sub] = len(found)
+                    if j >= limit:
+                        raise ComplexSizeError(overflow)
                     if k > 1:
                         sub_tight = {
                             hid: meet
@@ -519,8 +525,6 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
             x = rank[v]
             if vertex_data[x] is None:
                 vertex_data[x] = (table, affine_map, "zero" if v in touched else label)
-        if len(found) > limit:
-            raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by

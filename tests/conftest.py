@@ -1,11 +1,7 @@
-import sys
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import complex_digest
 from topobetti.arrangement import linear_region_count, signed_complex, sublevel_subcomplex

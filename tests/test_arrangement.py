@@ -16,6 +16,7 @@ from helpers import (
     reference_assemble,
 )
 from oracles import _det, box_volume, cell_volume, centroid, dehomogenize, validate_complex
+from topobetti import arrangement
 from topobetti.arrangement import (
     ComplexSizeError,
     _assemble,
@@ -114,6 +115,18 @@ class TestCanonicalComplex:
         monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
         with pytest.raises(ComplexSizeError):
             signed_complex(_constant(1), BoxDomain.unit_cube(2))
+
+    def test_cell_cap_stops_the_walk_early(self, monkeypatch):
+        # the 10-cube's one region has 3¹⁰ faces, and a full walk expands the
+        # 52 905 of dimension ≥ 2; a cap of 3 000 cells must stop it after at
+        # most the 3 000 − 2¹⁰ faces the cap leaves room for
+        calls = []
+        facets = arrangement._facets
+        monkeypatch.setattr(arrangement, "_facets", lambda *a: calls.append(1) or facets(*a))
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "3000")
+        with pytest.raises(ComplexSizeError):
+            signed_complex(_constant(1, d=10), BoxDomain.unit_cube(10))
+        assert 0 < len(calls) <= 3000 - 2**10
 
     @pytest.mark.parametrize("cap", range(1, 10))
     def test_cell_cap_in_one_dimension(self, cap, monkeypatch):
