@@ -25,10 +25,11 @@ the split updates and the face lattice is read from.  The assembly walks each
 region's faces down from those sets and does each face's bookkeeping once,
 when it first reaches it: its label, the output's sign on the owning region
 or "zero" when all the face's vertices lie on the output's hyperplane.  Every
-cell of a region shares the region's sorted constraint table and output map,
-and no face's zero signs are computed.  Edges expand straight to their two
-vertices, each 0-cell takes its data from the first region that holds it,
-and faces are deduplicated by their vertex sets, so the construction is
+cell of a region shares the region's output map.  No constraint's sign is
+stored: the side of a facet's hyperplane that the region lies on is the
+sign there of any of its vertices off it.  Edges expand straight to their
+two vertices, each 0-cell takes its data from the first region that holds
+it, and faces are deduplicated by their vertex sets, so the construction is
 deterministic.
 
 A split's hyperplane is interned by its primitive row (normal…, offset).
@@ -36,8 +37,7 @@ Vertices are ordered by integer ranks: the first axis's distinct values, as
 reduced (num, den) pairs, are sorted once, and each later axis only among
 the vertices still tied on the earlier ones.  The complex hands out the
 build's own integer data: Cell.vertices holds the build's homogeneous
-points, Cell.owner_constraints and Cell.affine_map the owning region's
-constraint table and reduced integer output map, and
+points, Cell.affine_map the owning region's reduced integer output map, and
 PolyhedralComplex.constraints the hyperplane table's rows.
 """
 
@@ -99,24 +99,19 @@ class Cell:
 
     vertices are homogeneous integer points (x_1, …, x_d, w), the point
     x / w with w > 0 and gcd 1 (see exactgeom.homogenize), in lexicographic
-    order of the points.  owner_constraints is the owning region's table:
-    its (constraint-id, sign) pairs over the complex's hyperplane table in
-    increasing id order, with the region ⊆ {sign·row·(x, 1) ≥ 0} for each,
-    one tuple object that every cell of the region shares.  A cell lies on
-    those of its owner's constraints that vanish at all its vertices; no
-    sign of 0 is recorded for them.  affine_map = (cols, consts, den) is the
-    network's output on the cell's owning region, x -> (Σ_t x_t·cols[t][0]
-    + consts[0]) / den: d integer columns of length 1 (the output is
-    scalar), one integer constant and den > 0, with gcd 1 over all the
-    integers, so equal maps are equal tuples.  sign_label is "zero" where
-    the output vanishes on the whole cell, and otherwise the output's sign
-    on the interior of the owning region, "negative" or "positive".
+    order of the points.  affine_map = (cols, consts, den) is the network's
+    output on the cell's owning region, x -> (Σ_t x_t·cols[t][0] +
+    consts[0]) / den: d integer columns of length 1 (the output is scalar),
+    one integer constant and den > 0, with gcd 1 over all the integers, so
+    equal maps are equal tuples; it is one tuple object that every cell of
+    the region shares.  sign_label is "zero" where the output vanishes on
+    the whole cell, and otherwise the output's sign on the interior of the
+    owning region, "negative" or "positive".
     """
 
     id: int
     dim: int
     vertices: tuple
-    owner_constraints: tuple
     affine_map: tuple
     sign_label: str
 
@@ -135,8 +130,8 @@ class PolyhedralComplex:
     faces: dict  # cell id -> its facets' ids
     ambient_dim: int
     box: BoxDomain
-    # the hyperplane table that owner_constraints refer to: primitive integer
-    # rows (normal…, offset) of the hyperplanes normal·x + offset = 0
+    # the hyperplane table, by hid: primitive integer rows (normal…, offset)
+    # of the hyperplanes normal·x + offset = 0
     constraints: tuple
     violations: tuple
 
@@ -178,12 +173,11 @@ def _primitive(grad, const):
 
 
 class _Region:
-    __slots__ = ("rid", "constraints", "tight", "vertices", "affine", "activations")
+    __slots__ = ("rid", "tight", "vertices", "affine", "activations")
 
-    def __init__(self, rid, constraints, tight, vertices, affine, activations):
+    def __init__(self, rid, tight, vertices, affine, activations):
         self.rid = rid
-        self.constraints = constraints  # {hid: sign}, region ⊆ {sign·h ≥ 0}
-        # {hid: the vertex ids on it}, for the same hids: the region's facets
+        # {hid: the vertex ids on it}, one entry per facet of the region
         self.tight = tight
         self.vertices = vertices  # set of vertex ids
         # (cols, consts, den) over ints, the output of the layers composed so
@@ -249,27 +243,26 @@ class _Builder:
         self.cap = _max_cells()
         self._next_rid = 0
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
-        base = self._new_region({}, None, set(), (identity, (0,) * self.d, 1), [])
+        base = self._new_region(None, set(), (identity, (0,) * self.d, 1), [])
         # the box is lower_i ≤ x_i ≤ upper_i; a bound p/q (gcd 1) is the
-        # primitive row q·x_i − p = 0, with sign +1 at the lower bound and −1
-        # at the upper, so hids 0 … 2d − 1 are lower₀, upper₀, lower₁, …
+        # primitive row q·x_i − p = 0, so hids 0 … 2d − 1 are lower₀, upper₀,
+        # lower₁, …
         for i, bounds in enumerate(zip(box.lower, box.upper)):
-            for bound, s in zip(bounds, (1, -1)):
+            for bound in bounds:
                 row = tuple(bound.denominator if j == i else 0 for j in range(self.d))
-                hid = self.hids.setdefault((*row, -bound.numerator), len(self.hids))
-                base.constraints[hid] = s
+                self.hids.setdefault((*row, -bound.numerator), len(self.hids))
         for corner in box.corners():
             p = homogenize(corner)
             vid = self._vertex(p)
             self.incidence[vid].update(k for row, k in self.hids.items() if _dot(row, p) == 0)
             base.vertices.add(vid)
         base.tight = {
-            k: {v for v in base.vertices if k in self.incidence[v]} for k in base.constraints
+            k: {v for v in base.vertices if k in self.incidence[v]} for k in self.hids.values()
         }
         self.regions = [base]
 
-    def _new_region(self, constraints, tight, vertices, affine, activations) -> _Region:
-        r = _Region(self._next_rid, constraints, tight, vertices, affine, activations)
+    def _new_region(self, tight, vertices, affine, activations) -> _Region:
+        r = _Region(self._next_rid, tight, vertices, affine, activations)
         self._next_rid += 1
         return r
 
@@ -366,7 +359,7 @@ class _Builder:
             # those on the other side, plus the new vertices on it.  These
             # sets and the one on h hold every facet of the child, and a
             # constraint stays only while its set is one (_facets).  h crosses
-            # the region's interior, so the parent has no constraint on h.
+            # the region's interior, so the parent has no tight set on h.
             groups = {}
             for k, group in on.items():
                 group = group.difference(other)
@@ -375,11 +368,8 @@ class _Builder:
                 groups[k] = group
             groups[hid] = facet
             tight = _facets(groups, self.d - 1)
-            constraints = {k: r.constraints.get(k, s * orient) for k in tight}
             activations = r.activations + [(grad, const, s, hid)]
-            children.append(
-                self._new_region(constraints, tight, facet.union(side), r.affine, activations)
-            )
+            children.append(self._new_region(tight, facet.union(side), r.affine, activations))
         return children
 
     def _compose(self, layer_den: int, relu: bool):
@@ -448,21 +438,21 @@ def _order_points(coords):
 
 
 def _assemble(b: _Builder) -> PolyhedralComplex:
-    """The face lattice of the build's regions, with each cell's table and label.
+    """The face lattice of the build's regions, with each cell's map and label.
 
     A face's owner is the first region, in build order, that holds it; the
-    face shares the owner's sorted constraint table and affine map, and
-    takes its label from the owner.  The walk does each face's bookkeeping
-    once, when it first reaches it.  A face of dimension ≥ 2 finds its
-    facets among its tight sets, which it intersects down from its coface's,
-    and the walk records them.  An edge's facets are its two vertices, so
-    edges are expanded straight to them.  The cap is checked as each new
-    face, full cells included, is found, so an oversized lattice stops
-    part-way through a walk.  After a region's walk, each of its vertices
-    that no earlier region holds takes the region's data.  A split hands
-    every vertex of its region, and every new one, to a child, so every
-    vertex the build made is a 0-cell; and distinct regions are distinct
-    polytopes, so each region is one full cell.
+    face shares the owner's affine map and takes its label from the owner.
+    The walk does each face's bookkeeping once, when it first reaches it.
+    A face of dimension ≥ 2 finds its facets among its tight sets, which it
+    intersects down from its coface's, and the walk records them.  An
+    edge's facets are its two vertices, so edges are expanded straight to
+    them.  The cap is checked as each new face, full cells included, is
+    found, so an oversized lattice stops part-way through a walk.  After a
+    region's walk, each of its vertices that no earlier region holds takes
+    the region's map and label.  A split hands every vertex of its region,
+    and every new one, to a child, so every vertex the build made is a
+    0-cell; and distinct regions are distinct polytopes, so each region is
+    one full cell.
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
@@ -477,16 +467,15 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     for x, v in enumerate(order):
         rank[v] = x
     points = list(map(coords.__getitem__, order))
-    vertex_data = [None] * len(coords)  # rank -> (owner's table, affine map, label)
+    vertex_data = [None] * len(coords)  # rank -> (owner's affine map, label)
     limit = cap - len(coords)  # for the faces of dimension ≥ 1
     overflow = f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
     # faces of dimension ≥ 1 by discovery index
     index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> discovery index
-    found = []  # discovery index -> (vertex ids, owner's table, affine map, label)
+    found = []  # discovery index -> (vertex ids, owner's affine map, label)
     by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
     below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
     for r in regions:
-        table = tuple(sorted(r.constraints.items()))
         _, _, out_sign, out_hid = r.activations[0]
         affine_map, label = r.affine, _label(out_sign)
         # the owner's vertices on the output's hyperplane
@@ -494,7 +483,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
         i = len(found)
         if i >= limit:
             raise ComplexSizeError(overflow)
-        found.append((r.vertices, table, affine_map, label))
+        found.append((r.vertices, affine_map, label))
         by_dim[d].append(i)
         # a face to expand: its index and dimension, and for each hid that
         # meets it without holding it, its vertices on that hid.  Those sets
@@ -518,13 +507,13 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
                             if 0 < len(meet := other & sub) < len(sub)
                         }
                         stack.append((j, k, sub_tight))
-                    found.append((sub, table, affine_map, "zero" if sub <= touched else label))
+                    found.append((sub, affine_map, "zero" if sub <= touched else label))
                     by_dim[k].append(j)
                 its_facets.append(j)
         for v in r.vertices:
             x = rank[v]
             if vertex_data[x] is None:
-                vertex_data[x] = (table, affine_map, "zero" if v in touched else label)
+                vertex_data[x] = (affine_map, "zero" if v in touched else label)
 
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
@@ -532,8 +521,8 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     # facets have ids when it is made.  The face map and the cell table share
     # each cell's id object, so their lookups match by identity first.
     cells = [
-        Cell(x, 0, (point,), table, affine_map, label)
-        for x, (point, (table, affine_map, label)) in enumerate(zip(points, vertex_data))
+        Cell(x, 0, (point,), affine_map, label)
+        for x, (point, (affine_map, label)) in enumerate(zip(points, vertex_data))
     ]
     facets = [()] * len(cells)  # cell id -> its facets' ids
     ids = [0] * len(found)  # discovery index -> cell id
@@ -543,9 +532,9 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
         for x in sorted(range(len(bucket)), key=ranked.__getitem__):
             i = bucket[x]
             ids[i] = cid = len(cells)
-            _, table, affine_map, label = found[i]
+            _, affine_map, label = found[i]
             vertices = tuple(map(points.__getitem__, ranked[x]))
-            cells.append(Cell(cid, dim, vertices, table, affine_map, label))
+            cells.append(Cell(cid, dim, vertices, affine_map, label))
             if dim == 1:
                 # an edge's facets are its vertices, whose ids are their ranks
                 facets.append(tuple(cells[y].id for y in ranked[x]))

@@ -3,8 +3,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from helpers import complex_digest
-from topobetti.arrangement import linear_region_count, signed_complex, sublevel_subcomplex
+from helpers import build_and_assemble, complex_digest
+from oracles import region_tables
+from topobetti.arrangement import linear_region_count, sublevel_subcomplex
 from topobetti.constructions import BettiVector, CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import betti_numbers
@@ -56,11 +57,16 @@ class LargeComplexFacts:
 
 def _large_complex_facts(d, m_vec, w_vec) -> LargeComplexFacts:
     net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
-    sc = signed_complex(net, BoxDomain.unit_cube(d))
+    b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
+    tables, faults = region_tables(b)
+    assert faults == []
+    # the builder's vertices, incidence and regions go before the digest and
+    # the homology run, so they are not held through them
+    del b
     sub = sublevel_subcomplex(sc)
     return LargeComplexFacts(
         architecture=net.architecture,
-        digest=complex_digest(sc),
+        digest=complex_digest(sc, tables),
         betti=betti_numbers(sub),
         euler_cells=sub.euler_cells(),
         regions=linear_region_count(sc),

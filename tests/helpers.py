@@ -8,6 +8,7 @@
 - The uncollapsed homology path, the reference that betti_numbers and its
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
+- One build that hands out both its _Builder and its signed complex.
 - The digest that pins a signed complex's cells, faces and constraints.
 - The face-lattice assembly as it was before the walk settled labels and
   expanded edges straight to their vertices: the reference that
@@ -28,6 +29,9 @@ from topobetti.arrangement import (
     Cell,
     ComplexSizeError,
     PolyhedralComplex,
+    _assemble,
+    _Builder,
+    _gc_paused,
     _label,
     _order_points,
 )
@@ -69,7 +73,6 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
             id=ids[verts],
             dim=dim,
             vertices=tuple((*p, 1) for p in verts),
-            owner_constraints=(),
             affine_map=zero_map,
             sign_label="negative",
         )
@@ -237,12 +240,25 @@ def fraction_map(affine_map):
     return (tuple(Fraction(g, den) for (g,) in cols),), (Fraction(const, den),)
 
 
-def complex_digest(sc) -> str:
+def build_and_assemble(net, box):
+    """(builder, complex) of one build, as signed_complex makes the complex.
+
+    The builder's regions are what oracles.region_tables rebuilds the
+    owners' constraint tables from.
+    """
+    with _gc_paused():
+        b = _Builder(net, box)
+        b.run()
+        return b, _assemble(b)
+
+
+def complex_digest(sc, tables) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
     cells is the sorted list of (id, dim, vertices, active constraints,
-    affine map, label) tuples, with the active constraints rebuilt from the
-    owner's table by oracles.active_constraints, and face pairs the sorted
+    affine map, label) tuples, with the active constraints from the owner's
+    table in tables (oracles.region_tables of the build) by
+    oracles.active_constraints, and face pairs the sorted
     list of (face id, coface id) pairs of the face map.  Vertices enter as tuples of Fractions,
     affine maps as ((grad…,), (const,)) in Fractions and constraints as
     Hyperplanes, the forms the digests were recorded in.
@@ -267,7 +283,7 @@ def complex_digest(sc) -> str:
             cid,
             c.dim,
             tuple(map(points.__getitem__, c.vertices)),
-            active_constraints(sc, c),
+            active_constraints(sc, c, tables),
             maps[c.affine_map],
             c.sign_label,
         )
@@ -280,24 +296,23 @@ def complex_digest(sc) -> str:
 
 
 def reference_assemble(b) -> PolyhedralComplex:
-    """The face lattice of the build's regions, with each cell's table and label.
+    """The face lattice of the build's regions, with each cell's map and label.
 
     A face's owner is the first region, in build order, that holds it; the
-    face takes its constraint table, affine map and label from the owner.
+    face takes its affine map and label from the owner.
     """
     regions, box, cap = b.regions, b.box, b.cap
     coords, incidence = b.coords, b.incidence
     d = box.dimension
     index = {}  # frozenset(vertex ids) -> discovery index
-    found = []  # discovery index -> (vertex ids, dim, owner, owner's table)
+    found = []  # discovery index -> (vertex ids, dim, owner)
     incid = set()  # (face index, coface index)
     for r in regions:
         key = frozenset(r.vertices)
         if key in index:
             continue
-        table = tuple(sorted(r.constraints.items()))
         index[key] = len(found)
-        found.append((key, d, r, table))
+        found.append((key, d, r))
         # a face to expand: its index and dimension, and for each hid that
         # meets it without holding it, its vertices on that hid.  A facet of
         # the face is a set among those whose points have affine rank dim − 1
@@ -317,7 +332,7 @@ def reference_assemble(b) -> PolyhedralComplex:
                         raise ComplexSizeError(
                             f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
                         )
-                    found.append((sub, dim - 1, r, table))
+                    found.append((sub, dim - 1, r))
                     if dim > 1:
                         sub_tight = {}
                         for hid, other in tight.items():
@@ -338,7 +353,7 @@ def reference_assemble(b) -> PolyhedralComplex:
     cells = {}
     for cid, i in enumerate(order):
         ids[i] = cid
-        key, dim, owner, table = found[i]
+        key, dim, owner = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
         _, _, out_sign, out_hid = owner.activations[0]
@@ -347,7 +362,6 @@ def reference_assemble(b) -> PolyhedralComplex:
             id=cid,
             dim=dim,
             vertices=tuple(points[x] for x in ranked[i]),
-            owner_constraints=table,
             affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
         )

@@ -11,15 +11,11 @@ over into its check.
   not in that form. It then checks the face map (an entry for every cell
   and none for an unknown id, facets one dimension down, contained and in
   increasing id order), that each cell lists exactly the 0-cells below it,
-  each cell's dimension, its facet count, and that each sign in the cell's
-  owner's table is ±1 and the cell lies in that half-space. A constraint's
-  sign at a vertex is an integer dot product of the row (normal…, offset)
-  with the vertex: with w > 0 that is w·(normal·x/w + offset), of the same
-  sign as the constraint's value. A cell's dimension is checked as the rank
-  of its homogeneous vertices, which with w > 0 is the affine rank plus 1,
-  by sparse_rank on the integer vertices directly. Last, the full cells'
-  volumes must sum to the box's: more means two cells overlap, less that the
-  box is not covered.
+  each cell's dimension and its facet count. A cell's dimension is checked
+  as the rank of its homogeneous vertices, which with w > 0 is the affine
+  rank plus 1, by sparse_rank on the integer vertices directly. Last, the
+  full cells' volumes must sum to the box's: more means two cells overlap,
+  less that the box is not covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
   coned from its first vertex over its facets that miss that vertex. A
   simplex's rows (x…, w) of homogeneous integer coordinates have Π w times
@@ -28,10 +24,21 @@ over into its check.
   walks the faces with an explicit stack, so validate_complex, which sums
   every full cell's volume this way, leaves no reference cycles behind.
   These volumes are the one place a complex's check forms Fractions.
-- active_constraints gives a cell's owner's (constraint-id, sign) pairs with
-  the sign set to 0 on each constraint whose row vanishes at every vertex of
-  the cell, by the same integer dot products: the constraints the cell
-  satisfies with equality, which the complex does not record.
+- region_tables rebuilds each region's (constraint-id, sign) table from a
+  finished _Builder, which stores no signs: the hids are the keys of the
+  region's tight sets, and each sign is that of the constraint at the
+  region's vertices off its hyperplane. A constraint's sign at a vertex is
+  an integer dot product of the row (normal…, offset) with the vertex: with
+  w > 0 that is w·(normal·x/w + offset), of the same sign as the
+  constraint's value. A region is full-dimensional and lies on one side of
+  each facet's hyperplane, so it reports each region and hid where those
+  vertices have any other signs than one nonzero sign, or where there are
+  none. A cell's owner is the region whose affine map object the cell
+  holds: the last composition gives each region a map tuple of its own.
+- active_constraints gives a cell's owner's table with the sign set to 0 on
+  each constraint whose row vanishes at every vertex of the cell, by the
+  same integer dot products: the constraints the cell satisfies with
+  equality.
 - matrix_rank is sparse_rank on rational rows, each cleared to integers as
   homogenize(r)[:-1], a positive multiple of r, so the rank is the same.
 - dehomogenize gives the Fraction point of a homogeneous vertex, centroid the
@@ -71,12 +78,36 @@ def box_volume(box: BoxDomain):
     return math.prod((up - lo for lo, up in zip(box.lower, box.upper)), start=Fraction(1))
 
 
-def active_constraints(complex: PolyhedralComplex, cell) -> tuple:
-    """The cell's owner's (constraint-id, sign) pairs, with sign 0 where the cell is tight."""
+def region_tables(b) -> tuple:
+    """Each region's (constraint-id, sign) table, rebuilt from a finished build.
+
+    Returns (tables, faults).  tables maps id(r.affine) of each region r to
+    its pairs in increasing id order, one per key of r.tight, with
+    r ⊆ {sign·row·(x, 1) ≥ 0}.  faults names each region and hid where the
+    region's vertices off the hyperplane are not all of one nonzero sign.
+    """
+    rows = list(b.hids)
+    tables, faults = {}, []
+    for r in b.regions:
+        table = []
+        for hid in sorted(r.tight):
+            values = (sum(map(mul, rows[hid], b.coords[v])) for v in r.vertices - r.tight[hid])
+            signs = {(t > 0) - (t < 0) for t in values}
+            if len(signs) != 1 or 0 in signs:
+                faults.append(
+                    f"region {r.rid}: its vertices off constraint {hid} have signs {sorted(signs)}"
+                )
+            table.append((hid, min(signs, default=0)))
+        tables[id(r.affine)] = tuple(table)
+    return tables, faults
+
+
+def active_constraints(complex: PolyhedralComplex, cell, tables) -> tuple:
+    """The cell's owner's table from region_tables, with sign 0 where the cell is tight."""
     rows = complex.constraints
     return tuple(
         (hid, 0 if all(sum(map(mul, rows[hid], p)) == 0 for p in cell.vertices) else s)
-        for hid, s in cell.owner_constraints
+        for hid, s in tables[id(cell.affine_map)]
     )
 
 
@@ -178,21 +209,12 @@ def validate_complex(complex: PolyhedralComplex):
         if below[c.id] != vsets[c.id]:
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
     # a vertex is (x…, w) with w > 0: its points' homogeneous rank is their
-    # affine rank + 1, and a constraint row (normal…, offset) dotted with it
-    # is w·(normal·x/w + offset), of the same sign as the constraint's value
+    # affine rank + 1
     for cid, c in cells.items():
         if sparse_rank({j: v for j, v in enumerate(p) if v} for p in c.vertices) != c.dim + 1:
             out.append(f"dimension: cell {cid} has affine rank != dim")
         if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
-        # the owner is full-dimensional, so it lies strictly on one side of
-        # each of its constraints
-        for hid, s in c.owner_constraints:
-            row = complex.constraints[hid]
-            if s not in (-1, 1):
-                out.append(f"constraint: cell {cid} has sign {s} on constraint {hid}")
-            elif any(sum(map(mul, row, p)) * s < 0 for p in c.vertices):
-                out.append(f"constraint: cell {cid} violates constraint {hid}")
     full = complex.full_cells()
     if full and not bad:
         try:

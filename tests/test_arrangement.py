@@ -11,16 +11,23 @@ from hypothesis import strategies as st
 from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
 from helpers import (
     box_complex,
+    build_and_assemble,
     complex_digest,
     network_and_box,
     reference_assemble,
 )
-from oracles import _det, box_volume, cell_volume, centroid, dehomogenize, validate_complex
+from oracles import (
+    _det,
+    box_volume,
+    cell_volume,
+    centroid,
+    dehomogenize,
+    region_tables,
+    validate_complex,
+)
 from topobetti import arrangement
 from topobetti.arrangement import (
     ComplexSizeError,
-    _assemble,
-    _Builder,
     linear_region_count,
     signed_complex,
     sublevel_subcomplex,
@@ -178,9 +185,12 @@ class TestAssembly:
 
     @staticmethod
     def _both(net, box):
-        b = _Builder(net, box)
-        b.run()
-        return _assemble(b), reference_assemble(b)
+        """_assemble's and reference_assemble's complex of one build, and their digests."""
+        b, sc = build_and_assemble(net, box)
+        ref = reference_assemble(b)
+        tables, faults = region_tables(b)
+        assert faults == []
+        return sc, ref, complex_digest(sc, tables), complex_digest(ref, tables)
 
     @given(
         network_and_box(dims=(1, 2, 3, 4), max_width=3),
@@ -193,8 +203,8 @@ class TestAssembly:
         net, box = case
         if seed is not None:
             net = _perturbed(net, Fraction(1, 10**6), random.Random(seed))
-        sc, ref = self._both(net, box)
-        assert complex_digest(sc) == complex_digest(ref)
+        _, _, digest, expected = self._both(net, box)
+        assert digest == expected
 
     @pytest.mark.parametrize(
         "d, zero_cells",
@@ -212,12 +222,12 @@ class TestAssembly:
         # region's constraints
         row = (Fraction(1), Fraction(1)) + (Fraction(0),) * (d - 2)
         net = ReluNetwork((AffineLayer((row,), (Fraction(0),)),))
-        sc, ref = self._both(net, BoxDomain.unit_cube(d))
+        sc, _, digest, expected = self._both(net, BoxDomain.unit_cube(d))
         assert sorted(c.vertices for c in sc.cells.values() if c.sign_label == "zero") == sorted(
             tuple((*p, 1) for p in cell) for cell in zero_cells
         )
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
-        assert complex_digest(sc) == complex_digest(ref)
+        assert digest == expected
 
     def test_output_on_a_constraint_of_both_regions(self):
         # h₁ = relu(x₁ − 1/2) splits the square at x₁ = 1/2, h₂ = relu(1/2 − x₁)
@@ -230,7 +240,7 @@ class TestAssembly:
                 AffineLayer(((1, -1),), (0,)),
             )
         )
-        sc, ref = self._both(net, BoxDomain.unit_cube(2))
+        sc, _, digest, expected = self._both(net, BoxDomain.unit_cube(2))
         left, right = sorted(sc.full_cells(), key=lambda c: c.vertices)
         assert (left.sign_label, right.sign_label) == ("negative", "positive")
         zero = [c.vertices for c in sc.cells.values() if c.sign_label == "zero"]
@@ -241,16 +251,24 @@ class TestAssembly:
         assert [(nid, reason) for nid, _, reason in sc.violations] == [
             (NeuronId(2, 1), "vertex-on-hyperplane")
         ] * 2
-        assert complex_digest(sc) == complex_digest(ref)
+        assert digest == expected
 
-    def test_cells_share_their_owners_tables(self, reference_networks):
-        # one table per region, the full cell's, which each face it owns holds
+    def test_a_cells_map_names_its_owner(self, reference_networks):
+        # oracles.region_tables finds a cell's owner by its map's identity:
+        # every region has a map object of its own, and each cell holds that
+        # of the first region, in build order, that holds all its vertices
         net, fold, _, _ = reference_networks["d3-M4-w11"]
-        sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
-        tables = {id(c.owner_constraints): c.owner_constraints for c in sc.full_cells()}
-        assert len(tables) == len(sc.full_cells())
+        b, sc = build_and_assemble(net, BoxDomain.unit_cube(fold.d))
+        owners = {id(r.affine): x for x, r in enumerate(b.regions)}
+        assert len({id(c.affine_map) for c in sc.cells.values()}) == len(owners) == len(b.regions)
+        holders = {}  # point -> indices of the regions that hold it
+        for x, r in enumerate(b.regions):
+            for v in r.vertices:
+                holders.setdefault(b.coords[v], set()).add(x)
         for c in sc.cells.values():
-            assert tables.get(id(c.owner_constraints)) is c.owner_constraints
+            x = owners[id(c.affine_map)]
+            assert c.affine_map is b.regions[x].affine
+            assert x == min(set.intersection(*map(holders.__getitem__, c.vertices)))
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_a_facet_reached_twice_is_listed_once(self, d):
@@ -259,9 +277,9 @@ class TestAssembly:
         # sets, and for d ≥ 5 it must drop the lower faces below the facets
         row = (2, 1, 0, -1) + (0,) * (d - 4)
         net = ReluNetwork((AffineLayer((row,), (0,)), AffineLayer(((1,),), (Fraction(-1, 4),))))
-        sc, ref = self._both(net, BoxDomain((-1,) * d, (1,) * d))
+        sc, _, digest, expected = self._both(net, BoxDomain((-1,) * d, (1,) * d))
         assert validate_complex(sc) == []
-        assert complex_digest(sc) == complex_digest(ref)
+        assert digest == expected
 
 
 class TestValidateComplex:
@@ -348,19 +366,32 @@ class TestValidateComplex:
             f"faces: facets of cell {square.id} are not in increasing id order"
         ]
 
-    def test_constraint_signs_are_checked(self):
-        # on [0, 5/4]² the tent's vertices have denominators 1, 2 and 4
+
+class TestRegionTables:
+    @pytest.mark.parametrize("corruption", ["splits", "vanishes"])
+    def test_constraint_signs_are_checked(self, corruption):
+        # on [0, 5/4]² the tent's vertices have denominators 1, 2 and 4.  Each
+        # region in turn gains a hid in its tight sets: a new vertical line
+        # through the region's vertex centroid, which has region vertices on
+        # both sides, or a hyperplane of the build that is not the region's,
+        # with every vertex of the region on it
         box = BoxDomain((Fraction(0),) * 2, (Fraction(5, 4),) * 2)
-        sc = signed_complex(_tent(2, d=2), box)
-        assert validate_complex(sc) == []
-        for cell in sc.full_cells():
-            (hid, s), *others = cell.owner_constraints
-            for wrong, reason in ((-s, "violates"), (0, "has sign 0 on")):
-                moved = replace(cell, owner_constraints=((hid, wrong), *others))
-                broken = replace(sc, cells={**sc.cells, cell.id: moved})
-                assert validate_complex(broken) == [
-                    f"constraint: cell {cell.id} {reason} constraint {hid}"
-                ]
+        b, _ = build_and_assemble(_tent(2, d=2), box)
+        assert region_tables(b)[1] == []
+        for r in b.regions:
+            if corruption == "splits":
+                points = {v: dehomogenize(b.coords[v]) for v in r.vertices}
+                x = centroid(points.values())[0]
+                hid = b.hids.setdefault((x.denominator, 0, -x.numerator), len(b.hids))
+                on, signs = {v for v, p in points.items() if p[0] == x}, [-1, 1]
+            else:
+                hid = min(set(b.hids.values()) - r.tight.keys())
+                on, signs = set(r.vertices), []
+            kept, r.tight = r.tight, {**r.tight, hid: on}
+            assert region_tables(b)[1] == [
+                f"region {r.rid}: its vertices off constraint {hid} have signs {signs}"
+            ]
+            r.tight = kept
 
 
 class TestVolumes:
@@ -518,15 +549,19 @@ class TestGoldenComplex:
     @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
     def test_reference_complex_is_unchanged(self, name, d, m_vec, w_vec, with_offset):
         net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
-        sc = signed_complex(net, BoxDomain.unit_cube(d))
-        assert complex_digest(sc) == GOLDEN_DIGESTS[name][0 if with_offset else 1]
+        b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
+        tables, faults = region_tables(b)
+        assert faults == []
+        assert complex_digest(sc, tables) == GOLDEN_DIGESTS[name][0 if with_offset else 1]
 
     @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
     def test_perturbed_reference_complex_is_unchanged(self, name, d, m_vec, w_vec):
         net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
         perturbed = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
-        sc = signed_complex(perturbed, BoxDomain.unit_cube(d))
-        assert complex_digest(sc) == GOLDEN_DIGESTS[name][2]
+        b, sc = build_and_assemble(perturbed, BoxDomain.unit_cube(d))
+        tables, faults = region_tables(b)
+        assert faults == []
+        assert complex_digest(sc, tables) == GOLDEN_DIGESTS[name][2]
 
     @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in LARGE_INSTANCES])
     def test_large_complex_is_unchanged(self, name, d, m_vec, w_vec, large_complexes):

@@ -4,9 +4,10 @@ The arrangement builds on homogeneous integer vertices with hyperplane
 incidence sets, and its cells hand out those vertices and the hyperplanes'
 integer rows; everything here is checked against code that reads only those
 and shares no code with the build (each constraint evaluated at each vertex
-as a Fraction point, validate_complex, which checks signs and ranks on the
-homogeneous points, the network evaluated at each cell's Fraction centroid,
-and a forward pass written out below).
+as a Fraction point, region_tables, which reads constraint signs off the
+regions' homogeneous vertices, validate_complex, which checks ranks on them,
+the network evaluated at each cell's Fraction centroid, and a forward pass
+written out below).
 """
 
 import math
@@ -16,9 +17,16 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import network_and_box, networks, weights
-from oracles import active_constraints, centroid, dehomogenize, matrix_rank, validate_complex
-from topobetti.arrangement import _assemble, _Builder, _order_points, _primitive, signed_complex
+from helpers import build_and_assemble, network_and_box, networks, weights
+from oracles import (
+    active_constraints,
+    centroid,
+    dehomogenize,
+    matrix_rank,
+    region_tables,
+    validate_complex,
+)
+from topobetti.arrangement import _order_points, _primitive
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain, homogenize, sign, vdot
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
@@ -35,8 +43,10 @@ def _fraction_forward(net, x):
 
 
 def _check_kernel_invariants(net, box):
-    sc = signed_complex(net, box)
+    b, sc = build_and_assemble(net, box)
     assert validate_complex(sc) == []
+    tables, faults = region_tables(b)
+    assert faults == []
     for cell in sc.full_cells():
         # the map is reduced, so equal maps are equal tuples
         cols, (const,), den = cell.affine_map
@@ -46,10 +56,11 @@ def _check_kernel_invariants(net, box):
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
         points = [dehomogenize(v) for v in cell.vertices]
-        # the owner's table, and the signs the oracle rebuilds from it, against
-        # each constraint evaluated at each Fraction point
-        tight = dict(active_constraints(sc, cell))
-        for hid, s in cell.owner_constraints:
+        # the owner's table rebuilt from its vertices, and the signs the
+        # oracle rebuilds from it, against each constraint evaluated at each
+        # Fraction point
+        tight = dict(active_constraints(sc, cell, tables))
+        for hid, s in tables[id(cell.affine_map)]:
             *normal, offset = sc.constraints[hid]
             values = [vdot(normal, v) + offset for v in points]
             assert s in (-1, 1) and all(s * value >= 0 for value in values)
@@ -61,15 +72,12 @@ def _check_kernel_invariants(net, box):
 
 def _check_carried_tight_sets(net, box):
     # the tight sets each region carries out of the splits, against the vertex
-    # incidence sets regrouped by the region's constraints, and each one
-    # against the rank of its points: every kept constraint is a facet, whose
-    # homogeneous points have rank d (affine rank d − 1)
-    b = _Builder(net, box)
-    b.run()
+    # incidence sets regrouped by their hids, and each one against the rank of
+    # its points: every kept constraint is a facet, whose homogeneous points
+    # have rank d (affine rank d − 1)
+    b, _ = build_and_assemble(net, box)
     for r in b.regions:
-        regrouped = {
-            hid: {v for v in r.vertices if hid in b.incidence[v]} for hid in r.constraints
-        }
+        regrouped = {hid: {v for v in r.vertices if hid in b.incidence[v]} for hid in r.tight}
         assert r.tight == regrouped
         for group in r.tight.values():
             assert matrix_rank([b.coords[v] for v in group]) == box.dimension
@@ -107,9 +115,9 @@ class TestRandomNetworks:
     def test_constraint_touching_a_square_face_is_pruned(self):
         net, box = _square_face_case()
         _check_kernel_invariants(net, box)
-        b = _Builder(net, box)
-        b.run()
-        sc = _assemble(b)
+        b, sc = build_and_assemble(net, box)
+        tables, faults = region_tables(b)
+        assert faults == []
         hid = b.hids[(1, 0, 0, 0, 0)]  # x1 = 0
 
         def on_square(points):
@@ -121,9 +129,10 @@ class TestRandomNetworks:
         regions = [r for r in b.regions if on_square([b.coords[v] for v in r.vertices])]
         cells = [c for c in sc.full_cells() if on_square(c.vertices)]
         assert regions and cells
-        # such a region or cell keeps no nonzero sign on x1 = 0
-        assert all(r.constraints.get(hid, 0) == 0 for r in regions)
-        assert all(s == 0 for c in cells for k, s in active_constraints(sc, c) if k == hid)
+        # such a region keeps no tight set on x1 = 0, and such a cell no
+        # nonzero sign
+        assert all(hid not in r.tight for r in regions)
+        assert all(s == 0 for c in cells for k, s in active_constraints(sc, c, tables) if k == hid)
 
     @given(network_and_box())
     @settings(max_examples=30, deadline=None)
