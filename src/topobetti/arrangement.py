@@ -37,8 +37,9 @@ Vertices are ordered by integer ranks: the first axis's distinct values, as
 reduced (num, den) pairs, are sorted once, and each later axis only among
 the vertices still tied on the earlier ones.  The complex hands out the
 build's own integer data: Cell.vertices holds the build's homogeneous
-points, Cell.affine_map the owning region's reduced integer output map, and
-PolyhedralComplex.constraints the hyperplane table's rows.
+points, Cell.affine_map the owning region's reduced integer output map,
+Cell.facets the face relation, and PolyhedralComplex.constraints the
+hyperplane table's rows.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cmp_to_key
-from operator import attrgetter, mul
+from operator import mul
 
 from .exactgeom import BoxDomain, homogenize, sign
 from .relunet import NeuronId, ReluNetwork
@@ -106,7 +107,9 @@ class Cell:
     equal maps are equal tuples; it is one tuple object that every cell of
     the region shares.  sign_label is "zero" where the output vanishes on
     the whole cell, and otherwise the output's sign on the interior of the
-    owning region, "negative" or "positive".
+    owning region, "negative" or "positive".  facets are the ids of the
+    cell's facets, one dimension down, in increasing id order (() for a
+    0-cell): the face relation.
     """
 
     id: int
@@ -114,20 +117,19 @@ class Cell:
     vertices: tuple
     affine_map: tuple
     sign_label: str
+    facets: tuple
 
 
 @dataclass(frozen=True)
 class PolyhedralComplex:
     """Full face lattice of the arrangement within the box.
 
-    faces is the face relation: every cell id maps to the tuple of its facets'
-    ids, one dimension down, in increasing id order (() for a 0-cell).
-    violations are the stability events the build recorded, as (NeuronId,
-    region-id, reason) triples in build order.
+    The face relation is each cell's facets.  violations are the stability
+    events the build recorded, as (NeuronId, region-id, reason) triples in
+    build order.
     """
 
     cells: dict  # cell id -> Cell, in increasing id order
-    faces: dict  # cell id -> its facets' ids
     ambient_dim: int
     box: BoxDomain
     # the hyperplane table, by hid: primitive integer rows (normal…, offset)
@@ -145,14 +147,14 @@ class PolyhedralComplex:
         return sum((-1) ** c.dim for c in self.cells.values())
 
     def restrict(self, ids) -> "PolyhedralComplex":
-        """The subcomplex of these cells, whose facet tuples are copied unfiltered.
+        """The subcomplex of these cells, the parent's own Cell objects.
 
-        ids must be closed under faces, as both callers' are: the sublevel
-        cells, and the cells a collapse leaves.
+        ids must be closed under faces, as both callers' are (the sublevel
+        cells, and the cells a collapse leaves), so each kept cell's facets
+        are kept.
         """
         ids = set(ids)
-        cells = {cid: c for cid, c in self.cells.items() if cid in ids}
-        return replace(self, cells=cells, faces={cid: self.faces[cid] for cid in cells})
+        return replace(self, cells={cid: c for cid, c in self.cells.items() if cid in ids})
 
 
 def _primitive(grad, const):
@@ -518,13 +520,11 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     # The cells are made in id order, which keeps them together in memory
     # for the passes over them.  The other cells follow the 0-cells by
     # dimension, and within one by their ranked vertex lists, so a cell's
-    # facets have ids when it is made.  The face map and the cell table share
-    # each cell's id object, so their lookups match by identity first.
+    # facets have ids when it is made.
     cells = [
-        Cell(x, 0, (point,), affine_map, label)
+        Cell(x, 0, (point,), affine_map, label, ())
         for x, (point, (affine_map, label)) in enumerate(zip(points, vertex_data))
     ]
-    facets = [()] * len(cells)  # cell id -> its facets' ids
     ids = [0] * len(found)  # discovery index -> cell id
     for dim in range(1, d + 1):
         bucket = by_dim[dim]
@@ -534,17 +534,16 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
             ids[i] = cid = len(cells)
             _, affine_map, label = found[i]
             vertices = tuple(map(points.__getitem__, ranked[x]))
-            cells.append(Cell(cid, dim, vertices, affine_map, label))
             if dim == 1:
-                # an edge's facets are its vertices, whose ids are their ranks
-                facets.append(tuple(cells[y].id for y in ranked[x]))
+                # an edge's facets are its vertices, whose ids are their ranks;
+                # the 0-cells' own id objects keep one int per id
+                facets = tuple(cells[y].id for y in ranked[x])
             else:
                 # for d ≥ 4 the walk may reach a facet through more than one hid
-                facets.append(tuple(sorted({ids[j] for j in below[i]})))
-    keys = list(map(attrgetter("id"), cells))
+                facets = tuple(sorted({ids[j] for j in below[i]}))
+            cells.append(Cell(cid, dim, vertices, affine_map, label, facets))
     return PolyhedralComplex(
-        cells=dict(zip(keys, cells)),
-        faces=dict(zip(keys, facets)),
+        cells={c.id: c for c in cells},
         ambient_dim=d,
         box=box,
         constraints=tuple(b.hids),
@@ -585,7 +584,7 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
     affines = {c.id: c.affine_map for c in full}
     cofaces = {}
     for c in full:
-        for f in complex.faces[c.id]:
+        for f in c.facets:
             cofaces.setdefault(f, []).append(c.id)
     for group in cofaces.values():
         for a, b in itertools.combinations(group, 2):

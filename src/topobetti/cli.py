@@ -161,8 +161,10 @@ def cmd_report(args) -> int:
         data = json.load(f)
     if not isinstance(data, dict):
         raise CliError("a report file holds a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise CliError(f"unsupported report schema {data.get('schema')!r}")
+    schema = data.get("schema")
+    # True and 1.0 equal 1 in Python, so the type is checked as well
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise CliError(f"unsupported report schema {schema!r}")
     _print_json(data)
     return EXIT_OK
 

@@ -49,18 +49,17 @@ class SimplicialComplex:
 def _poset_predecessors(pc: PolyhedralComplex):
     """Full strict order relation of the face poset, as predecessor sets.
 
-    The poset is graded by cell dimension and the face map is its covering
-    relation, so the full order is the transitive closure, read off the map
-    with the cells taken by increasing dimension.
+    The poset is graded by cell dimension and the cells' facets are its
+    covering relation, so the full order is the transitive closure, read off
+    the facets with the cells taken by increasing dimension.
     """
-    faces = pc.faces
     pred = {}
-    for cid in sorted(pc.cells, key=lambda cid: pc.cells[cid].dim):
+    for c in sorted(pc.cells.values(), key=lambda c: c.dim):
         s = set()
-        for f in faces[cid]:
+        for f in c.facets:
             s.add(f)
             s |= pred[f]
-        pred[cid] = s
+        pred[c.id] = s
     return pred
 
 
@@ -101,19 +100,19 @@ def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
     diamond property, give σ a second coface, so τ is maximal and the cells
     left form a closed subcomplex of the same homotopy type.  The queue is
     seeded in pc.cells order and served first in first out, and neighbours
-    are visited in increasing id order: the face map keeps each cell's
-    facets that way, and inverting it over the cells in id order lists each
-    cell's cofaces that way.  So neither the order in which the map was
-    filled nor any set iteration order decides which cells survive.
+    are visited in increasing id order: each cell keeps its facets that way,
+    and inverting them over the cells in id order lists each cell's cofaces
+    that way.  So no set iteration order decides which cells survive.  The
+    survivors are pc's own Cell objects, facets unchanged.
     """
-    faces = pc.faces
-    cofaces = {cid: [] for cid in pc.cells}
-    for c in pc.cells:
-        for f in faces[c]:
-            cofaces[f].append(c)
+    cells = pc.cells
+    cofaces = {cid: [] for cid in cells}
+    for c in cells.values():
+        for f in c.facets:
+            cofaces[f].append(c.id)
     live = {cid: len(cf) for cid, cf in cofaces.items()}  # live coface counts
-    alive = dict.fromkeys(pc.cells, True)
-    queue = deque(cid for cid in pc.cells if live[cid] == 1)
+    alive = dict.fromkeys(cells, True)
+    queue = deque(cid for cid in cells if live[cid] == 1)
     while queue:
         sigma = queue.popleft()
         if not alive[sigma] or live[sigma] != 1:
@@ -121,7 +120,7 @@ def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
         tau = next(c for c in cofaces[sigma] if alive[c])
         alive[sigma] = alive[tau] = False
         for gone in (tau, sigma):
-            for f in faces[gone]:
+            for f in cells[gone].facets:
                 live[f] -= 1
                 if live[f] == 1:
                     queue.append(f)

@@ -9,7 +9,7 @@
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
 - One build that hands out both its _Builder and its signed complex.
-- The digest that pins a signed complex's cells, faces and constraints.
+- The digest that pins a signed complex's cells, facets and constraints.
 - The face-lattice assembly as it was before the walk settled labels and
   expanded edges straight to their vertices: the reference that
   arrangement._assemble is checked against.
@@ -68,6 +68,14 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
     ordered = sorted(faces.values())
     ids = {verts: i for i, (_, verts) in enumerate(ordered)}
     zero_map = (((0,),) * ambient_dim, (0,), 1)
+    # cells are numbered in increasing (dim, vertices) order, so each cell's
+    # facets come out in increasing id order
+    facets = {}
+    for dim, verts in ordered:
+        vset = set(verts)
+        facets[verts] = tuple(
+            ids[fverts] for fdim, fverts in ordered if fdim == dim - 1 and set(fverts) <= vset
+        )
     cells = {
         ids[verts]: Cell(
             id=ids[verts],
@@ -75,23 +83,15 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
             vertices=tuple((*p, 1) for p in verts),
             affine_map=zero_map,
             sign_label="negative",
+            facets=facets[verts],
         )
         for dim, verts in ordered
     }
-    # cells are numbered in increasing (dim, vertices) order, so each cell's
-    # facets come out in increasing id order
-    facets = {}
-    for dim, verts in ordered:
-        vset = set(verts)
-        facets[ids[verts]] = tuple(
-            ids[fverts] for fdim, fverts in ordered if fdim == dim - 1 and set(fverts) <= vset
-        )
     los = [min(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
     his = [max(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
     box = BoxDomain(tuple(Fraction(l) for l in los), tuple(Fraction(h) for h in his))
     return PolyhedralComplex(
         cells=cells,
-        faces=facets,
         ambient_dim=ambient_dim,
         box=box,
         constraints=(),
@@ -258,10 +258,10 @@ def complex_digest(sc, tables) -> str:
     cells is the sorted list of (id, dim, vertices, active constraints,
     affine map, label) tuples, with the active constraints from the owner's
     table in tables (oracles.region_tables of the build) by
-    oracles.active_constraints, and face pairs the sorted
-    list of (face id, coface id) pairs of the face map.  Vertices enter as tuples of Fractions,
-    affine maps as ((grad…,), (const,)) in Fractions and constraints as
-    Hyperplanes, the forms the digests were recorded in.
+    oracles.active_constraints, and face pairs the sorted list of (face id,
+    coface id) pairs read from the cells' facets.  Vertices enter as tuples
+    of Fractions, affine maps as ((grad…,), (const,)) in Fractions and
+    constraints as Hyperplanes, the forms the digests were recorded in.
     The repr is fed to the hash piece by piece, so the whole string is never
     held in memory.
     """
@@ -290,7 +290,7 @@ def complex_digest(sc, tables) -> str:
         for cid, c in sorted(sc.cells.items())
     )
     h.update(b", ")
-    feed_list(sorted((f, c) for c, fs in sc.faces.items() for f in fs))
+    feed_list(sorted((f, c.id) for c in sc.cells.values() for f in c.facets))
     h.update(f", {constraints!r}, {sc.violations!r})".encode("utf-8"))
     return h.hexdigest()
 
@@ -350,9 +350,13 @@ def reference_assemble(b) -> PolyhedralComplex:
     ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
     order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
     ids = [0] * len(found)
-    cells = {}
     for cid, i in enumerate(order):
         ids[i] = cid
+    facets = [[] for _ in found]  # cell id -> its facets' ids
+    for f, c in sorted((ids[f], ids[c]) for f, c in incid):
+        facets[c].append(f)
+    cells = {}
+    for cid, i in enumerate(order):
         key, dim, owner = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
@@ -364,13 +368,10 @@ def reference_assemble(b) -> PolyhedralComplex:
             vertices=tuple(points[x] for x in ranked[i]),
             affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
+            facets=tuple(facets[cid]),
         )
-    facets = {cid: [] for cid in cells}
-    for f, c in sorted((ids[f], ids[c]) for f, c in incid):
-        facets[c].append(f)
     return PolyhedralComplex(
         cells=cells,
-        faces={cid: tuple(fs) for cid, fs in facets.items()},
         ambient_dim=d,
         box=box,
         constraints=tuple(b.hids),

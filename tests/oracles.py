@@ -8,14 +8,14 @@ over into its check.
   out and returns a list of violation strings, empty when all hold. A
   vertex is a homogeneous integer point (x_1, …, x_d, w), the point x / w
   with w > 0 and gcd 1 (homogenize's form), so it first reports any vertex
-  not in that form. It then checks the face map (an entry for every cell
-  and none for an unknown id, facets one dimension down, contained and in
-  increasing id order), that each cell lists exactly the 0-cells below it,
-  each cell's dimension and its facet count. A cell's dimension is checked
-  as the rank of its homogeneous vertices, which with w > 0 is the affine
-  rank plus 1, by sparse_rank on the integer vertices directly. Last, the
-  full cells' volumes must sum to the box's: more means two cells overlap,
-  less that the box is not covered.
+  not in that form. It then checks each cell's facets (known ids, one
+  dimension down, contained and in increasing id order), that each cell
+  lists exactly the 0-cells below it, each cell's dimension and its facet
+  count. A cell's dimension is checked as the rank of its homogeneous
+  vertices, which with w > 0 is the affine rank plus 1, by sparse_rank on
+  the integer vertices directly. Last, the full cells' volumes must sum to
+  the box's: more means two cells overlap, less that the box is not
+  covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
   coned from its first vertex over its facets that miss that vertex. A
   simplex's rows (x…, w) of homogeneous integer coordinates have Π w times
@@ -156,10 +156,10 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """
     if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    return _cell_volume(complex.cells, complex.faces, complex.ambient_dim, cell_id)
+    return _cell_volume(complex.cells, complex.ambient_dim, cell_id)
 
 
-def _cell_volume(cells, faces, d: int, cell_id: int):
+def _cell_volume(cells, d: int, cell_id: int):
     # each stack entry is a face and the apexes of the faces above it, so a
     # 0-cell completes one simplex; its vertices' rows (x…, w) have
     # determinant Π w times that of its edge vectors p − p₀
@@ -172,39 +172,36 @@ def _cell_volume(cells, faces, d: int, cell_id: int):
             rows = apexes + (apex,)
             total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
             continue
-        stack.extend((f, apexes + (apex,)) for f in faces[cid] if apex not in cells[f].vertices)
+        stack.extend(
+            (f, apexes + (apex,)) for f in cells[cid].facets if apex not in cells[f].vertices
+        )
     return total / math.factorial(d)
 
 
 def validate_complex(complex: PolyhedralComplex):
     """Check complex invariants; returns a list of violation strings."""
     out = []
-    cells, faces = complex.cells, complex.faces
+    cells = complex.cells
     vsets = {cid: set(c.vertices) for cid, c in cells.items()}
     # the checks below read a vertex (x…, w) as the point x / w, so it must be
     # in homogenize's form
     bad = sorted(p for p in set().union(*vsets.values()) if p[-1] <= 0 or math.gcd(*p) != 1)
     out.extend(f"vertices: {p} is not a point (x…, w) with w > 0 and gcd 1" for p in bad)
-    for cid in cells:
-        if cid not in faces:
-            out.append(f"faces: cell {cid} has no entry")
-    for c, fs in faces.items():
-        if c not in cells:
-            out.append(f"faces: entry for unknown cell {c}")
-            continue
+    for c, cell in cells.items():
+        fs = cell.facets
         if any(a >= b for a, b in zip(fs, fs[1:])):
             out.append(f"faces: facets of cell {c} are not in increasing id order")
         for f in fs:
             if f not in cells:
                 out.append(f"incidence: unknown cell in pair ({f},{c})")
                 continue
-            if cells[c].dim - cells[f].dim != 1:
+            if cell.dim - cells[f].dim != 1:
                 out.append(f"incidence: dim mismatch in pair ({f},{c})")
             if not vsets[f] < vsets[c]:
                 out.append(f"incidence: vertices of {f} not contained in {c}")
     below = {}  # cell id -> the points of the 0-cells below it
     for c in sorted(cells.values(), key=lambda c: c.dim):
-        fs = faces.get(c.id, ())
+        fs = c.facets
         below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else vsets[c.id]
         if below[c.id] != vsets[c.id]:
             out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
@@ -213,12 +210,12 @@ def validate_complex(complex: PolyhedralComplex):
     for cid, c in cells.items():
         if sparse_rank({j: v for j, v in enumerate(p) if v} for p in c.vertices) != c.dim + 1:
             out.append(f"dimension: cell {cid} has affine rank != dim")
-        if c.dim >= 1 and len(faces.get(cid, ())) < c.dim + 1:
+        if c.dim >= 1 and len(c.facets) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
     full = complex.full_cells()
     if full and not bad:
         try:
-            vol = sum(_cell_volume(cells, faces, complex.ambient_dim, c.id) for c in full)
+            vol = sum(_cell_volume(cells, complex.ambient_dim, c.id) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:

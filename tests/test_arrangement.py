@@ -104,7 +104,9 @@ class TestCanonicalComplex:
         assert {cid: c.vertices for cid, c in a.cells.items()} == {
             cid: c.vertices for cid, c in b.cells.items()
         }
-        assert a.faces == b.faces
+        assert {cid: c.facets for cid, c in a.cells.items()} == {
+            cid: c.facets for cid, c in b.cells.items()
+        }
 
     def test_constant_network_single_region(self):
         pc = signed_complex(_constant(1), BoxDomain.unit_cube(2))
@@ -282,6 +284,11 @@ class TestAssembly:
         assert digest == expected
 
 
+def _with_facets(pc, cell, facets):
+    """pc with this cell's facets replaced."""
+    return replace(pc, cells={**pc.cells, cell.id: replace(cell, facets=facets)})
+
+
 class TestValidateComplex:
     def test_extra_vertex_is_reported(self):
         # (1/2, 0) keeps the square's rank, facets and volume, so only the
@@ -312,17 +319,17 @@ class TestValidateComplex:
             f"vertices: {point} is not a point (x…, w) with w > 0 and gcd 1"
         ]
 
-    def test_cell_without_entry_is_reported(self):
+    def test_facet_naming_no_cell_is_reported(self):
+        # an id past the last cell keeps the facets in increasing order, adds
+        # no 0-cell below the square and stops the volume sum, so only the
+        # incidence check sees it
         pc = box_complex([(0, 0)], 2)
-        vertex = pc.cells_of_dim(0)[0].id
-        faces = {cid: fs for cid, fs in pc.faces.items() if cid != vertex}
-        assert validate_complex(replace(pc, faces=faces)) == [f"faces: cell {vertex} has no entry"]
-
-    def test_entry_for_unknown_cell_is_reported(self):
-        pc = box_complex([(0, 0)], 2)
+        (square,) = pc.full_cells()
         unknown = max(pc.cells) + 1
-        broken = replace(pc, faces={**pc.faces, unknown: ()})
-        assert validate_complex(broken) == [f"faces: entry for unknown cell {unknown}"]
+        broken = _with_facets(pc, square, square.facets + (unknown,))
+        assert validate_complex(broken) == [
+            f"incidence: unknown cell in pair ({unknown},{square.id})"
+        ]
 
     def test_facet_of_the_wrong_dimension_is_reported(self):
         # the square's corner replaces one of the two edges through it: the
@@ -332,9 +339,8 @@ class TestValidateComplex:
         (square,) = pc.full_cells()
         corner = square.vertices[0]
         (vertex,) = (c.id for c in pc.cells_of_dim(0) if c.vertices == (corner,))
-        edge = next(f for f in pc.faces[square.id] if corner in pc.cells[f].vertices)
-        facets = tuple(sorted({*pc.faces[square.id]} - {edge} | {vertex}))
-        broken = replace(pc, faces={**pc.faces, square.id: facets})
+        edge = next(f for f in square.facets if corner in pc.cells[f].vertices)
+        broken = _with_facets(pc, square, tuple(sorted({*square.facets} - {edge} | {vertex})))
         assert validate_complex(broken) == [
             f"incidence: dim mismatch in pair ({vertex},{square.id})"
         ]
@@ -352,7 +358,7 @@ class TestValidateComplex:
             for cid, c in pc.cells.items()
             if cid != cube.id
         }
-        broken = replace(pc, cells=cells, faces={cid: pc.faces[cid] for cid in cells})
+        broken = replace(pc, cells=cells)
         (bent,) = (
             c.id for c in pc.cells_of_dim(2) if all(v[2] == 1 for v in c.vertices)
         )
@@ -361,7 +367,7 @@ class TestValidateComplex:
     def test_facets_out_of_order_are_reported(self):
         pc = box_complex([(0, 0)], 2)
         (square,) = pc.full_cells()
-        broken = replace(pc, faces={**pc.faces, square.id: pc.faces[square.id][::-1]})
+        broken = _with_facets(pc, square, square.facets[::-1])
         assert validate_complex(broken) == [
             f"faces: facets of cell {square.id} are not in increasing id order"
         ]

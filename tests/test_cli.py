@@ -149,6 +149,16 @@ class TestSmallCommands:
         path.write_text('{"schema": 99}')
         assert main(["report", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("schema", ["true", "1.0"])
+    def test_report_schema_equal_to_one_but_not_an_int(self, tmp_path, capsys, schema):
+        # True == 1.0 == 1 in Python, so only the type tells them from schema 1
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"schema": {schema}}}')
+        assert main(["report", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unsupported report schema ")
+
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()

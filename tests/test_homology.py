@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,11 +167,8 @@ class TestPosetCollapse:
     def test_survivors_are_closed(self, d3_m4_w11_sublevel):
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
             kept = _poset_collapse(pc)
-            for c, fs in pc.faces.items():
-                if c in kept.cells:
-                    assert all(f in kept.cells for f in fs)
-                    assert kept.faces[c] == fs
-            assert kept.faces.keys() == kept.cells.keys()
+            for c in kept.cells.values():
+                assert all(f in kept.cells for f in c.facets)
 
     def test_euler_characteristic_is_unchanged(self, d3_m4_w11_sublevel):
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
@@ -185,7 +181,7 @@ class TestPosetCollapse:
     def test_single_cube_collapses_to_one_vertex(self):
         kept = _poset_collapse(box_complex([(0, 0, 0)], 3))
         assert [c.dim for c in kept.cells.values()] == [0]
-        assert list(kept.faces.values()) == [()]
+        assert [c.facets for c in kept.cells.values()] == [()]
 
     def test_ring_and_shell_keep_their_homology(self):
         ring = _poset_collapse(box_complex(ring_cubes_2d(), 2))
@@ -193,16 +189,22 @@ class TestPosetCollapse:
         assert uncollapsed_betti(ring) == (1, 1)
         assert uncollapsed_betti(shell) == (1, 0, 1)
 
-    def test_survivors_do_not_depend_on_face_order(self, d3_m4_w11_sublevel):
+    def test_survivors_are_the_same_on_a_second_run(self, d3_m4_w11_sublevel):
         for pc in _collapse_fixtures(d3_m4_w11_sublevel):
             first = sorted(_poset_collapse(pc).cells)
             assert sorted(_poset_collapse(pc).cells) == first
-            # the same face map, with its entries inserted in another order
-            shuffled = list(pc.faces.items())
-            random.Random("collapse").shuffle(shuffled)
-            rebuilt = replace(pc, faces=dict(shuffled))
-            assert list(rebuilt.faces) != list(pc.faces)
-            assert sorted(_poset_collapse(rebuilt).cells) == first
+
+    def test_subcomplexes_hand_out_the_parent_cells(self, d3_m4_w11_sublevel):
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        sc = signed_complex(net, BoxDomain.unit_cube(2))
+        assert len(sublevel_subcomplex(sc).cells) < len(sc.cells)
+        for parent in [sc, *_collapse_fixtures(d3_m4_w11_sublevel)]:
+            facets = {cid: c.facets for cid, c in parent.cells.items()}
+            for sub in (sublevel_subcomplex(parent), _poset_collapse(parent)):
+                assert sub.cells
+                for cid, c in sub.cells.items():
+                    assert c is parent.cells[cid]
+                    assert c.facets == facets[cid]
 
 
 _OFFSETS = pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])

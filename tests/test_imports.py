@@ -1,6 +1,6 @@
-"""Every name a topobetti or test module imports is used in that module, and
-every public function, class or method of topobetti has a caller outside the
-tests."""
+"""Every name a topobetti, test or bench module imports is used in that
+module, and every public function, class or method of topobetti has a caller
+outside the tests."""
 
 import ast
 from collections import Counter
@@ -30,7 +30,9 @@ def _unused_imports(source: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]), ids=lambda p: p.name
+    "path",
+    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]),
+    ids=lambda p: p.name,
 )
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
