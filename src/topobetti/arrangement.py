@@ -15,10 +15,13 @@ vertices are homogeneous integer points that carry the ids of the hyperplanes
 they lie on, and affine maps are integer columns over a common denominator.  A
 split needs only the functional's values at the region's vertices: each new
 vertex is the point where it vanishes on an edge between a positive and a
-negative vertex.  The split is also the only place a functional is evaluated:
-each region records every neuron's functional on it and its sign there, and
-the layer's composition and the cell labels are read from that record.
-Every layer, the output layer included, is split neuron by neuron and then
+negative vertex.  A functional is restricted to a region's map once per
+layer and distinct map: at the layer's start regions with equal maps share
+one table of the layer's functionals, which split children inherit, since
+within a layer every region's map is its ancestor's at the layer's start.
+Each region records every neuron's sign on it, and the layer's composition
+(from the table) and the cell labels are read from that record.  Every
+layer, the output layer included, is split neuron by neuron and then
 composed into each region's map; only the hidden layers apply the ReLU.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  The assembly walks each
@@ -120,6 +123,27 @@ class Cell:
     facets: tuple
 
 
+_SET_CELL = tuple(getattr(Cell, name).__set__ for name in Cell.__slots__)
+
+
+def _cell(cid, dim, vertices, affine_map, sign_label, facets) -> Cell:
+    """Cell(cid, dim, …), made without the frozen dataclass's __init__.
+
+    That __init__ sets each field through object.__setattr__; filling the
+    slots through the class's own descriptors costs about half as much, and
+    the assembly makes one cell per face.
+    """
+    c = object.__new__(Cell)
+    set_id, set_dim, set_vertices, set_map, set_label, set_facets = _SET_CELL
+    set_id(c, cid)
+    set_dim(c, dim)
+    set_vertices(c, vertices)
+    set_map(c, affine_map)
+    set_label(c, sign_label)
+    set_facets(c, facets)
+    return c
+
+
 @dataclass(frozen=True)
 class PolyhedralComplex:
     """Full face lattice of the arrangement within the box.
@@ -175,9 +199,9 @@ def _primitive(grad, const):
 
 
 class _Region:
-    __slots__ = ("rid", "tight", "vertices", "affine", "activations")
+    __slots__ = ("rid", "tight", "vertices", "affine", "table", "activations")
 
-    def __init__(self, rid, tight, vertices, affine, activations):
+    def __init__(self, rid, tight, vertices, affine, table, activations):
         self.rid = rid
         # {hid: the vertex ids on it}, one entry per facet of the region
         self.tight = tight
@@ -186,9 +210,11 @@ class _Region:
         # far held by columns: input x -> (Σ_t x_t·cols[t] + consts) / den,
         # with den > 0 and gcd 1 over all the integers
         self.affine = affine
-        # one (grad, const, sign, hid) per neuron of the current layer split so
-        # far: its functional on the region (see _restrict_functional), its
-        # sign on the region's interior (0 only where the functional is
+        # the current layer's neurons restricted to affine, one table shared
+        # by every region with an equal map (see _Builder._restrict_layer)
+        self.table = table
+        # one (sign, hid) per neuron of the current layer split so far: its
+        # sign on the region's interior (0 only where its functional is
         # identically 0) and its interned hyperplane (None when constant)
         self.activations = activations
 
@@ -245,7 +271,7 @@ class _Builder:
         self.cap = _max_cells()
         self._next_rid = 0
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
-        base = self._new_region(None, set(), (identity, (0,) * self.d, 1), [])
+        base = self._new_region(None, set(), (identity, (0,) * self.d, 1), None, [])
         # the box is lower_i ≤ x_i ≤ upper_i; a bound p/q (gcd 1) is the
         # primitive row q·x_i − p = 0, so hids 0 … 2d − 1 are lower₀, upper₀,
         # lower₁, …
@@ -263,8 +289,8 @@ class _Builder:
         }
         self.regions = [base]
 
-    def _new_region(self, tight, vertices, affine, activations) -> _Region:
-        r = _Region(self._next_rid, tight, vertices, affine, activations)
+    def _new_region(self, tight, vertices, affine, table, activations) -> _Region:
+        r = _Region(self._next_rid, tight, vertices, affine, table, activations)
         self._next_rid += 1
         return r
 
@@ -289,28 +315,50 @@ class _Builder:
         last = len(self.net.layers)
         for ell, layer in enumerate(self.net.layers, start=1):
             weights, bias, layer_den = layer.scaled
-            for i, (wrow, b) in enumerate(zip(weights, bias), start=1):
-                self._split_all(NeuronId(ell, i), wrow, b, output=ell == last)
+            self._restrict_layer(weights, bias)
+            for i in range(len(bias)):
+                self._split_all(NeuronId(ell, i + 1), i, output=ell == last)
             self._compose(layer_den, relu=ell < last)
 
-    def _split_all(self, nid: NeuronId, wrow, b, output: bool):
+    def _restrict_layer(self, weights, bias):
+        """Point each region at the layer's neurons restricted to its map.
+
+        Within a layer every region's map is its ancestor's at the layer's
+        start, so one table per distinct map serves every split of the
+        layer, and split children inherit their parent's.  The table holds
+        one (grad, const, hrow, orient) per neuron: its functional on the
+        region (see _restrict_functional) and, unless that is constant, its
+        primitive row and orientation (see _primitive); hrow is None for a
+        constant.
+        """
+        tables = {}
+        for r in self.regions:
+            table = tables.get(r.affine)
+            if table is None:
+                table = tables[r.affine] = []
+                for wrow, b in zip(weights, bias):
+                    grad, const = _restrict_functional(r.affine, wrow, b)
+                    hrow, orient = _primitive(grad, const) if any(grad) else (None, 0)
+                    table.append((grad, const, hrow, orient))
+            r.table = table
+
+    def _split_all(self, nid: NeuronId, i: int, output: bool):
         new_regions = []
         for r in self.regions:
-            new_regions.extend(self._split(r, nid, wrow, b, output))
+            new_regions.extend(self._split(r, nid, i, output))
             if len(new_regions) > self.cap:
                 raise ComplexSizeError(
                     f"arrangement exceeded TOPOBETTI_MAX_CELLS={self.cap}"
                 )
         self.regions = new_regions
 
-    def _split(self, r: _Region, nid: NeuronId, wrow, b, output: bool):
-        grad, const = _restrict_functional(r.affine, wrow, b)
-        if not any(grad):
+    def _split(self, r: _Region, nid: NeuronId, i: int, output: bool):
+        _, const, hrow, orient = r.table[i]
+        if hrow is None:
             if const == 0:
                 self.violations.append((nid, r.rid, "degenerate-pullback"))
-            r.activations.append((grad, const, sign(const), None))
+            r.activations.append((sign(const), None))
             return [r]
-        hrow, orient = _primitive(grad, const)
         hid = self.hids.setdefault(hrow, len(self.hids))
         coords, incidence = self.coords, self.incidence
         pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
@@ -328,7 +376,7 @@ class _Builder:
             # through any vertex whether or not it splits, is a stability event
             self.violations.append((nid, r.rid, "vertex-on-hyperplane"))
         if not (pos and neg):
-            r.activations.append((grad, const, 1 if pos else -1, hid))
+            r.activations.append((1 if pos else -1, hid))
             return [r]
         facet = zeros
         # A positive u and a negative v span an edge, which h cuts, exactly
@@ -370,22 +418,26 @@ class _Builder:
                 groups[k] = group
             groups[hid] = facet
             tight = _facets(groups, self.d - 1)
-            activations = r.activations + [(grad, const, s, hid)]
-            children.append(self._new_region(tight, facet.union(side), r.affine, activations))
+            activations = r.activations + [(s, hid)]
+            children.append(
+                self._new_region(tight, facet.union(side), r.affine, r.table, activations)
+            )
         return children
 
     def _compose(self, layer_den: int, relu: bool):
         """Each region's map composed with the layer just split, reduced.
 
-        The layer's outputs are the region's activations.  With relu, those
-        of nonpositive sign are 0 and the record is cleared for the next
-        layer; without (the output layer) every row and the record are kept.
+        The layer's outputs are the functionals in the region's table, with
+        the signs of its activations.  With relu, those of nonpositive sign
+        are 0 and the record is cleared for the next layer; without (the
+        output layer) every row and the record are kept.
         """
         zero = (0,) * self.d
         for r in self.regions:
             den = layer_den * r.affine[2]
-            rows = [grad if s > 0 or not relu else zero for grad, _, s, _ in r.activations]
-            consts = [const if s > 0 or not relu else 0 for _, const, s, _ in r.activations]
+            live = [s > 0 or not relu for s, _ in r.activations]
+            rows = [f[0] if kept else zero for f, kept in zip(r.table, live)]
+            consts = [f[1] if kept else 0 for f, kept in zip(r.table, live)]
             if relu:
                 r.activations = []
             g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
@@ -478,7 +530,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
     below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
     for r in regions:
-        _, _, out_sign, out_hid = r.activations[0]
+        out_sign, out_hid = r.activations[0]
         affine_map, label = r.affine, _label(out_sign)
         # the owner's vertices on the output's hyperplane
         touched = {v for v in r.vertices if out_hid in incidence[v]}
@@ -522,7 +574,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     # dimension, and within one by their ranked vertex lists, so a cell's
     # facets have ids when it is made.
     cells = [
-        Cell(x, 0, (point,), affine_map, label, ())
+        _cell(x, 0, (point,), affine_map, label, ())
         for x, (point, (affine_map, label)) in enumerate(zip(points, vertex_data))
     ]
     ids = [0] * len(found)  # discovery index -> cell id
@@ -541,7 +593,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
             else:
                 # for d ≥ 4 the walk may reach a facet through more than one hid
                 facets = tuple(sorted({ids[j] for j in below[i]}))
-            cells.append(Cell(cid, dim, vertices, affine_map, label, facets))
+            cells.append(_cell(cid, dim, vertices, affine_map, label, facets))
     return PolyhedralComplex(
         cells={c.id: c for c in cells},
         ambient_dim=d,

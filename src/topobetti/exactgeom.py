@@ -18,15 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-_RATIONAL_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+_RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(s: str) -> Fraction:
     """Parse the canonical serialization "p/q" (q>1, gcd=1) or "p".
 
-    Rejects anything non-canonical: "2/4", "1/1", "+3", "-0", "1/-2", "1.5".
+    Rejects anything non-canonical with a ValueError: "2/4", "1/1", "+3",
+    "-0", "1/-2", "1.5", a trailing newline, and any value that is not a str.
     """
-    m = _RATIONAL_RE.match(s)
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string, got {s!r}")
+    m = _RATIONAL_RE.fullmatch(s)
     if m is None:
         raise ValueError(f"non-canonical rational string: {s!r}")
     p = int(m.group(1))

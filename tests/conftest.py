@@ -5,6 +5,7 @@ import pytest
 
 from helpers import build_and_assemble, complex_digest
 from oracles import region_tables
+from topobetti import arrangement
 from topobetti.arrangement import linear_region_count, sublevel_subcomplex
 from topobetti.constructions import BettiVector, CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
@@ -53,11 +54,16 @@ class LargeComplexFacts:
     euler_cells: int  # alternating cell count of the sublevel complex
     regions: int  # linear_region_count of the signed complex
     positive_cells: Counter  # dim -> cells of that dim labelled positive
+    restrictions: int  # arrangement._restrict_functional calls of the build
 
 
 def _large_complex_facts(d, m_vec, w_vec) -> LargeComplexFacts:
     net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
-    b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
+    calls = []
+    restrict = arrangement._restrict_functional
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrangement, "_restrict_functional", lambda *a: calls.append(1) or restrict(*a))
+        b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
     tables, faults = region_tables(b)
     assert faults == []
     # the builder's vertices, incidence and regions go before the digest and
@@ -71,6 +77,7 @@ def _large_complex_facts(d, m_vec, w_vec) -> LargeComplexFacts:
         euler_cells=sub.euler_cells(),
         regions=linear_region_count(sc),
         positive_cells=Counter(c.dim for c in sc.cells.values() if c.sign_label == "positive"),
+        restrictions=len(calls),
     )
 
 

@@ -360,7 +360,7 @@ def reference_assemble(b) -> PolyhedralComplex:
         key, dim, owner = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
-        _, _, out_sign, out_hid = owner.activations[0]
+        out_sign, out_hid = owner.activations[0]
         on_out = all(out_hid in incidence[v] for v in key)
         cells[cid] = Cell(
             id=cid,

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -27,6 +27,7 @@ from oracles import (
 )
 from topobetti import arrangement
 from topobetti.arrangement import (
+    Cell,
     ComplexSizeError,
     linear_region_count,
     signed_complex,
@@ -165,6 +166,47 @@ class TestCanonicalComplex:
             signed_complex(_tent(2), BoxDomain.unit_cube(1))
 
 
+class TestLayerTables:
+    """A layer's neurons are restricted once per distinct region map."""
+
+    @pytest.mark.parametrize(
+        "name, restrictions",
+        [("d2-M4-w3", 148), ("d2-M8-w4", 588), ("d3-M2-w11", 94), ("d3-M4-w11", 758)],
+    )
+    def test_one_restriction_per_distinct_map(
+        self, name, restrictions, reference_networks, monkeypatch
+    ):
+        # restricting on every split would take 291, 1 554, 166 and 1 342
+        calls = []
+        restrict = arrangement._restrict_functional
+        monkeypatch.setattr(
+            arrangement, "_restrict_functional", lambda *a: calls.append(1) or restrict(*a)
+        )
+        net, fold, _, _ = reference_networks[name]
+        signed_complex(net, BoxDomain.unit_cube(fold.d))
+        assert len(calls) == restrictions
+
+    @pytest.mark.parametrize("name, restrictions", [("d2-M32-w4", 8252), ("d4-M4-w111", 4232)])
+    def test_large_instances(self, name, restrictions, large_complexes):
+        # restricting on every split would take 24 574 and 9 982
+        assert large_complexes[name].restrictions == restrictions
+
+    def test_split_children_share_their_parents_table(self, reference_networks, monkeypatch):
+        cuts = []
+        split = arrangement._Builder._split
+
+        def checked(self, r, *args):
+            children = split(self, r, *args)
+            if len(children) == 2:
+                cuts.append(all(c.table is r.table for c in children))
+            return children
+
+        monkeypatch.setattr(arrangement._Builder, "_split", checked)
+        net, fold, _, _ = reference_networks["d3-M4-w11"]
+        signed_complex(net, BoxDomain.unit_cube(fold.d))
+        assert cuts and all(cuts)
+
+
 class TestNewVertices:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_corner_cut_off_the_cube(self, d):
@@ -254,6 +296,23 @@ class TestAssembly:
             (NeuronId(2, 1), "vertex-on-hyperplane")
         ] * 2
         assert digest == expected
+
+    def test_assembled_cells_are_ordinary_cells(self, reference_networks):
+        # _assemble makes its cells without Cell's own __init__
+        net, fold, _, _ = reference_networks["d3-M2-w11"]
+        sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
+        for c in sc.cells.values():
+            values = [getattr(c, f.name) for f in fields(Cell)]
+            made = Cell(*values)
+            assert type(c) is Cell
+            assert c == made and hash(c) == hash(made)
+            with pytest.raises(FrozenInstanceError):
+                c.sign_label = "zero"
+            with pytest.raises(FrozenInstanceError):
+                del c.dim
+            other = "positive" if c.sign_label == "zero" else "zero"
+            assert replace(c, sign_label=other) == replace(made, sign_label=other) != made
+            assert c == made
 
     def test_a_cells_map_names_its_owner(self, reference_networks):
         # oracles.region_tables finds a cell's owner by its map's identity:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,6 +47,19 @@ class TestRationalStrings:
     def test_rejects_non_canonical(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1\n", "1/2\n", "-3\n"])
+    def test_rejects_a_trailing_newline(self, text):
+        # a pattern ending in $ also matches just before a final newline
+        with pytest.raises(ValueError, match="non-canonical"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "value", [1, Fraction(1, 2), None, b"1"], ids=["int", "Fraction", "None", "bytes"]
+    )
+    def test_rejects_a_non_string(self, value):
+        with pytest.raises(ValueError, match=f"must be a string, got {re.escape(repr(value))}"):
+            parse_rational(value)
 
     @given(rationals)
     def test_round_trip(self, x):

@@ -292,3 +292,22 @@ def test_readme_depth_separation_table():
         assert predict_betti(2**layers, (4,), 2).values == (b0, b1)
         assert betti_upper_bound((2, neurons, 1), 0) == bound
         assert betti_upper_bound((2, neurons, 1), 1) == bound
+
+
+def test_readme_depth_separation_table_in_three_dimensions():
+    """Every row of the README's d = 3 depth-separation table, recomputed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(
+        r"^\| (\d+) \| (\d+) \| \((\d+), (\d+), (\d+)\) \| (\d+) \| (\d+) \| (yes|no) \|$",
+        readme,
+        re.M,
+    )
+    assert [(int(row[0]), row[-1]) for row in rows] == [(4, "yes"), (5, "no"), (6, "no")]
+    for row in rows:
+        layers, neurons, b0, b1, b2, bound, middle_bound = map(int, row[:-1])
+        net = build_topo_network(FoldingSpec(3, (2,) * layers), CuttingSpec(3, (1, 1)))
+        assert sum(net.architecture[1:-1]) == neurons
+        assert predict_betti(2**layers, (1, 1), 3).values == (b0, b1, b2)
+        shallow = (3, neurons, 1)
+        assert betti_upper_bound(shallow, 0) == betti_upper_bound(shallow, 2) == bound
+        assert betti_upper_bound(shallow, 1) == middle_bound

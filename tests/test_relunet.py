@@ -150,6 +150,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_from_json(obj)
 
+    def test_trailing_newline_rejected(self):
+        obj = network_to_json(_tent(2))
+        obj["layers"][0]["weights"][0][0] = "1/2\n"
+        with pytest.raises(ValueError, match="non-canonical"):
+            network_from_json(obj)
+
+    def test_non_string_rational_rejected(self):
+        obj = network_to_json(_tent(2))
+        obj["layers"][0]["bias"][0] = 1
+        with pytest.raises(ValueError, match="^malformed layer 0: rational must be a string, got 1$"):
+            network_from_json(obj)
+
     @pytest.mark.parametrize(
         "weights, bias",
         [(["12"], ["3"]), ("12", ["3", "4"]), ([["1", "2"]], "3"), ([["1"]], {"1": 0})],
