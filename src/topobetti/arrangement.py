@@ -39,10 +39,11 @@ A split's hyperplane is interned by its primitive row (normal…, offset).
 Vertices are ordered by integer ranks: the first axis's distinct values, as
 reduced (num, den) pairs, are sorted once, and each later axis only among
 the vertices still tied on the earlier ones.  The complex hands out the
-build's own integer data: Cell.vertices holds the build's homogeneous
-points, Cell.affine_map the owning region's reduced integer output map,
-Cell.facets the face relation, and PolyhedralComplex.constraints the
-hyperplane table's rows.
+build's own integer data: PolyhedralComplex.points holds the build's
+homogeneous points by 0-cell id, Cell.affine_map the owning region's reduced
+integer output map, Cell.facets the face relation (a cell's vertices are the
+0-cells below it), and PolyhedralComplex.constraints the hyperplane table's
+rows.
 """
 
 from __future__ import annotations
@@ -99,11 +100,10 @@ def _max_cells() -> int:
 
 @dataclass(frozen=True, slots=True)
 class Cell:
-    """A closed polyhedron of the complex, identified by its vertex set.
+    """A closed polyhedron of the complex.
 
-    vertices are homogeneous integer points (x_1, …, x_d, w), the point
-    x / w with w > 0 and gcd 1 (see exactgeom.homogenize), in lexicographic
-    order of the points.  affine_map = (cols, consts, den) is the network's
+    Its vertices are the 0-cells below it through facets, whose points the
+    complex holds.  affine_map = (cols, consts, den) is the network's
     output on the cell's owning region, x -> (Σ_t x_t·cols[t][0] +
     consts[0]) / den: d integer columns of length 1 (the output is scalar),
     one integer constant and den > 0, with gcd 1 over all the integers, so
@@ -117,7 +117,6 @@ class Cell:
 
     id: int
     dim: int
-    vertices: tuple
     affine_map: tuple
     sign_label: str
     facets: tuple
@@ -126,7 +125,7 @@ class Cell:
 _SET_CELL = tuple(getattr(Cell, name).__set__ for name in Cell.__slots__)
 
 
-def _cell(cid, dim, vertices, affine_map, sign_label, facets) -> Cell:
+def _cell(cid, dim, affine_map, sign_label, facets) -> Cell:
     """Cell(cid, dim, …), made without the frozen dataclass's __init__.
 
     That __init__ sets each field through object.__setattr__; filling the
@@ -134,10 +133,9 @@ def _cell(cid, dim, vertices, affine_map, sign_label, facets) -> Cell:
     the assembly makes one cell per face.
     """
     c = object.__new__(Cell)
-    set_id, set_dim, set_vertices, set_map, set_label, set_facets = _SET_CELL
+    set_id, set_dim, set_map, set_label, set_facets = _SET_CELL
     set_id(c, cid)
     set_dim(c, dim)
-    set_vertices(c, vertices)
     set_map(c, affine_map)
     set_label(c, sign_label)
     set_facets(c, facets)
@@ -148,14 +146,16 @@ def _cell(cid, dim, vertices, affine_map, sign_label, facets) -> Cell:
 class PolyhedralComplex:
     """Full face lattice of the arrangement within the box.
 
-    The face relation is each cell's facets.  violations are the stability
-    events the build recorded, as (NeuronId, region-id, reason) triples in
-    build order.
+    The face relation is each cell's facets.  points are the 0-cells'
+    homogeneous integer points (x_1, …, x_d, w), the point x / w with w > 0
+    and gcd 1 (see exactgeom.homogenize), by 0-cell id, which is their
+    lexicographic order.  violations are the stability events the build
+    recorded, as (NeuronId, region-id, reason) triples in build order.
     """
 
     cells: dict  # cell id -> Cell, in increasing id order
     ambient_dim: int
-    box: BoxDomain
+    points: tuple
     # the hyperplane table, by hid: primitive integer rows (normal…, offset)
     # of the hyperplanes normal·x + offset = 0
     constraints: tuple
@@ -171,7 +171,7 @@ class PolyhedralComplex:
         return sum((-1) ** c.dim for c in self.cells.values())
 
     def restrict(self, ids) -> "PolyhedralComplex":
-        """The subcomplex of these cells, the parent's own Cell objects.
+        """The subcomplex of these cells: the parent's own Cell objects and points.
 
         ids must be closed under faces, as both callers' are (the sublevel
         cells, and the cells a collapse leaves), so each kept cell's facets
@@ -260,7 +260,6 @@ class _Builder:
         if net.input_dim != box.dimension:
             raise ValueError("box dimension does not match network input")
         self.net = net
-        self.box = box
         self.d = box.dimension
         # the hyperplane table: primitive row (normal…, offset) -> hid, in hid order
         self.hids = {}
@@ -512,15 +511,13 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     of it exactly when all the face's vertices lie on the output's
     hyperplane, which incidence, complete on every region's vertices, tells.
     """
-    regions, box, cap = b.regions, b.box, b.cap
+    regions, cap, d = b.regions, b.cap, b.d
     coords, incidence = b.coords, b.incidence
-    d = box.dimension
     # the 0-cells come first, in the order of their rational points
     order = _order_points(coords)
     rank = [0] * len(coords)  # vertex id -> rank
     for x, v in enumerate(order):
         rank[v] = x
-    points = list(map(coords.__getitem__, order))
     vertex_data = [None] * len(coords)  # rank -> (owner's affine map, label)
     limit = cap - len(coords)  # for the faces of dimension ≥ 1
     overflow = f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
@@ -574,8 +571,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     # dimension, and within one by their ranked vertex lists, so a cell's
     # facets have ids when it is made.
     cells = [
-        _cell(x, 0, (point,), affine_map, label, ())
-        for x, (point, (affine_map, label)) in enumerate(zip(points, vertex_data))
+        _cell(x, 0, affine_map, label, ()) for x, (affine_map, label) in enumerate(vertex_data)
     ]
     ids = [0] * len(found)  # discovery index -> cell id
     for dim in range(1, d + 1):
@@ -585,7 +581,6 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
             i = bucket[x]
             ids[i] = cid = len(cells)
             _, affine_map, label = found[i]
-            vertices = tuple(map(points.__getitem__, ranked[x]))
             if dim == 1:
                 # an edge's facets are its vertices, whose ids are their ranks;
                 # the 0-cells' own id objects keep one int per id
@@ -593,11 +588,11 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
             else:
                 # for d ≥ 4 the walk may reach a facet through more than one hid
                 facets = tuple(sorted({ids[j] for j in below[i]}))
-            cells.append(_cell(cid, dim, vertices, affine_map, label, facets))
+            cells.append(_cell(cid, dim, affine_map, label, facets))
     return PolyhedralComplex(
         cells={c.id: c for c in cells},
         ambient_dim=d,
-        box=box,
+        points=tuple(map(coords.__getitem__, order)),
         constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )

@@ -35,7 +35,7 @@ from topobetti.arrangement import (
     _label,
     _order_points,
 )
-from oracles import active_constraints, dehomogenize, matrix_rank
+from oracles import active_constraints, cell_vertices, dehomogenize, matrix_rank
 from topobetti.exactgeom import BoxDomain, sparse_rank
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
@@ -47,10 +47,9 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
 
     `cubes` is an iterable of lower-corner integer tuples; each cube is
     [a, a+1]^d.  Faces pick, per axis, the lower endpoint, the upper endpoint,
-    or the whole interval; shared faces are deduplicated by vertex set.  A
-    cell's vertices are homogeneous points (x…, 1), as the arrangement's are,
-    and every cell is labelled "negative", so the whole union is a sublevel
-    set.
+    or the whole interval; shared faces are deduplicated by vertex set.  The
+    points are homogeneous (x…, 1), as the arrangement's are, and every cell
+    is labelled "negative", so the whole union is a sublevel set.
     """
     faces = {}  # frozenset of vertices -> (dim, sorted vertex tuple)
     for base in cubes:
@@ -69,7 +68,8 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
     ids = {verts: i for i, (_, verts) in enumerate(ordered)}
     zero_map = (((0,),) * ambient_dim, (0,), 1)
     # cells are numbered in increasing (dim, vertices) order, so each cell's
-    # facets come out in increasing id order
+    # facets come out in increasing id order, and the 0-cells come first in
+    # the lexicographic order of their points
     facets = {}
     for dim, verts in ordered:
         vset = set(verts)
@@ -80,20 +80,16 @@ def box_complex(cubes, ambient_dim: int) -> PolyhedralComplex:
         ids[verts]: Cell(
             id=ids[verts],
             dim=dim,
-            vertices=tuple((*p, 1) for p in verts),
             affine_map=zero_map,
             sign_label="negative",
             facets=facets[verts],
         )
         for dim, verts in ordered
     }
-    los = [min(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
-    his = [max(v[i] for vs in faces.values() for v in vs[1]) for i in range(ambient_dim)]
-    box = BoxDomain(tuple(Fraction(l) for l in los), tuple(Fraction(h) for h in his))
     return PolyhedralComplex(
         cells=cells,
         ambient_dim=ambient_dim,
-        box=box,
+        points=tuple((*verts[0], 1) for dim, verts in ordered if dim == 0),
         constraints=(),
         violations=(),
     )
@@ -256,17 +252,18 @@ def complex_digest(sc, tables) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
     cells is the sorted list of (id, dim, vertices, active constraints,
-    affine map, label) tuples, with the active constraints from the owner's
-    table in tables (oracles.region_tables of the build) by
-    oracles.active_constraints, and face pairs the sorted list of (face id,
-    coface id) pairs read from the cells' facets.  Vertices enter as tuples
-    of Fractions, affine maps as ((grad…,), (const,)) in Fractions and
-    constraints as Hyperplanes, the forms the digests were recorded in.
+    affine map, label) tuples, with the vertices from oracles.cell_vertices,
+    the active constraints from the owner's table in tables
+    (oracles.region_tables of the build) by oracles.active_constraints, and
+    face pairs the sorted list of (face id, coface id) pairs read from the
+    cells' facets.  Vertices enter as tuples of Fractions, affine maps as
+    ((grad…,), (const,)) in Fractions and constraints as Hyperplanes, the
+    forms the digests were recorded in.
     The repr is fed to the hash piece by piece, so the whole string is never
     held in memory.
     """
-    points = dict.fromkeys(v for c in sc.cells.values() for v in c.vertices)
-    points = {v: dehomogenize(v) for v in points}
+    vertices = cell_vertices(sc)
+    points = {v: dehomogenize(v) for v in sc.points}
     maps = {m: fraction_map(m) for m in dict.fromkeys(c.affine_map for c in sc.cells.values())}
     constraints = tuple(Hyperplane(row[:-1], row[-1]) for row in sc.constraints)
     h = hashlib.sha256()
@@ -282,8 +279,8 @@ def complex_digest(sc, tables) -> str:
         (
             cid,
             c.dim,
-            tuple(map(points.__getitem__, c.vertices)),
-            active_constraints(sc, c, tables),
+            tuple(map(points.__getitem__, vertices[cid])),
+            active_constraints(sc, c, vertices[cid], tables),
             maps[c.affine_map],
             c.sign_label,
         )
@@ -301,9 +298,8 @@ def reference_assemble(b) -> PolyhedralComplex:
     A face's owner is the first region, in build order, that holds it; the
     face takes its affine map and label from the owner.
     """
-    regions, box, cap = b.regions, b.box, b.cap
+    regions, cap, d = b.regions, b.cap, b.d
     coords, incidence = b.coords, b.incidence
-    d = box.dimension
     index = {}  # frozenset(vertex ids) -> discovery index
     found = []  # discovery index -> (vertex ids, dim, owner)
     incid = set()  # (face index, coface index)
@@ -342,7 +338,7 @@ def reference_assemble(b) -> PolyhedralComplex:
                         stack.append((j, dim - 1, sub_tight))
                 incid.add((j, i))
 
-    # cells, and the vertices within each, are ordered by their rational points
+    # cells are ordered by their vertices' rational points, the 0-cells first
     vids = list(set().union(*(r.vertices for r in regions)))
     order = _order_points([coords[v] for v in vids])
     rank = {vids[i]: x for x, i in enumerate(order)}
@@ -365,7 +361,6 @@ def reference_assemble(b) -> PolyhedralComplex:
         cells[cid] = Cell(
             id=cid,
             dim=dim,
-            vertices=tuple(points[x] for x in ranked[i]),
             affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
             facets=tuple(facets[cid]),
@@ -373,7 +368,7 @@ def reference_assemble(b) -> PolyhedralComplex:
     return PolyhedralComplex(
         cells=cells,
         ambient_dim=d,
-        box=box,
+        points=tuple(points),
         constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )

@@ -4,18 +4,23 @@ Each one checks what the package computes by a route of its own, in plain
 Python over int and Fraction, so that a fault in the package does not carry
 over into its check.
 
+- cell_vertices gives each cell's vertices: the ids of the 0-cells below
+  it, the union of its facets' taken by increasing dimension, sorted and
+  mapped through the complex's points.
 - validate_complex checks the invariants of a complex the arrangement hands
-  out and returns a list of violation strings, empty when all hold. A
-  vertex is a homogeneous integer point (x_1, …, x_d, w), the point x / w
-  with w > 0 and gcd 1 (homogenize's form), so it first reports any vertex
-  not in that form. It then checks each cell's facets (known ids, one
-  dimension down, contained and in increasing id order), that each cell
-  lists exactly the 0-cells below it, each cell's dimension and its facet
-  count. A cell's dimension is checked as the rank of its homogeneous
-  vertices, which with w > 0 is the affine rank plus 1, by sparse_rank on
-  the integer vertices directly. Last, the full cells' volumes must sum to
-  the box's: more means two cells overlap, less that the box is not
-  covered.
+  out against the box it was built on, and returns a list of violation
+  strings, empty when all hold. A point is a homogeneous integer point
+  (x_1, …, x_d, w), the point x / w with w > 0 and gcd 1 (homogenize's
+  form), so it first reports any point not in that form, any 0-cell whose
+  id does not index the points, and any two points not distinct and in
+  increasing lexicographic order, which the cells' vertex order rests on.
+  It then checks each cell's facets (known ids, one dimension down,
+  contained and in increasing id order), each cell's dimension and its
+  facet count. A cell's dimension is checked as the rank of its
+  homogeneous vertices, which with w > 0 is the affine rank plus 1, by
+  sparse_rank on the integer vertices directly. Last, the full cells'
+  volumes must sum to the box's: more means two cells overlap, less that
+  the box is not covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
   coned from its first vertex over its facets that miss that vertex. A
   simplex's rows (x…, w) of homogeneous integer coordinates have Π w times
@@ -102,11 +107,14 @@ def region_tables(b) -> tuple:
     return tables, faults
 
 
-def active_constraints(complex: PolyhedralComplex, cell, tables) -> tuple:
-    """The cell's owner's table from region_tables, with sign 0 where the cell is tight."""
+def active_constraints(complex: PolyhedralComplex, cell, vertices, tables) -> tuple:
+    """The cell's owner's table from region_tables, with sign 0 where the cell is tight.
+
+    vertices are the cell's, as cell_vertices gives them.
+    """
     rows = complex.constraints
     return tuple(
-        (hid, 0 if all(sum(map(mul, rows[hid], p)) == 0 for p in cell.vertices) else s)
+        (hid, 0 if all(sum(map(mul, rows[hid], p)) == 0 for p in vertices) else s)
         for hid, s in tables[id(cell.affine_map)]
     )
 
@@ -148,6 +156,27 @@ def _det(rows) -> int:
     return det * prev
 
 
+def _vertex_ids(cells) -> dict:
+    """Cell id -> the ids of the 0-cells below it through facets.
+
+    The cells are taken by increasing dimension, so a facet one dimension
+    down is done first; a facet that names no cell adds nothing.
+    """
+    below = {}
+    for c in sorted(cells.values(), key=lambda c: c.dim):
+        below[c.id] = set().union(*(below.get(f, ()) for f in c.facets)) if c.dim else {c.id}
+    return below
+
+
+def cell_vertices(complex: PolyhedralComplex) -> dict:
+    """Cell id -> the points of its vertices, the 0-cells below it, in 0-cell id order."""
+    points = complex.points
+    return {
+        cid: tuple(map(points.__getitem__, sorted(ids)))
+        for cid, ids in _vertex_ids(complex.cells).items()
+    }
+
+
 def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """Exact volume of a full-dimensional cell via a pulling triangulation.
 
@@ -156,37 +185,46 @@ def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """
     if complex.cells[cell_id].dim != complex.ambient_dim:
         raise ValueError("volume is defined for full-dimensional cells")
-    return _cell_volume(complex.cells, complex.ambient_dim, cell_id)
+    below = _vertex_ids(complex.cells)
+    return _cell_volume(complex.cells, below, complex.points, complex.ambient_dim, cell_id)
 
 
-def _cell_volume(cells, d: int, cell_id: int):
+def _cell_volume(cells, below, points, d: int, cell_id: int):
     # each stack entry is a face and the apexes of the faces above it, so a
     # 0-cell completes one simplex; its vertices' rows (x…, w) have
-    # determinant Π w times that of its edge vectors p − p₀
+    # determinant Π w times that of its edge vectors p − p₀.  A face's first
+    # vertex is the 0-cell of least id below it (see _vertex_ids).
     total = Fraction(0)
     stack = [(cell_id, ())]
     while stack:
         cid, apexes = stack.pop()
-        apex = cells[cid].vertices[0]
+        apex = min(below[cid])
         if cells[cid].dim == 0:
-            rows = apexes + (apex,)
+            rows = [points[v] for v in (*apexes, apex)]
             total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
             continue
-        stack.extend(
-            (f, apexes + (apex,)) for f in cells[cid].facets if apex not in cells[f].vertices
-        )
+        stack.extend((f, apexes + (apex,)) for f in cells[cid].facets if apex not in below[f])
     return total / math.factorial(d)
 
 
-def validate_complex(complex: PolyhedralComplex):
-    """Check complex invariants; returns a list of violation strings."""
+def validate_complex(complex: PolyhedralComplex, box: BoxDomain):
+    """Check a complex's invariants against its box; returns a list of violation strings."""
     out = []
-    cells = complex.cells
-    vsets = {cid: set(c.vertices) for cid, c in cells.items()}
-    # the checks below read a vertex (x…, w) as the point x / w, so it must be
-    # in homogenize's form
-    bad = sorted(p for p in set().union(*vsets.values()) if p[-1] <= 0 or math.gcd(*p) != 1)
+    cells, points = complex.cells, complex.points
+    # the checks below read a point (x…, w) as x / w, so it must be in
+    # homogenize's form
+    bad = sorted({p for p in points if p[-1] <= 0 or math.gcd(*p) != 1})
     out.extend(f"vertices: {p} is not a point (x…, w) with w > 0 and gcd 1" for p in bad)
+    # a 0-cell's point is points[its id]
+    stray = [c.id for c in complex.cells_of_dim(0) if not 0 <= c.id < len(points)]
+    out.extend(f"points: 0-cell {cid} has no point" for cid in stray)
+    if not bad:
+        # with w, w' > 0, x / w < x' / w' on an axis exactly when x·w' < x'·w,
+        # so comparing the cross-multiplied lists compares the rational points
+        for x, (p, q) in enumerate(zip(points, points[1:])):
+            if [a * q[-1] for a in p[:-1]] >= [a * p[-1] for a in q[:-1]]:
+                out.append(f"points: {x} and {x + 1} are not in increasing lexicographic order")
+    below = _vertex_ids(cells)
     for c, cell in cells.items():
         fs = cell.facets
         if any(a >= b for a, b in zip(fs, fs[1:])):
@@ -197,29 +235,26 @@ def validate_complex(complex: PolyhedralComplex):
                 continue
             if cell.dim - cells[f].dim != 1:
                 out.append(f"incidence: dim mismatch in pair ({f},{c})")
-            if not vsets[f] < vsets[c]:
+            if not below[f] < below[c]:
                 out.append(f"incidence: vertices of {f} not contained in {c}")
-    below = {}  # cell id -> the points of the 0-cells below it
-    for c in sorted(cells.values(), key=lambda c: c.dim):
-        fs = c.facets
-        below[c.id] = set().union(*(below.get(f, ()) for f in fs)) if c.dim else vsets[c.id]
-        if below[c.id] != vsets[c.id]:
-            out.append(f"vertices: cell {c.id} does not list exactly the 0-cells below it")
+    if stray:
+        return out
     # a vertex is (x…, w) with w > 0: its points' homogeneous rank is their
     # affine rank + 1
     for cid, c in cells.items():
-        if sparse_rank({j: v for j, v in enumerate(p) if v} for p in c.vertices) != c.dim + 1:
+        rows = ({j: v for j, v in enumerate(points[x]) if v} for x in below[cid])
+        if sparse_rank(rows) != c.dim + 1:
             out.append(f"dimension: cell {cid} has affine rank != dim")
         if c.dim >= 1 and len(c.facets) < c.dim + 1:
             out.append(f"face-closure: cell {cid} is missing facets")
     full = complex.full_cells()
     if full and not bad:
         try:
-            vol = sum(_cell_volume(cells, complex.ambient_dim, c.id) for c in full)
+            vol = sum(_cell_volume(cells, below, points, complex.ambient_dim, c.id) for c in full)
         except (KeyError, ValueError):
             vol = None
         if vol is not None:
-            box_vol = box_volume(complex.box)
+            box_vol = box_volume(box)
             if vol > box_vol:
                 out.append("interior-overlap: full cells exceed box volume")
             elif vol < box_vol:

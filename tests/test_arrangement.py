@@ -19,6 +19,7 @@ from helpers import (
 from oracles import (
     _det,
     box_volume,
+    cell_vertices,
     cell_volume,
     centroid,
     dehomogenize,
@@ -70,9 +71,10 @@ def _constant(value, d=2):
 def _assert_maps_reproduce(net, pc):
     # each full cell's map must agree with the network on its vertices
     # (interior points are covered by convexity)
+    vertices = cell_vertices(pc)
     for cell in pc.full_cells():
         cols, (const,), den = cell.affine_map
-        for v in map(dehomogenize, cell.vertices):
+        for v in map(dehomogenize, vertices[cell.id]):
             assert (sum(g * x for (g,), x in zip(cols, v)) + const) / den == eval_scalar(net, v)
 
 
@@ -85,14 +87,16 @@ def _dims(pc):
 
 class TestCanonicalComplex:
     def test_tent_on_interval(self):
-        pc = signed_complex(_tent(2), BoxDomain.unit_cube(1))
+        box = BoxDomain.unit_cube(1)
+        pc = signed_complex(_tent(2), box)
         assert _dims(pc) == {0: 3, 1: 2}
-        assert validate_complex(pc) == []
+        assert validate_complex(pc, box) == []
 
     def test_tent_on_square(self):
-        pc = signed_complex(_tent(2, d=2), BoxDomain.unit_cube(2))
+        box = BoxDomain.unit_cube(2)
+        pc = signed_complex(_tent(2, d=2), box)
         assert _dims(pc) == {0: 9, 1: 12, 2: 4}
-        assert validate_complex(pc) == []
+        assert validate_complex(pc, box) == []
 
     def test_affine_maps_reproduce_the_network(self):
         net = _tent(4, d=2)
@@ -102,17 +106,16 @@ class TestCanonicalComplex:
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         a = signed_complex(net, BoxDomain.unit_cube(2))
         b = signed_complex(net, BoxDomain.unit_cube(2))
-        assert {cid: c.vertices for cid, c in a.cells.items()} == {
-            cid: c.vertices for cid, c in b.cells.items()
-        }
+        assert a.points == b.points
         assert {cid: c.facets for cid, c in a.cells.items()} == {
             cid: c.facets for cid, c in b.cells.items()
         }
 
     def test_constant_network_single_region(self):
-        pc = signed_complex(_constant(1), BoxDomain.unit_cube(2))
+        box = BoxDomain.unit_cube(2)
+        pc = signed_complex(_constant(1), box)
         assert len(pc.full_cells()) == 1
-        assert validate_complex(pc) == []
+        assert validate_complex(pc, box) == []
 
     def test_cell_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
@@ -214,14 +217,14 @@ class TestNewVertices:
         # the d edges from it: the diagonals to the other corners are no edges
         half = Fraction(1, 2)
         net = ReluNetwork((AffineLayer(((Fraction(1),) * d,), (-half,)),))
-        sc = signed_complex(net, BoxDomain.unit_cube(d))
-        points = {v for c in sc.cells.values() for v in c.vertices}
-        assert points == {c.vertices[0] for c in sc.cells_of_dim(0)}
-        new = points - set(map(homogenize, BoxDomain.unit_cube(d).corners()))
+        box = BoxDomain.unit_cube(d)
+        sc = signed_complex(net, box)
+        assert len(set(sc.points)) == len(sc.points) == len(sc.cells_of_dim(0))
+        new = set(sc.points) - set(map(homogenize, box.corners()))
         assert sorted(map(dehomogenize, new)) == sorted(
             tuple(half if j == i else 0 for j in range(d)) for i in range(d)
         )
-        assert validate_complex(sc) == []
+        assert validate_complex(sc, box) == []
 
 
 class TestAssembly:
@@ -267,9 +270,9 @@ class TestAssembly:
         row = (Fraction(1), Fraction(1)) + (Fraction(0),) * (d - 2)
         net = ReluNetwork((AffineLayer((row,), (Fraction(0),)),))
         sc, _, digest, expected = self._both(net, BoxDomain.unit_cube(d))
-        assert sorted(c.vertices for c in sc.cells.values() if c.sign_label == "zero") == sorted(
-            tuple((*p, 1) for p in cell) for cell in zero_cells
-        )
+        vertices = cell_vertices(sc)
+        zero = [vertices[cid] for cid, c in sc.cells.items() if c.sign_label == "zero"]
+        assert sorted(zero) == sorted(tuple((*p, 1) for p in cell) for cell in zero_cells)
         assert {c.sign_label for c in sc.cells.values()} == {"zero", "positive"}
         assert digest == expected
 
@@ -285,9 +288,10 @@ class TestAssembly:
             )
         )
         sc, _, digest, expected = self._both(net, BoxDomain.unit_cube(2))
-        left, right = sorted(sc.full_cells(), key=lambda c: c.vertices)
+        vertices = cell_vertices(sc)
+        left, right = sorted(sc.full_cells(), key=lambda c: vertices[c.id])
         assert (left.sign_label, right.sign_label) == ("negative", "positive")
-        zero = [c.vertices for c in sc.cells.values() if c.sign_label == "zero"]
+        zero = [vertices[cid] for cid, c in sc.cells.items() if c.sign_label == "zero"]
         assert sorted(zero) == [((1, 0, 2),), ((1, 0, 2), (1, 2, 2)), ((1, 2, 2),)]
         assert linear_region_count(sc) == 1
         assert betti_numbers(sublevel_subcomplex(sc)).values == (1, 0)
@@ -298,7 +302,9 @@ class TestAssembly:
         assert digest == expected
 
     def test_assembled_cells_are_ordinary_cells(self, reference_networks):
-        # _assemble makes its cells without Cell's own __init__
+        # _assemble makes its cells without Cell's own __init__; a cell holds
+        # no points, which the complex keeps once
+        assert Cell.__slots__ == ("id", "dim", "affine_map", "sign_label", "facets")
         net, fold, _, _ = reference_networks["d3-M2-w11"]
         sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
         for c in sc.cells.values():
@@ -326,10 +332,11 @@ class TestAssembly:
         for x, r in enumerate(b.regions):
             for v in r.vertices:
                 holders.setdefault(b.coords[v], set()).add(x)
+        vertices = cell_vertices(sc)
         for c in sc.cells.values():
             x = owners[id(c.affine_map)]
             assert c.affine_map is b.regions[x].affine
-            assert x == min(set.intersection(*map(holders.__getitem__, c.vertices)))
+            assert x == min(set.intersection(*map(holders.__getitem__, vertices[c.id])))
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_a_facet_reached_twice_is_listed_once(self, d):
@@ -338,8 +345,9 @@ class TestAssembly:
         # sets, and for d ≥ 5 it must drop the lower faces below the facets
         row = (2, 1, 0, -1) + (0,) * (d - 4)
         net = ReluNetwork((AffineLayer((row,), (0,)), AffineLayer(((1,),), (Fraction(-1, 4),))))
-        sc, _, digest, expected = self._both(net, BoxDomain((-1,) * d, (1,) * d))
-        assert validate_complex(sc) == []
+        box = BoxDomain((-1,) * d, (1,) * d)
+        sc, _, digest, expected = self._both(net, box)
+        assert validate_complex(sc, box) == []
         assert digest == expected
 
 
@@ -349,32 +357,37 @@ def _with_facets(pc, cell, facets):
 
 
 class TestValidateComplex:
-    def test_extra_vertex_is_reported(self):
-        # (1/2, 0) keeps the square's rank, facets and volume, so only the
-        # vertex-list check sees it
+    SQUARE, CUBE = BoxDomain.unit_cube(2), BoxDomain.unit_cube(3)
+
+    def test_points_out_of_order_are_reported(self):
+        # the square's corners (0, 1) and (1, 0) swapped: each is still joined
+        # to (0, 0) and (1, 1), so ranks, facets and volume are unchanged, and
+        # only the order check sees it
         pc = box_complex([(0, 0)], 2)
-        assert validate_complex(pc) == []
-        (square,) = pc.full_cells()
-        extra = replace(square, vertices=square.vertices + ((1, 0, 2),))
-        broken = replace(pc, cells={**pc.cells, square.id: extra})
-        assert validate_complex(broken) == [
-            f"vertices: cell {square.id} does not list exactly the 0-cells below it"
+        assert validate_complex(pc, self.SQUARE) == []
+        a, b, c, d = pc.points
+        broken = replace(pc, points=(a, c, b, d))
+        assert validate_complex(broken, self.SQUARE) == [
+            "points: 1 and 2 are not in increasing lexicographic order"
         ]
+
+    def test_zero_cell_without_a_point_is_reported(self):
+        # the last corner's point dropped: the ranks and the volume would
+        # read it, so they are not checked
+        pc = box_complex([(0, 0)], 2)
+        broken = replace(pc, points=pc.points[:-1])
+        assert validate_complex(broken, self.SQUARE) == ["points: 0-cell 3 has no point"]
 
     @pytest.mark.parametrize(
         "point", [(-1, -1, -1), (2, 2, 2), (1, 1, 0)], ids=["negative-w", "not-reduced", "zero-w"]
     )
     def test_vertex_not_in_homogeneous_form_is_reported(self, point):
         # the corner (1, 1) written otherwise keeps every rank, so only the
-        # form check sees it, and the volume, which would divide by w = 0 or
-        # take the wrong sign, is not summed
+        # form check sees it, and the order and the volume, which would divide
+        # by w = 0 or take the wrong sign, are not checked
         pc = box_complex([(0, 0)], 2)
-        moved = {(1, 1, 1): point}
-        cells = {
-            cid: replace(c, vertices=tuple(moved.get(v, v) for v in c.vertices))
-            for cid, c in pc.cells.items()
-        }
-        assert validate_complex(replace(pc, cells=cells)) == [
+        points = tuple(point if p == (1, 1, 1) else p for p in pc.points)
+        assert validate_complex(replace(pc, points=points), self.SQUARE) == [
             f"vertices: {point} is not a point (x…, w) with w > 0 and gcd 1"
         ]
 
@@ -386,7 +399,7 @@ class TestValidateComplex:
         (square,) = pc.full_cells()
         unknown = max(pc.cells) + 1
         broken = _with_facets(pc, square, square.facets + (unknown,))
-        assert validate_complex(broken) == [
+        assert validate_complex(broken, self.SQUARE) == [
             f"incidence: unknown cell in pair ({unknown},{square.id})"
         ]
 
@@ -396,38 +409,36 @@ class TestValidateComplex:
         # that corner, is unchanged, so only the dimension check sees it
         pc = box_complex([(0, 0)], 2)
         (square,) = pc.full_cells()
-        corner = square.vertices[0]
-        (vertex,) = (c.id for c in pc.cells_of_dim(0) if c.vertices == (corner,))
-        edge = next(f for f in square.facets if corner in pc.cells[f].vertices)
+        vertices = cell_vertices(pc)
+        corner = vertices[square.id][0]
+        (vertex,) = (c.id for c in pc.cells_of_dim(0) if vertices[c.id] == (corner,))
+        edge = next(f for f in square.facets if corner in vertices[f])
         broken = _with_facets(pc, square, tuple(sorted({*square.facets} - {edge} | {vertex})))
-        assert validate_complex(broken) == [
+        assert validate_complex(broken, self.SQUARE) == [
             f"incidence: dim mismatch in pair ({vertex},{square.id})"
         ]
 
     def test_cell_of_the_wrong_rank_is_reported(self):
         # the cube's boundary with its corner (1, 1, 1) raised to (1, 1, 2):
         # the faces on x = 1 and y = 1 stay flat and the one on z = 1 bends.
-        # Without a full cell there is no volume to change, so only the rank
-        # check sees it
+        # The corner stays the last point, and without a full cell there is
+        # no volume to change, so only the rank check sees it
         pc = box_complex([(0, 0, 0)], 3)
         (cube,) = pc.full_cells()
-        moved = {(1, 1, 1, 1): (1, 1, 2, 1)}
-        cells = {
-            cid: replace(c, vertices=tuple(moved.get(v, v) for v in c.vertices))
-            for cid, c in pc.cells.items()
-            if cid != cube.id
-        }
-        broken = replace(pc, cells=cells)
-        (bent,) = (
-            c.id for c in pc.cells_of_dim(2) if all(v[2] == 1 for v in c.vertices)
-        )
-        assert validate_complex(broken) == [f"dimension: cell {bent} has affine rank != dim"]
+        points = tuple((1, 1, 2, 1) if p == (1, 1, 1, 1) else p for p in pc.points)
+        cells = {cid: c for cid, c in pc.cells.items() if cid != cube.id}
+        broken = replace(pc, cells=cells, points=points)
+        vertices = cell_vertices(pc)
+        (bent,) = (c.id for c in pc.cells_of_dim(2) if all(v[2] == 1 for v in vertices[c.id]))
+        assert validate_complex(broken, self.CUBE) == [
+            f"dimension: cell {bent} has affine rank != dim"
+        ]
 
     def test_facets_out_of_order_are_reported(self):
         pc = box_complex([(0, 0)], 2)
         (square,) = pc.full_cells()
         broken = _with_facets(pc, square, square.facets[::-1])
-        assert validate_complex(broken) == [
+        assert validate_complex(broken, self.SQUARE) == [
             f"faces: facets of cell {square.id} are not in increasing id order"
         ]
 
@@ -468,9 +479,10 @@ class TestVolumes:
     @pytest.mark.parametrize("m", [2, 4])
     def test_full_cells_tile_the_box(self, m):
         net = _scalar(build_folding_network(FoldingSpec(2, (m,))))
-        pc = signed_complex(net, BoxDomain.unit_cube(2))
+        box = BoxDomain.unit_cube(2)
+        pc = signed_complex(net, box)
         total = sum(cell_volume(pc, c.id) for c in pc.full_cells())
-        assert total == box_volume(pc.box)
+        assert total == box_volume(box)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -523,7 +535,10 @@ class TestLinearRegions:
         full = pc.full_cells()
         assert len(full) == 3
         assert linear_region_count(pc) == 2
-        right = [c for c in full if min(dehomogenize(v)[0] for v in c.vertices) >= Fraction(1, 2)]
+        vertices = cell_vertices(pc)
+        right = [
+            c for c in full if min(dehomogenize(v)[0] for v in vertices[c.id]) >= Fraction(1, 2)
+        ]
         assert len(right) == 2 and right[0].affine_map == right[1].affine_map
         # including the cells where y < 0, whose rows a ReLU would zero
         _assert_maps_reproduce(net, pc)
@@ -533,8 +548,9 @@ class TestSignedAndSublevel:
     def test_labels_match_pointwise_evaluation(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         sc = signed_complex(net, BoxDomain.unit_cube(2))
+        vertices = cell_vertices(sc)
         for cell in sc.cells.values():
-            c = centroid(map(dehomogenize, cell.vertices))
+            c = centroid(map(dehomogenize, vertices[cell.id]))
             expected = sign(eval_scalar(net, c))
             label = {-1: "negative", 0: "zero", 1: "positive"}[expected]
             assert cell.sign_label == label
@@ -551,14 +567,16 @@ class TestSignedAndSublevel:
     def test_sublevel_cells_are_nonpositive_on_vertices(self):
         net = build_topo_network(FoldingSpec(2, (4,)), CuttingSpec(2, (3,)))
         sub = sublevel_subcomplex(signed_complex(net, BoxDomain.unit_cube(2)))
+        vertices = cell_vertices(sub)
         for cell in sub.cells.values():
-            for v in map(dehomogenize, cell.vertices):
+            for v in map(dehomogenize, vertices[cell.id]):
                 assert eval_scalar(net, v) <= 0
 
     def test_validate_reference_instance(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        sc = signed_complex(net, BoxDomain.unit_cube(2))
-        assert validate_complex(sc) == []
+        box = BoxDomain.unit_cube(2)
+        sc = signed_complex(net, box)
+        assert validate_complex(sc, box) == []
 
 
 # sha256 of complex_digest(signed_complex(...)) for each reference instance,

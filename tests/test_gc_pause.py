@@ -46,8 +46,9 @@ def test_analysis_leaves_no_cycles(name, reference_networks, collector_off):
 @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
 def test_validation_leaves_no_cycles(name, reference_networks, collector_off):
     net, fold, _, _ = reference_networks[name]
-    sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
-    assert validate_complex(sc) == []
+    box = BoxDomain.unit_cube(fold.d)
+    sc = signed_complex(net, box)
+    assert validate_complex(sc, box) == []
     assert gc.collect() == 0
 
 

@@ -194,14 +194,15 @@ class TestPosetCollapse:
             first = sorted(_poset_collapse(pc).cells)
             assert sorted(_poset_collapse(pc).cells) == first
 
-    def test_subcomplexes_hand_out_the_parent_cells(self, d3_m4_w11_sublevel):
-        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        sc = signed_complex(net, BoxDomain.unit_cube(2))
+    def test_subcomplexes_hand_out_the_parent_cells(self, d3_m4_w11_sublevel, reference_networks):
+        # the parent's own Cell objects and points, which no subcomplex copies
+        sc = signed_complex(reference_networks["d2-M4-w3"][0], BoxDomain.unit_cube(2))
         assert len(sublevel_subcomplex(sc).cells) < len(sc.cells)
         for parent in [sc, *_collapse_fixtures(d3_m4_w11_sublevel)]:
             facets = {cid: c.facets for cid, c in parent.cells.items()}
             for sub in (sublevel_subcomplex(parent), _poset_collapse(parent)):
                 assert sub.cells
+                assert sub.points is parent.points
                 for cid, c in sub.cells.items():
                     assert c is parent.cells[cid]
                     assert c.facets == facets[cid]

@@ -1,7 +1,7 @@
 """Properties of the integer arrangement kernel on random small networks.
 
 The arrangement builds on homogeneous integer vertices with hyperplane
-incidence sets, and its cells hand out those vertices and the hyperplanes'
+incidence sets, and its complex hands out those points and the hyperplanes'
 integer rows; everything here is checked against code that reads only those
 and shares no code with the build (each constraint evaluated at each vertex
 as a Fraction point, region_tables, which reads constraint signs off the
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import build_and_assemble, network_and_box, networks, weights
 from oracles import (
     active_constraints,
+    cell_vertices,
     centroid,
     dehomogenize,
     matrix_rank,
@@ -44,22 +45,23 @@ def _fraction_forward(net, x):
 
 def _check_kernel_invariants(net, box):
     b, sc = build_and_assemble(net, box)
-    assert validate_complex(sc) == []
+    assert validate_complex(sc, box) == []
     tables, faults = region_tables(b)
     assert faults == []
+    vertices = cell_vertices(sc)
     for cell in sc.full_cells():
         # the map is reduced, so equal maps are equal tuples
         cols, (const,), den = cell.affine_map
         assert den > 0 and math.gcd(den, const, *(g for (g,) in cols)) == 1
-        for v in map(dehomogenize, cell.vertices):
+        for v in map(dehomogenize, vertices[cell.id]):
             assert (sum(g * x for (g,), x in zip(cols, v)) + const) / den == eval_scalar(net, v)
     labels = {-1: "negative", 0: "zero", 1: "positive"}
     for cell in sc.cells.values():
-        points = [dehomogenize(v) for v in cell.vertices]
+        points = [dehomogenize(v) for v in vertices[cell.id]]
         # the owner's table rebuilt from its vertices, and the signs the
         # oracle rebuilds from it, against each constraint evaluated at each
         # Fraction point
-        tight = dict(active_constraints(sc, cell, tables))
+        tight = dict(active_constraints(sc, cell, vertices[cell.id], tables))
         for hid, s in tables[id(cell.affine_map)]:
             *normal, offset = sc.constraints[hid]
             values = [vdot(normal, v) + offset for v in points]
@@ -127,12 +129,18 @@ class TestRandomNetworks:
             return len(on) == 4 and matrix_rank(on) == 3
 
         regions = [r for r in b.regions if on_square([b.coords[v] for v in r.vertices])]
-        cells = [c for c in sc.full_cells() if on_square(c.vertices)]
+        vertices = cell_vertices(sc)
+        cells = [c for c in sc.full_cells() if on_square(vertices[c.id])]
         assert regions and cells
         # such a region keeps no tight set on x1 = 0, and such a cell no
         # nonzero sign
         assert all(hid not in r.tight for r in regions)
-        assert all(s == 0 for c in cells for k, s in active_constraints(sc, c, tables) if k == hid)
+        assert all(
+            s == 0
+            for c in cells
+            for k, s in active_constraints(sc, c, vertices[c.id], tables)
+            if k == hid
+        )
 
     @given(network_and_box())
     @settings(max_examples=30, deadline=None)
