@@ -170,16 +170,6 @@ class PolyhedralComplex:
     def euler_cells(self) -> int:
         return sum((-1) ** c.dim for c in self.cells.values())
 
-    def restrict(self, ids) -> "PolyhedralComplex":
-        """The subcomplex of these cells: the parent's own Cell objects and points.
-
-        ids must be closed under faces, as both callers' are (the sublevel
-        cells, and the cells a collapse leaves), so each kept cell's facets
-        are kept.
-        """
-        ids = set(ids)
-        return replace(self, cells={cid: c for cid, c in self.cells.items() if cid in ids})
-
 
 def _primitive(grad, const):
     """The hyperplane grad·x + const = 0 as a primitive integer row, and its orientation.
@@ -607,9 +597,13 @@ def signed_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
 
 
 def sublevel_subcomplex(sc: PolyhedralComplex) -> PolyhedralComplex:
-    """Subcomplex of cells labeled negative or zero; support is F⁻¹((−∞,0]) ∩ box."""
-    return sc.restrict(
-        cid for cid, c in sc.cells.items() if c.sign_label in ("negative", "zero")
+    """Subcomplex of cells labeled negative or zero; support is F⁻¹((−∞,0]) ∩ box.
+
+    The complex is refined along the output's zero set, so these cells are
+    closed under faces.  They are sc's own Cell objects, with sc's points.
+    """
+    return replace(
+        sc, cells={cid: c for cid, c in sc.cells.items() if c.sign_label in ("negative", "zero")}
     )
 
 

@@ -107,14 +107,15 @@ class BoxDomain:
             yield tuple(choice)
 
 
-def sparse_rank(rows) -> int:
-    """Exact rank of a sparse integer matrix (rows are dicts col -> nonzero value).
+def sparse_pivots(rows) -> dict:
+    """Column-pivot reduction of a sparse integer matrix (rows are dicts col -> nonzero value).
 
-    Column-pivot reduction: a row is reduced at its largest column against the
-    kept row that owns that column until the column is free, then kept there.
-    Each step (row·p − v·pivot_row)/gcd(p, v) is fraction-free and divided by
-    its content, so boundary matrices stay at small integers.  The rank is the
-    number of kept rows.
+    A row is reduced at its largest column against the kept row that owns
+    that column until the column is free, then kept there; a row reduced to
+    zero is dropped.  Each step (row·p − v·pivot_row)/gcd(p, v) is
+    fraction-free and divided by its content, so boundary matrices stay at
+    small integers.  Returns {column: kept row}, each key its row's largest
+    column; the rank is its size.
     """
     pivots = {}
     for row in rows:
@@ -136,4 +137,4 @@ def sparse_rank(rows) -> int:
                     del merged[c]
             g = math.gcd(*merged.values())
             row = {c: x // g for c, x in merged.items()} if g > 1 else merged
-    return len(pivots)
+    return pivots

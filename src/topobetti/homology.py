@@ -11,14 +11,15 @@ face poset.  Chains inherit a canonical vertex order from cell dimensions, so
 boundary matrices carry standard alternating signs without ever orienting
 polytopes.
 
-Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ, with
-each rank an exact fraction-free column-pivot elimination (sparse_rank).
+Betti numbers are β_k = #k-simplices − rank ∂_k − rank ∂_{k+1} over ℚ, each
+rank a fraction-free column-pivot elimination (sparse_pivots) run from the top
+dimension down, with clearing (see betti_numbers).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .arrangement import (
@@ -34,7 +35,7 @@ from .constructions import (
     euler_characteristic,
     serra_region_bound,
 )
-from .exactgeom import BoxDomain, sparse_rank
+from .exactgeom import BoxDomain, sparse_pivots
 from .relunet import ReluNetwork, network_fingerprint
 from .report import AnalysisReport
 
@@ -96,50 +97,64 @@ def _boundary_rows(simplices, faces):
 def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
     """Remove free pairs of cells (σ with a unique live coface τ) until none remain.
 
-    The complex must be closed under faces.  Any coface of τ would, by the
-    diamond property, give σ a second coface, so τ is maximal and the cells
-    left form a closed subcomplex of the same homotopy type.  The queue is
-    seeded in pc.cells order and served first in first out, and neighbours
-    are visited in increasing id order: each cell keeps its facets that way,
-    and inverting them over the cells in id order lists each cell's cofaces
-    that way.  So no set iteration order decides which cells survive.  The
-    survivors are pc's own Cell objects, facets unchanged.
+    The complex must be closed under faces, else a ValueError names the cell.
+    Any coface of τ would, by the diamond property, give σ a second coface,
+    so τ is maximal and the cells left form a closed subcomplex of the same
+    homotopy type.  The queue is seeded in pc.cells order and served first
+    in first out, and neighbours are visited in increasing id order: each
+    cell keeps its facets that way, and inverting them over the cells in id
+    order lists each cell's cofaces that way.  So no set iteration order
+    decides which cells survive: pc's own Cell objects, with pc's points.
+    The tables are lists by cell id; ids outside pc share one () of cofaces.
     """
     cells = pc.cells
-    cofaces = {cid: [] for cid in cells}
-    for c in cells.values():
-        for f in c.facets:
-            cofaces[f].append(c.id)
-    live = {cid: len(cf) for cid, cf in cofaces.items()}  # live coface counts
-    alive = dict.fromkeys(cells, True)
+    cofaces = [()] * (max(cells, default=-1) + 1)
+    for cid in cells:
+        cofaces[cid] = []
+    try:
+        for c in cells.values():
+            for f in c.facets:
+                cofaces[f].append(c.id)
+    except (AttributeError, IndexError):  # () has no append; an id past the end
+        raise ValueError(f"complex is not closed under faces: cell {c.id}, facet {f}") from None
+    live = list(map(len, cofaces))  # live coface counts
+    alive = bytearray(b"\x01") * len(cofaces)
     queue = deque(cid for cid in cells if live[cid] == 1)
     while queue:
         sigma = queue.popleft()
         if not alive[sigma] or live[sigma] != 1:
             continue
         tau = next(c for c in cofaces[sigma] if alive[c])
-        alive[sigma] = alive[tau] = False
+        alive[sigma] = alive[tau] = 0
         for gone in (tau, sigma):
             for f in cells[gone].facets:
                 live[f] -= 1
                 if live[f] == 1:
                     queue.append(f)
-    return pc.restrict(cid for cid, keep in alive.items() if keep)
+    return replace(pc, cells={cid: c for cid, c in cells.items() if alive[cid]})
 
 
 def betti_numbers(pc: PolyhedralComplex) -> BettiVector:
     """Exact rational Betti numbers β_0 … β_{d−1} of the complex's support.
 
     The face poset is collapsed first; the order complex of what remains is
-    then ranked whole.  d is the ambient dimension.
+    then ranked whole, ∂_k from the top k down, rows and columns in the order
+    of order_complex's sorted simplices.  sparse_pivots keeps a reduced row
+    of ∂_{k+1} at its largest column σ, and that row is a k-cycle, so ∂_k σ
+    is a combination of the rows of ∂_k before it and would reduce to zero:
+    clearing skips it, and ∂_k's pivot table is what the full rows give.
+    d is the ambient dimension.
     """
     with _gc_paused():
         pc = _poset_collapse(pc)
         simplices = order_complex(pc).simplices
         d = pc.ambient_dim
         ranks = [0] * (d + 1)
-        for k in range(1, len(simplices)):
-            ranks[k] = sparse_rank(_boundary_rows(simplices[k], simplices[k - 1]))
+        cleared = {}
+        for k in range(len(simplices) - 1, 0, -1):
+            rows = [s for i, s in enumerate(simplices[k]) if i not in cleared]
+            cleared = sparse_pivots(_boundary_rows(rows, simplices[k - 1]))
+            ranks[k] = len(cleared)
     counts = [len(s) for s in simplices] + [0] * (d + 1 - len(simplices))
     return BettiVector(tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(d)))
 

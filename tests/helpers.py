@@ -35,8 +35,8 @@ from topobetti.arrangement import (
     _label,
     _order_points,
 )
-from oracles import active_constraints, cell_vertices, dehomogenize, matrix_rank
-from topobetti.exactgeom import BoxDomain, sparse_rank
+from oracles import active_constraints, cell_vertices, dehomogenize, matrix_rank, sparse_rank
+from topobetti.exactgeom import BoxDomain
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.verify import SignGrid
@@ -169,7 +169,8 @@ def network_and_box(draw, **shape):
 def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:
     """Betti numbers of pc with no collapse of any kind.
 
-    The boundary ranks of the order complex of every cell, in one piece.
+    The boundary ranks of the order complex of every cell, in one piece,
+    each over all of ∂_k's rows: no clearing.
     """
     simplices = order_complex(pc).simplices
     d = pc.ambient_dim

@@ -44,6 +44,9 @@ over into its check.
   each constraint whose row vanishes at every vertex of the cell, by the
   same integer dot products: the constraints the cell satisfies with
   equality.
+- sparse_rank is the rank of a sparse integer matrix, the number of pivots
+  exactgeom.sparse_pivots keeps; the program reads the pivot table itself,
+  to skip cleared rows, so only the tests need the bare rank.
 - matrix_rank is sparse_rank on rational rows, each cleared to integers as
   homogenize(r)[:-1], a positive multiple of r, so the rank is the same.
 - dehomogenize gives the Fraction point of a homogeneous vertex, centroid the
@@ -61,7 +64,7 @@ from typing import Iterable, Sequence
 
 from topobetti.arrangement import PolyhedralComplex
 from topobetti.constructions import _cutting_rows
-from topobetti.exactgeom import BoxDomain, homogenize, sparse_rank
+from topobetti.exactgeom import BoxDomain, homogenize, sparse_pivots
 from topobetti.relunet import AffineLayer, ReluNetwork
 
 
@@ -117,6 +120,11 @@ def active_constraints(complex: PolyhedralComplex, cell, vertices, tables) -> tu
         (hid, 0 if all(sum(map(mul, rows[hid], p)) == 0 for p in vertices) else s)
         for hid, s in tables[id(cell.affine_map)]
     )
+
+
+def sparse_rank(rows) -> int:
+    """Exact rank of a sparse integer matrix (rows are dicts col -> nonzero value)."""
+    return len(sparse_pivots(rows))
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:

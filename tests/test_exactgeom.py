@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_volume, centroid, dehomogenize, matrix_rank
+from oracles import box_volume, centroid, dehomogenize, matrix_rank, sparse_rank
 from topobetti.arrangement import _Builder, _primitive
 from topobetti.exactgeom import (
     BoxDomain,
@@ -14,7 +15,7 @@ from topobetti.exactgeom import (
     homogenize,
     parse_rational,
     sign,
-    sparse_rank,
+    sparse_pivots,
     vdot,
 )
 from topobetti.relunet import AffineLayer, ReluNetwork
@@ -280,6 +281,34 @@ class TestSparseRank:
         assert sparse_rank(rows) == 2
         assert sparse_rank([{3: 6, 0: 4}, {3: 9, 0: 6}, {3: -3, 0: -2}]) == 1
         assert sparse_rank([]) == sparse_rank([{}, {}]) == 0
+
+
+def _content(row) -> int:
+    return math.gcd(*row.values())
+
+
+class TestSparsePivots:
+    """The pivot table itself: what the homology's clearing reads."""
+
+    @given(sparse_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_each_key_is_its_rows_largest_column(self, rows):
+        pivots = sparse_pivots(rows)
+        assert len(pivots) == _fraction_rank(rows)
+        for col, row in pivots.items():
+            assert col == max(row)
+            # a row kept as it came in keeps its content; a reduced one has 1
+            assert any(row is r for r in rows) or _content(row) == 1
+        # the kept rows span the input: adding them leaves the rank
+        assert _fraction_rank([*rows, *pivots.values()]) == len(pivots)
+
+    def test_a_reduced_row_is_kept_with_content_one(self):
+        # the second row is reduced against the first, the third to zero
+        rows = [{0: 2, 3: 4}, {0: 1, 3: 6, 1: 9}, {0: 4, 3: 8}]
+        pivots = sparse_pivots(rows)
+        assert sorted(pivots) == [1, 3]
+        assert pivots[3] is rows[0]
+        assert pivots[1] == {0: -2, 1: 9}
 
 
 class TestHomogeneousCoordinates:

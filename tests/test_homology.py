@@ -1,5 +1,8 @@
+import hashlib
+import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from helpers import (
     shell_cubes_3d,
     uncollapsed_betti,
 )
+from topobetti import homology
 from topobetti.arrangement import signed_complex, sublevel_subcomplex
 from topobetti.constructions import (
     BettiVector,
@@ -25,7 +29,7 @@ from topobetti.constructions import (
     predict_betti,
     serra_region_bound,
 )
-from topobetti.exactgeom import BoxDomain
+from topobetti.exactgeom import BoxDomain, sparse_pivots
 from topobetti.homology import (
     _boundary_rows,
     _poset_collapse,
@@ -96,6 +100,22 @@ class TestBettiNumbers:
         pc = box_complex([(0,), (1,), (5,)], 1)
         assert betti_numbers(pc).values == (2,)
 
+    def test_a_complex_missing_a_face_is_rejected(self):
+        pc = box_complex([(0, 0)], 2)
+        edge = next(c.id for c in pc.cells.values() if c.dim == 1)
+        square = next(c.id for c in pc.cells.values() if c.dim == 2)
+        broken = replace(pc, cells={cid: c for cid, c in pc.cells.items() if cid != edge})
+        with pytest.raises(ValueError, match=f"not closed under faces: cell {square}, facet {edge}$"):
+            betti_numbers(broken)
+
+    def test_a_facet_past_every_cell_id_is_rejected(self):
+        # an edge renumbered 0 names facets above every id the complex holds
+        pc = box_complex([(0, 0)], 2)
+        edge = next(c for c in pc.cells.values() if c.dim == 1)
+        broken = replace(pc, cells={0: replace(edge, id=0)})
+        with pytest.raises(ValueError, match=f"cell 0, facet {edge.facets[-1]}$"):
+            betti_numbers(broken)
+
     def test_euler_matches_cell_count(self):
         for cubes, d in [(ring_cubes_2d(), 2), (shell_cubes_3d(), 3)]:
             pc = box_complex(cubes, d)
@@ -148,8 +168,13 @@ def _sublevel(net, d):
 
 
 @pytest.fixture(scope="module")
-def d3_m4_w11_sublevel(reference_networks):
-    return _sublevel(reference_networks["d3-M4-w11"][0], 3)
+def reference_sublevels(reference_networks):
+    return {name: _sublevel(net, fold.d) for name, (net, fold, _, _) in reference_networks.items()}
+
+
+@pytest.fixture(scope="module")
+def d3_m4_w11_sublevel(reference_sublevels):
+    return reference_sublevels["d3-M4-w11"]
 
 
 def _collapse_fixtures(d3_m4_w11_sublevel):
@@ -161,6 +186,15 @@ def _collapse_fixtures(d3_m4_w11_sublevel):
         box_complex(ring + [(i + 10, j) for i, j in ring] + [(25, 0)], 2),
         d3_m4_w11_sublevel,
     ]
+
+
+# what _poset_collapse keeps of each sublevel complex: cells by dimension and
+# the first 16 hex digits of sha256(repr(sorted(ids)))
+_SURVIVORS = {
+    "d3-M2-w11": ([4, 0, 0, 0], "a168952d8f34e11d"),
+    "d3-M2-w11-perturbed": ([4, 0, 0, 0], "d530f12a1d529df7"),
+    "d3-M4-w11": ([44, 56, 32, 0], "7e2b4c9c83395138"),
+}
 
 
 class TestPosetCollapse:
@@ -194,6 +228,22 @@ class TestPosetCollapse:
             first = sorted(_poset_collapse(pc).cells)
             assert sorted(_poset_collapse(pc).cells) == first
 
+    @pytest.mark.parametrize("name", sorted(_SURVIVORS))
+    def test_survivors_are_pinned(self, name, reference_sublevels, reference_networks):
+        # the homology benchmark's sublevel complexes; the perturbed one is
+        # perturbed as the benchmark does it
+        if name.endswith("-perturbed"):
+            net = reference_networks[name.removesuffix("-perturbed")][0]
+            sub = _sublevel(_perturbed(net, Fraction(1, 10**6), random.Random(f"7:{name}")), 3)
+        else:
+            sub = reference_sublevels[name]
+        kept = _poset_collapse(sub)
+        counts = [0] * (sub.ambient_dim + 1)
+        for c in kept.cells.values():
+            counts[c.dim] += 1
+        digest = hashlib.sha256(repr(sorted(kept.cells)).encode()).hexdigest()[:16]
+        assert (counts, digest) == _SURVIVORS[name]
+
     def test_subcomplexes_hand_out_the_parent_cells(self, d3_m4_w11_sublevel, reference_networks):
         # the parent's own Cell objects and points, which no subcomplex copies
         sc = signed_complex(reference_networks["d2-M4-w3"][0], BoxDomain.unit_cube(2))
@@ -206,6 +256,38 @@ class TestPosetCollapse:
                 for cid, c in sub.cells.items():
                     assert c is parent.cells[cid]
                     assert c.facets == facets[cid]
+
+
+class TestClearing:
+    """betti_numbers skips the rows of ∂_k at the pivot columns of ∂_{k+1}."""
+
+    def test_cleared_ranks_equal_full_ranks(
+        self, monkeypatch, d3_m4_w11_sublevel, reference_sublevels
+    ):
+        calls = []  # (rows given, pivot table) of each call, ∂_k from the top k down
+
+        def recording(rows):
+            rows = list(rows)
+            calls.append((len(rows), sparse_pivots(rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(homology, "sparse_pivots", recording)
+        skipped = 0
+        for pc in [*_collapse_fixtures(d3_m4_w11_sublevel), *reference_sublevels.values()]:
+            calls.clear()
+            betti_numbers(pc)
+            simplices = order_complex(_poset_collapse(pc)).simplices
+            ks = range(len(simplices) - 1, 0, -1)
+            assert len(calls) == len(ks)
+            for k, (given_rows, pivots) in zip(ks, calls):
+                full = sparse_pivots(_boundary_rows(simplices[k], simplices[k - 1]))
+                assert len(pivots) == len(full)
+                assert pivots == full
+                for col, row in pivots.items():
+                    assert col == max(row)
+                    assert math.gcd(*row.values()) == 1
+                skipped += len(simplices[k]) - given_rows
+        assert skipped > 0
 
 
 _OFFSETS = pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])
