@@ -5,27 +5,32 @@ exactly at every point of a regular rational grid and estimates β₀ of the
 nonpositive set under grid adjacency.  The evaluation is a scaled-integer
 forward pass, so even the oracle is float-free: each layer is cleared to an
 integer matrix, and numpy runs the pass one layer at a time over blocks of
-grid lines along the last axis.  The first layer is affine in the grid index,
-so it is summed from a constant column and one table per axis: each block
-gathers its lines' leading-axis terms, with index arithmetic once per line,
-and adds the last axis's table by broadcasting; the other layers multiply
-with ``einsum('ij,jk->ik')``, as numpy runs integer ``@`` in a plain loop,
-not in BLAS (on Python ints ``@`` is the faster of the two and is kept).
-Before it runs, a bound on every integer each layer can form is proved in
-Python ints, as a running maximum over the layers.  Each layer's arrays take
-the narrowest type its bound allows: int32 below 2^30, int64 below 2^62 and
-Python ints (dtype object) otherwise, in the same code path; an array is
-widened with ``astype`` where the bound crosses a tier, never narrowed.  The
-reference instances run in int32, but for an int64 output layer on one of
-them; perturbed networks start in int64 and widen to Python ints.  β₀ is
-counted by run labelling in numpy: the nonpositive points, as sorted flat
-indices, are cut into maximal runs along the last axis, each other axis
-joins the runs of neighbouring points (found by binary search), and the runs
-are merged by min-label hooking and pointer jumping.  Its integer arrays are
-sized by the nonpositive points, never by the grid.  For the constructed
-classifier family the smallest feature has ℓ₁-diameter 1/(4wM), so any
-resolution above 8·w·M resolves every component; the default used by
-callers is 16·w_max·M.
+8 192 grid points, made of whole grid lines along the last axis.  A block
+pays some twenty numpy calls, about 35 µs, before any integer work; at 2 048
+points per block that fixed cost was about a third of the pass, and at 8 192
+the working memory beyond the signs stays under 0.6 MiB on the reference
+networks.  Under GRID_POINT_CAP a line in d ≥ 2 has at most 7 071 points, so
+only in d = 1 is a line cut into chunks.  The first layer is affine in the
+grid index, so it is summed from a constant column and one table per axis:
+each block gathers its lines' leading-axis terms, with index arithmetic once
+per line, and adds the last axis's table by broadcasting; the other layers
+multiply with ``einsum('ij,jk->ik')``, as numpy runs integer ``@`` in a plain
+loop, not in BLAS (on Python ints ``@`` is the faster of the two and is
+kept).  Before it runs, a bound on every integer each layer can form is
+proved in Python ints, as a running maximum over the layers.  Each layer's
+arrays take the narrowest type its bound allows: int32 below 2^30, int64
+below 2^62 and Python ints (dtype object) otherwise, in the same code path;
+an array is widened with ``astype`` where the bound crosses a tier, never
+narrowed.  The reference instances run in int32, but for an int64 output
+layer on one of them; perturbed networks start in int64 and widen to Python
+ints.  β₀ is counted by run labelling in numpy: the nonpositive points, as
+sorted flat indices, are cut into maximal runs along the last axis, each
+other axis joins the runs of neighbouring points (found by binary search),
+and the runs are merged by min-label hooking and pointer jumping.  Its
+integer arrays are sized by the nonpositive points, never by the grid.  For
+the constructed classifier family the smallest feature has ℓ₁-diameter
+1/(4wM), so any resolution above 8·w·M resolves every component; the default
+used by callers is 16·w_max·M.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .relunet import ReluNetwork
 from .report import AnalysisReport
 
 GRID_POINT_CAP = 50_000_000
-_BLOCK = 1 << 11  # grid points per block of the vectorised pass
+_BLOCK = 1 << 13  # grid points per block of the vectorised pass (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,11 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     signs = np.empty((lines, n), dtype=np.int8)
     # a block takes whole lines while a line fits in _BLOCK points, and cuts
     # the last axis into chunks when it does not, so the working arrays stay
-    # at width × _BLOCK entries whatever the grid size; the leading axes'
-    # tables exist only for d ≥ 2, where GRID_POINT_CAP keeps N+1 at most 7 071
+    # at width × _BLOCK entries whatever the grid size.  At 8 192 points a
+    # block's fixed cost, some twenty numpy calls, is spread over enough
+    # points not to set the pass's speed.  The leading axes' tables exist
+    # only for d ≥ 2, where GRID_POINT_CAP keeps N+1 at most 7 071 < _BLOCK,
+    # so only a d = 1 grid has its line cut into chunks
     per = max(1, _BLOCK // n)
     chunk = min(n, _BLOCK)
     for j0 in range(0, n, chunk):

@@ -53,12 +53,26 @@ over into its check.
   Fraction mean of points, and box_volume the exact volume of a box.
 - build_cutting_network builds g^(w,d) on its own, the one-hidden-layer
   network that the carving network composes stage by stage.
+- nerve_betti gives β_0 … β_{d−1} of the sublevel set from a finished
+  _Builder alone, with neither the assembly nor the homology: as those of
+  the nerve of the sublevel set's cover by closed convex cells.  The
+  members are every region whose output sign is ≤ 0 and, for each positive
+  region, its face on the output's hyperplane when it has one: the
+  vertices of the region that lie on it.  Only maximal members are kept,
+  which leaves the union the same.  Cells of a polyhedral complex meet in
+  a common face, so a family of members has a common point exactly when
+  its members share a vertex of the build; by the nerve theorem the nerve
+  has the union's homology.  Its simplices are the subsets, of at most
+  d + 1 members, of the members that hold one vertex: the d-skeleton, which
+  has the nerve's β_k for every k < d.  Each β_k is #k-simplices − rank ∂_k
+  − rank ∂_{k+1}, ranked by sparse_rank.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -268,3 +282,44 @@ def validate_complex(complex: PolyhedralComplex, box: BoxDomain):
             elif vol < box_vol:
                 out.append("coverage-gap: full cells do not cover the box")
     return out
+
+
+def nerve_betti(b) -> tuple:
+    """β_0 … β_{d−1} of a finished build's sublevel set, by the nerve of its cover.
+
+    b is a _Builder after run: each region's one activation is the output's
+    (sign, hid), and incidence is complete on every region's vertices.
+    """
+    members = set()
+    for r in b.regions:
+        s, hid = r.activations[0]
+        if s <= 0:
+            members.add(frozenset(r.vertices))
+        elif hid is not None:
+            zero = frozenset(v for v in r.vertices if hid in b.incidence[v])
+            if zero:
+                members.add(zero)
+    holding = {}  # vertex -> the members that hold it
+    for m in members:
+        for v in m:
+            holding.setdefault(v, []).append(m)
+    # a member inside another holds its own least vertex in the other too
+    maximal = [m for m in members if not any(m < o for o in holding[min(m)])]
+    star = {}  # vertex -> the maximal members that hold it, by index
+    for i, m in enumerate(maximal):
+        for v in m:
+            star.setdefault(v, []).append(i)
+    d = b.d
+    simplices = [set() for _ in range(d + 1)]  # k -> the k-simplices, as sorted index tuples
+    for held in star.values():
+        held.sort()
+        for k in range(min(d + 1, len(held))):
+            simplices[k].update(combinations(held, k + 1))
+    simplices = [sorted(s) for s in simplices]
+    ranks = [0] * (d + 2)
+    for k in range(1, d + 1):
+        index = {s: i for i, s in enumerate(simplices[k - 1])}
+        ranks[k] = sparse_rank(
+            {index[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 1)} for s in simplices[k]
+        )
+    return tuple(len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(d))

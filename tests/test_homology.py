@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from conftest import LARGE_INSTANCES, REFERENCE_INSTANCES
 from helpers import (
     box_complex,
+    build_and_assemble,
     network_and_box,
     ring_cubes_2d,
     shell_cubes_3d,
     uncollapsed_betti,
 )
+from oracles import nerve_betti
 from topobetti import homology
 from topobetti.arrangement import signed_complex, sublevel_subcomplex
 from topobetti.constructions import (
@@ -37,6 +39,7 @@ from topobetti.homology import (
     betti_numbers,
     order_complex,
 )
+from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.stability import _perturbed
 
 
@@ -326,6 +329,57 @@ class TestCollapseAgreesWithUncollapsedPath:
     def test_random_four_dimensional_networks(self, case):
         sub = sublevel_subcomplex(signed_complex(*case))
         assert betti_numbers(sub).values == uncollapsed_betti(sub)
+
+
+def _l1_shell(d):
+    """| ‖x − c‖₁ − 1/4 | with c the unit cube's centre: no region is negative.
+
+    The sublevel set is the zero set, the boundary of a cross-polytope, made
+    only of the positive regions' faces on the output's hyperplane.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    rows = [tuple(s * one if j == t else zero for j in range(d)) for t in range(d) for s in (1, -1)]
+    bias = [-s * Fraction(1, 2) for _ in range(d) for s in (1, -1)]
+    n = 2 * d
+    return ReluNetwork(
+        (
+            AffineLayer(tuple(rows), tuple(bias)),
+            AffineLayer(((one,) * n, (-one,) * n), (Fraction(-1, 4), Fraction(1, 4))),
+            AffineLayer(((one, one),), (zero,)),
+        )
+    )
+
+
+_NERVE_CASES = [
+    *((i[0], "offset") for i in REFERENCE_INSTANCES),
+    ("d3-M4-w11", "no-offset"),
+    ("d2-M8-w4", "perturbed"),
+    ("d3-M4-w11", "perturbed"),
+]
+
+
+class TestNerveOfTheSublevelCover:
+    """oracles.nerve_betti, from the build alone, against the assembly and betti_numbers."""
+
+    @pytest.mark.parametrize(
+        "name, variant", _NERVE_CASES, ids=[f"{name}-{variant}" for name, variant in _NERVE_CASES]
+    )
+    def test_constructed_instances(self, name, variant):
+        # the reference instance with its offset, without it, or perturbed
+        # at δ = 10⁻⁶ as the other perturbed tests are
+        _, d, m_vec, w_vec, _ = next(i for i in REFERENCE_INSTANCES if i[0] == name)
+        with_offset = variant != "no-offset"
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
+        if variant == "perturbed":
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
+        assert nerve_betti(b) == betti_numbers(sublevel_subcomplex(sc)).values
+
+    @pytest.mark.parametrize("d, expected", [(2, (1, 1)), (3, (1, 0, 1))], ids=["d2", "d3"])
+    def test_sublevel_set_of_zero_faces_only(self, d, expected):
+        b, sc = build_and_assemble(_l1_shell(d), BoxDomain.unit_cube(d))
+        assert all(r.activations[0][0] > 0 for r in b.regions)
+        assert nerve_betti(b) == betti_numbers(sublevel_subcomplex(sc)).values == expected
 
 
 @pytest.mark.parametrize(

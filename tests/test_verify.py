@@ -19,10 +19,10 @@ from topobetti.constructions import (
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_scalar
+from conftest import REFERENCE_INSTANCES
 from helpers import network_and_box, reference_grid_beta0
 from topobetti import verify
 from topobetti.verify import (
-    _BLOCK,
     SignGrid,
     default_resolution,
     grid_beta0,
@@ -123,6 +123,13 @@ def _signs_match_on_tiers(net, box, N, monkeypatch):
     monkeypatch.setattr(verify, "_dtype", spy)
     _assert_signs_match(net, box, N)
     return taken
+
+
+def _signs_at_two_blocks(net, box, N, monkeypatch):
+    """The grid's signs with the module's own block and with blocks of 2 048 points."""
+    own = grid_sign_sample(net, box, N).signs
+    monkeypatch.setattr(verify, "_BLOCK", 2048)
+    return own, grid_sign_sample(net, box, N).signs
 
 
 def _through_relu(coeffs, bias):
@@ -252,18 +259,27 @@ class TestGridSignSample:
         assert np.array_equal(grid_sign_sample(net, box, N).signs, expected)
 
     @pytest.mark.parametrize(
-        "coeffs, bias, lower, upper, N",
+        "coeffs, bias, lower, upper, N, block, cut",
         [
-            # 101-point lines, 20 to a block: the last block is short
-            ((3, -7), Fraction(1, 3), (0, 0), (1, 1), 100),
-            # lines longer than _BLOCK are cut along the last axis
-            ((2, -5), Fraction(-1, 7), (-1, 0), (1, Fraction(1, 2)), _BLOCK + 52),
-            ((1, -2, 3), Fraction(1, 5), (0, -1, 0), (1, 1, Fraction(3, 2)), 30),
-            ((1, 1, -1, 2), Fraction(-2, 3), (0,) * 4, (1,) * 4, 9),
+            # 101 lines of 101 points: the last block holds fewer lines
+            ((3, -7), Fraction(1, 3), (0, 0), (1, 1), 100, None, False),
+            # lines longer than the block are cut along the last axis; under
+            # GRID_POINT_CAP a line in d ≥ 2 fits in the module's own block,
+            # so this case pins the block at 2 048 points
+            ((2, -5), Fraction(-1, 7), (-1, 0), (1, Fraction(1, 2)), 2048 + 52, 2048, True),
+            # in d = 1 a line is cut at the module's own block
+            ((-3,), Fraction(5, 7), (-1,), (Fraction(3, 2),), verify._BLOCK + 52, None, True),
+            ((1, -2, 3), Fraction(1, 5), (0, -1, 0), (1, 1, Fraction(3, 2)), 30, None, False),
+            ((1, 1, -1, 2), Fraction(-2, 3), (0,) * 4, (1,) * 4, 9, None, False),
         ],
-        ids=["d2-short-last-block", "d2-long-lines", "d3", "d4"],
+        ids=["d2-short-last-block", "d2-long-lines", "d1-long-line", "d3", "d4"],
     )
-    def test_signs_of_affine_functionals(self, coeffs, bias, lower, upper, N):
+    def test_signs_of_affine_functionals(
+        self, coeffs, bias, lower, upper, N, block, cut, monkeypatch
+    ):
+        if block is not None:
+            monkeypatch.setattr(verify, "_BLOCK", block)
+        assert (N + 1 > verify._BLOCK) == cut
         box = BoxDomain(tuple(map(Fraction, lower)), tuple(map(Fraction, upper)))
         expected = _affine_signs(coeffs, bias, box, N)
         assert np.array_equal(grid_sign_sample(_through_relu(coeffs, bias), box, N).signs, expected)
@@ -290,10 +306,26 @@ class TestGridSignSample:
             expected = _affine_signs(coeffs, Fraction(-1, 2), box, 24)
             assert np.array_equal(grid_sign_sample(net, box, 24).signs, expected)
 
-    def test_magnitudes_beyond_int64_over_several_blocks(self):
-        # 47² points take two blocks of whole lines in the Python-int pass
-        assert 47 * 47 > _BLOCK
+    def test_magnitudes_beyond_int64_over_several_blocks(self, monkeypatch):
+        # 47² points take two blocks of 2 048 points, of whole lines, in the
+        # Python-int pass
+        monkeypatch.setattr(verify, "_BLOCK", 2048)
+        assert 47 * 47 > verify._BLOCK
         _assert_signs_match(_beyond_int64(), BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2), 46)
+
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_signs_do_not_depend_on_the_block(self, name, reference_networks, monkeypatch):
+        net, fold, cut, _ = reference_networks[name]
+        N = default_resolution(fold.M, cut.w_vec)
+        box = BoxDomain.unit_cube(fold.d)
+        assert (N + 1) ** fold.d > verify._BLOCK
+        signs = _signs_at_two_blocks(net, box, N, monkeypatch)
+        assert np.array_equal(*signs)
+
+    def test_python_int_signs_do_not_depend_on_the_block(self, monkeypatch):
+        box = BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2)
+        signs = _signs_at_two_blocks(_beyond_int64(), box, 46, monkeypatch)
+        assert np.array_equal(*signs)
 
     @pytest.mark.parametrize(
         "d, m_vec, w_vec, N",
