@@ -502,11 +502,34 @@ class TestVolumes:
         assert _det(rows) == leibniz
 
 
+# linear_region_count of each instance's signed complex on the unit cube,
+# recorded from the count that walked lists of each facet's full cofaces
+REFERENCE_REGIONS = {"d2-M4-w3": 65, "d2-M8-w4": 321, "d3-M2-w11": 25, "d3-M4-w11": 161}
+LARGE_REGIONS = {
+    "d4-M2-w111": 57,
+    "d4-M4-w111": 673,
+    "d2-M16-w6": 1793,
+    "d2-M32-w4": 5121,
+    "d2-M64-w4": 20481,
+}
+
+
 class TestLinearRegions:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_tent_region_count(self, m):
         pc = signed_complex(_tent(m), BoxDomain.unit_cube(1))
         assert linear_region_count(pc) == m
+
+    @pytest.mark.parametrize("with_offset", [True, False], ids=["offset", "no-offset"])
+    @pytest.mark.parametrize("name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES])
+    def test_reference_counts_are_pinned(self, name, d, m_vec, w_vec, with_offset):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec), with_offset)
+        sc = signed_complex(net, BoxDomain.unit_cube(d))
+        assert linear_region_count(sc) == REFERENCE_REGIONS[name]
+
+    @pytest.mark.parametrize("name", list(LARGE_REGIONS))
+    def test_large_counts_are_pinned(self, name, large_complexes):
+        assert large_complexes[name].regions == LARGE_REGIONS[name]
 
     def test_merges_cells_with_equal_affine_map(self):
         # a ReLU that is inactive on the whole box: one region despite the kink
