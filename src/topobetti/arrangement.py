@@ -611,7 +611,9 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
     """Number of maximal linear pieces within the box.
 
     Adjacent full-dimensional cells with identical affine restrictions are
-    merged before counting.
+    merged before counting.  A (d−1)-cell of a subdivision of the box lies in
+    at most two d-cells, so each facet pairs the first full cell seen above
+    it with any later one.
     """
     full = complex.full_cells()
     parent = {c.id: c.id for c in full}
@@ -622,15 +624,12 @@ def linear_region_count(complex: PolyhedralComplex) -> int:
             x = parent[x]
         return x
 
-    affines = {c.id: c.affine_map for c in full}
-    cofaces = {}
+    above = {}  # facet id -> the first full cell seen above it
     for c in full:
         for f in c.facets:
-            cofaces.setdefault(f, []).append(c.id)
-    for group in cofaces.values():
-        for a, b in itertools.combinations(group, 2):
-            if affines[a] == affines[b]:
-                ra, rb = find(a), find(b)
+            a = above.setdefault(f, c)
+            if a is not c and a.affine_map == c.affine_map:
+                ra, rb = find(a.id), find(c.id)
                 if ra != rb:
                     parent[ra] = rb
     return len({find(c.id) for c in full})

@@ -85,8 +85,6 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     net = load_network(args.network)
-    if net.output_dim != 1:
-        raise CliError("analyze requires a scalar-output network")
     box = _parse_box(args.box, net.input_dim)
     predicted = None
     if args.predict is not None:

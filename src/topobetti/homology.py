@@ -100,35 +100,37 @@ def _poset_collapse(pc: PolyhedralComplex) -> PolyhedralComplex:
     The complex must be closed under faces, else a ValueError names the cell.
     Any coface of τ would, by the diamond property, give σ a second coface,
     so τ is maximal and the cells left form a closed subcomplex of the same
-    homotopy type.  The queue is seeded in pc.cells order and served first
-    in first out, and neighbours are visited in increasing id order: each
-    cell keeps its facets that way, and inverting them over the cells in id
-    order lists each cell's cofaces that way.  So no set iteration order
-    decides which cells survive: pc's own Cell objects, with pc's points.
-    The tables are lists by cell id; ids outside pc share one () of cofaces.
+    homotopy type.  Two lists by cell id hold each cell's live coface count
+    and the sum of those cofaces' ids, which is τ's id while the count is 1;
+    ids outside pc count None.  The queue is seeded in pc.cells order and
+    served first in first out, and each cell's facets are visited in their
+    stored order, so nothing else decides which cells survive: pc's own Cell
+    objects, with pc's points.
     """
     cells = pc.cells
-    cofaces = [()] * (max(cells, default=-1) + 1)
+    live = [None] * (max(cells, default=-1) + 1)  # live coface counts
     for cid in cells:
-        cofaces[cid] = []
+        live[cid] = 0
+    over = [0] * len(live)  # sums of the live cofaces' ids
     try:
         for c in cells.values():
             for f in c.facets:
-                cofaces[f].append(c.id)
-    except (AttributeError, IndexError):  # () has no append; an id past the end
+                live[f] += 1
+                over[f] += c.id
+    except (TypeError, IndexError):  # None + 1; an id past the end
         raise ValueError(f"complex is not closed under faces: cell {c.id}, facet {f}") from None
-    live = list(map(len, cofaces))  # live coface counts
-    alive = bytearray(b"\x01") * len(cofaces)
+    alive = bytearray(b"\x01") * len(live)
     queue = deque(cid for cid in cells if live[cid] == 1)
     while queue:
         sigma = queue.popleft()
-        if not alive[sigma] or live[sigma] != 1:
+        if live[sigma] != 1:  # a removed cell's count is 0
             continue
-        tau = next(c for c in cofaces[sigma] if alive[c])
+        tau = over[sigma]
         alive[sigma] = alive[tau] = 0
         for gone in (tau, sigma):
             for f in cells[gone].facets:
                 live[f] -= 1
+                over[f] -= gone
                 if live[f] == 1:
                     queue.append(f)
     return replace(pc, cells={cid: c for cid, c in cells.items() if alive[cid]})

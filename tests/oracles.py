@@ -15,10 +15,11 @@ over into its check.
   id does not index the points, and any two points not distinct and in
   increasing lexicographic order, which the cells' vertex order rests on.
   It then checks each cell's facets (known ids, one dimension down,
-  contained and in increasing id order), each cell's dimension and its
-  facet count. A cell's dimension is checked as the rank of its
-  homogeneous vertices, which with w > 0 is the affine rank plus 1, by
-  sparse_rank on the integer vertices directly. Last, the full cells'
+  contained and in increasing id order), that no (d−1)-cell lies in more
+  than two d-cells, each cell's dimension and its facet count. A cell's
+  dimension is checked as the rank of its homogeneous vertices, which with
+  w > 0 is the affine rank plus 1, by sparse_rank on the integer vertices
+  directly. Last, the full cells'
   volumes must sum to the box's: more means two cells overlap, less that
   the box is not covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
@@ -71,6 +72,7 @@ over into its check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -259,6 +261,12 @@ def validate_complex(complex: PolyhedralComplex, box: BoxDomain):
                 out.append(f"incidence: dim mismatch in pair ({f},{c})")
             if not below[f] < below[c]:
                 out.append(f"incidence: vertices of {f} not contained in {c}")
+    # a (d−1)-cell of a subdivision of the box lies in at most two d-cells,
+    # which linear_region_count relies on
+    above = Counter(f for c in complex.full_cells() for f in c.facets)
+    out.extend(
+        f"cofaces: cell {f} lies in {n} full cells" for f, n in sorted(above.items()) if n > 2
+    )
     if stray:
         return out
     # a vertex is (x…, w) with w > 0: its points' homogeneous rank is their

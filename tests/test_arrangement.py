@@ -434,6 +434,19 @@ class TestValidateComplex:
             f"dimension: cell {bent} has affine rank != dim"
         ]
 
+    def test_facet_of_three_full_cells_is_reported(self):
+        # the left of two unit squares duplicated under a new id: the edge
+        # they share then lies in three squares, and the copy's area overlaps
+        pc = box_complex([(0, 0), (1, 0)], 2)
+        left, right = pc.full_cells()
+        copy = replace(left, id=max(pc.cells) + 1)
+        broken = replace(pc, cells={**pc.cells, copy.id: copy})
+        (shared,) = set(left.facets) & set(right.facets)
+        assert validate_complex(broken, BoxDomain((0, 0), (2, 1))) == [
+            f"cofaces: cell {shared} lies in 3 full cells",
+            "interior-overlap: full cells exceed box volume",
+        ]
+
     def test_facets_out_of_order_are_reported(self):
         pc = box_complex([(0, 0)], 2)
         (square,) = pc.full_cells()

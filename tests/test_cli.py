@@ -200,6 +200,20 @@ class TestMalformedInput:
         assert captured.err == "error: malformed layer 0: layer has no inputs\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["analyze", "--oracle", "3"], ["oracle", "--resolution", "3"], ["stability"]],
+        ids=["analyze", "analyze-oracle", "oracle", "stability"],
+    )
+    def test_two_outputs(self, command, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text('{"layers": [{"weights": [["1", "0"], ["0", "1"]], "bias": ["0", "0"]}]}')
+        assert main([command[0], str(path), *command[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "requires a scalar-output network\n" in captured.err
+        assert captured.out == ""
+
 
 class TestErrorMessages:
     """Exit code 1 and the exact stderr line for input errors in each command."""

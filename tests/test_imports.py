@@ -1,6 +1,6 @@
 """Every name a topobetti, test or bench module imports is used in that
-module, and every public function, class or method of topobetti has a caller
-outside the tests."""
+module, every public function, class or method of topobetti has a caller
+outside the tests, and every private one a caller in topobetti itself."""
 
 import ast
 from collections import Counter
@@ -72,22 +72,27 @@ def _defined_names(node) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _definitions(tree):
-    """(qualified name, node) for each public top-level def, class or assigned
-    name, and each public method or property of a top-level class."""
+def _definitions(tree, private: bool):
+    """(qualified name, node) for each public (or each private) top-level def,
+    class or assigned name, and each such method or property of a top-level
+    class.  Dunder names, which Python itself calls, are neither."""
+
+    def wanted(name):
+        return name.startswith("_") == private and not name.startswith("__")
+
     for node in tree.body:
         for n in _defined_names(node):
-            if not n.startswith("_"):
+            if wanted(n):
                 yield n, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and wanted(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
-def _uncalled(modules: dict, callers: list) -> list:
-    """module.name of each definition that neither another module, nor the
-    rest of its own module, nor a caller source references.
+def _uncalled(modules: dict, callers: list, private: bool = False) -> list:
+    """module.name of each public (or private) definition that neither another
+    module, nor the rest of its own module, nor a caller source references.
 
     A method counts as referenced wherever an attribute of its name appears,
     whatever the object: StabilityReport.dumps went unflagged while json.dumps
@@ -100,7 +105,7 @@ def _uncalled(modules: dict, callers: list) -> list:
         total.update(_references(tree))
     found = []
     for name, tree in trees.items():
-        for qualified, node in _definitions(tree):
+        for qualified, node in _definitions(tree, private):
             short = qualified.rsplit(".", 1)[-1]
             if total[short] == _references(node)[short]:
                 found.append(f"{name}.{qualified}")
@@ -111,6 +116,13 @@ def test_public_api_has_a_caller():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     callers = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
     assert _uncalled(modules, callers) == []
+
+
+def test_private_names_have_a_caller():
+    # only package code counts: a helper that only tests or the benchmark
+    # call is left over
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _uncalled(modules, [], private=True) == []
 
 
 def test_scan_finds_an_uncalled_name():
@@ -133,3 +145,12 @@ def test_scan_finds_an_uncalled_name():
         "Box()._area()\n"
     )
     assert _uncalled(modules, [bench]) == ["a.unused", "c.Alias", "d.Box.grow"]
+    # the private scan: the same rule for private names, dunders aside
+    modules["e"] = (
+        "def _walk(n):\n    return _walk(n - 1)\n"
+        "class Tree:\n    def __init__(self):\n        pass\n"
+        "    def _prune(self):\n        pass\n"
+    )
+    assert _uncalled(modules, [bench], private=True) == [
+        "a._Hidden", "c._cache", "e.Tree._prune", "e._walk"
+    ]
