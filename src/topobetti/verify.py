@@ -5,45 +5,56 @@ exactly at every point of a regular rational grid and estimates β₀ of the
 nonpositive set under grid adjacency.  The evaluation is a scaled-integer
 forward pass, so even the oracle is float-free: each layer is cleared to an
 integer matrix, and numpy runs the pass one layer at a time over blocks of
-8 192 grid points, made of whole grid lines along the last axis.  A block
-pays some twenty numpy calls, about 35 µs, before any integer work; at 2 048
-points per block that fixed cost was about a third of the pass, and at 8 192
-the working memory beyond the signs stays under 0.6 MiB on the reference
-networks.  Under GRID_POINT_CAP a line in d ≥ 2 has at most 7 071 points, so
-only in d = 1 is a line cut into chunks.  The first layer is affine in the
-grid index, so it is summed from a constant column and one table per axis:
-each block gathers its lines' leading-axis terms, with index arithmetic once
-per line, and adds the last axis's table by broadcasting; the other layers
-multiply with ``einsum('ij,jk->ik')``, as numpy runs integer ``@`` in a plain
-loop, not in BLAS (on Python ints ``@`` is the faster of the two and is
-kept).  Before it runs, a bound on every integer each layer can form is
-proved in Python ints, as a running maximum over the layers.  Each layer's
-arrays take the narrowest type its bound allows: int32 below 2^30, int64
-below 2^62 and Python ints (dtype object) otherwise, in the same code path;
-an array is widened with ``astype`` where the bound crosses a tier, never
-narrowed.  The reference instances run in int32, but for an int64 output
-layer on one of them; perturbed networks start in int64 and widen to Python
-ints.  β₀ is counted by run labelling in numpy: the nonpositive points, as
-sorted flat indices, are cut into maximal runs along the last axis, each
-other axis joins the runs of neighbouring points (found by binary search),
-and the runs are merged by min-label hooking and pointer jumping.  Its
-integer arrays are sized by the nonpositive points, never by the grid.  For
-the constructed classifier family the smallest feature has ℓ₁-diameter
-1/(4wM), so any resolution above 8·w·M resolves every component; the default
-used by callers is 16·w_max·M.
+8 192 grid points, made of whole grid lines along the last axis.  numpy is
+imported inside the functions that use it, not with the module, so that no
+other command pays for its import, which costs more than a whole analysis of
+a reference network.  A block pays some twenty numpy calls, about 35 µs,
+before any integer work; at 2 048 points per block that fixed cost was about
+a third of the pass.  Under GRID_POINT_CAP a line in d ≥ 2 has at most 7 071
+points, so only in d = 1 is a line cut into chunks.  The first layer is
+affine in the grid index, so it is summed from a constant column and one
+table per axis: each block gathers its lines' leading-axis terms, with index
+arithmetic once per line, and adds the last axis's table by broadcasting;
+the other layers multiply with ``einsum('ij,jk->ik')``, as numpy runs
+integer ``@`` in a plain loop, not in BLAS (on Python ints ``@`` is the
+faster of the two and is kept).  Before it runs, a bound on every integer
+each layer can form is proved in Python ints, as a running maximum over the
+layers.  Each layer's arrays take the narrowest type its bound allows: int32
+below 2^30, int64 below 2^62 and Python ints (dtype object) otherwise, in
+the same code path; an array is widened where the bound crosses a tier,
+never narrowed.  The reference instances run in int32, but for an int64
+output layer on one of them; perturbed networks start in int64 and widen to
+Python ints.  A block's int32 and int64 arrays are views of two buffers that
+one allocation per pass provides: the first layer's sum is written with
+``np.add(out=)``, each widening cast with ``np.copyto`` and each einsum into
+its ``out``, each into the buffer that does not hold its input, and the
+signs go straight into the int8 grid.  Python-int layers allocate per block.
+Blocks that allocated their own arrays made the C allocator hand pages back
+and fault them in again, up to about 3 000 minor faults a grid in some
+processes; the buffers leave next to none.  Beyond the signs, the working
+memory is under 0.9 MiB on the 10⁶-point grids of the tests.  β₀ is counted
+by run labelling in numpy: the nonpositive points, as sorted flat indices,
+are cut into maximal runs along the last axis, each other axis joins the
+runs of neighbouring points (found by binary search), and the runs are
+merged by min-label hooking and pointer jumping.  Its integer arrays are
+sized by the nonpositive points, never by the grid.  For the constructed
+classifier family the smallest feature has ℓ₁-diameter 1/(4wM), so any
+resolution above 8·w·M resolves every component; the default used by
+callers is 16·w_max·M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactgeom import BoxDomain
 from .relunet import ReluNetwork
 from .report import AnalysisReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID_POINT_CAP = 50_000_000
 _BLOCK = 1 << 13  # grid points per block of the vectorised pass (see the module docstring)
@@ -104,11 +115,15 @@ def _magnitude_bound(layers, top: int, den: int) -> list:
 
 def _dtype(bound: int):
     """int32 below 2^30, int64 below 2^62, Python ints (object) otherwise."""
+    import numpy as np
+
     return np.int32 if bound < 2**30 else np.int64 if bound < 2**62 else object
 
 
 def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignGrid:
     """Exact network sign at every point of the (N+1)^d grid over the box."""
+    import numpy as np
+
     if resolution < 1:
         raise ValueError("resolution must be ≥ 1")
     if net.output_dim != 1:
@@ -161,25 +176,56 @@ def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignG
     # so only a d = 1 grid has its line cut into chunks
     per = max(1, _BLOCK // n)
     chunk = min(n, _BLOCK)
+    # a block's int32 and int64 arrays, the first layer's sum, each widening
+    # cast and each einsum output, are views of two buffers made once per
+    # pass, each as large as the widest such array of a full block; each
+    # array goes to the buffer that does not hold its input.  The buffers are
+    # one allocation: as two, the C allocator paged them in afresh on many
+    # passes.  Python-int layers allocate per block
+    fixed = [(len(w0), dtype), *((rows, w.dtype) for w, _ in mats for rows in w.shape)]
+    size = per * chunk * max(
+        (rows * np.dtype(dt).itemsize for rows, dt in fixed if dt != object), default=0
+    )
+    buffers = np.empty((2, size), dtype=np.uint8)
+
+    def take(k, dt, shape):
+        # the start of buffer k as an array; None, so that numpy allocates,
+        # for Python ints
+        if dt == object:
+            return None
+        return buffers[k][: math.prod(shape) * np.dtype(dt).itemsize].view(dt).reshape(shape)
+
     for j0 in range(0, n, chunk):
         # the last axis's table, over this chunk of it
         tail = wstep[:, -1:] * np.arange(j0, min(j0 + chunk, n)).astype(dtype)
         for l0 in range(0, lines, per):
             # index arithmetic once per line: its leading-axis terms
             rem = np.arange(l0, min(l0 + per, lines))
+            out = signs[l0:l0 + rem.size, j0:j0 + tail.shape[1]]
             lead = const
             for table in reversed(tables):
                 rem, i = np.divmod(rem, n)
                 lead = lead + table[:, i]
-            v = (lead[:, :, None] + tail[:, None, :]).reshape(len(w0), -1)
+            first = take(0, dtype, (len(w0), *out.shape))
+            v = np.add(lead[:, :, None], tail[:, None, :], out=first).reshape(len(w0), -1)
+            k = 0  # the buffer that holds v
             for w, bd in mats:
-                # widen where the bound crosses a tier; never narrow
-                v = np.maximum(v, 0, out=v).astype(w.dtype, copy=False)
+                np.maximum(v, 0, out=v)
                 # numpy's integer @ is a plain loop; einsum beats it on
                 # int32 and int64, while @ stays faster on Python ints
-                v = w @ v if w.dtype == object else np.einsum("ij,jk->ik", w, v)
+                if w.dtype == object:
+                    v = w @ v.astype(object, copy=False)
+                else:
+                    # widen where the bound crosses a tier; never narrow
+                    if w.dtype != v.dtype:
+                        k ^= 1
+                        wide = take(k, w.dtype, v.shape)
+                        np.copyto(wide, v)
+                        v = wide
+                    k ^= 1
+                    v = np.einsum("ij,jk->ik", w, v, out=take(k, w.dtype, (len(w), v.shape[1])))
                 v += bd
-            signs[l0:l0 + per, j0:j0 + chunk] = np.sign(v[0]).reshape(-1, tail.shape[1])
+            np.sign(v[0].reshape(out.shape), out=out, casting="unsafe")
     return SignGrid(resolution=resolution, d=d, signs=signs.reshape((n,) * d))
 
 
@@ -190,6 +236,8 @@ def grid_beta0(sg: SignGrid) -> int:
     the last axis; each other axis joins the runs of neighbouring points,
     and the runs are merged by min-label hooking and pointer jumping.
     """
+    import numpy as np
+
     n = sg.resolution + 1
     idx = np.flatnonzero(sg.signs.reshape(-1) <= 0)
     if idx.size == 0:
@@ -310,6 +358,8 @@ def write_pgm(sg: SignGrid, path: str):
     """ASCII PGM dump of a 2-d sign grid (negative=0, zero=127, positive=255)."""
     if sg.d != 2:
         raise ValueError("PGM dump requires a 2-d grid")
+    import numpy as np
+
     n = sg.resolution + 1
     vals = ((sg.signs.astype(np.int16) + 1) * 127 + (sg.signs == 1)).astype(np.uint8)
     with open(path, "w", encoding="ascii") as f:

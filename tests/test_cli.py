@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topobetti
 from topobetti import cli
 from topobetti.cli import EXIT_DISAGREE, EXIT_OK, EXIT_USAGE, main
 from topobetti.relunet import load_network
@@ -305,3 +310,48 @@ class TestErrorMessages:
         assert captured.err == f"error: {kind} dump requires a 2-d grid\n"
         assert captured.out == ""
         assert not dump.exists()
+
+
+# Runs each command in one fresh interpreter and prints, per command, its
+# exit code and whether numpy has been imported so far.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from topobetti.cli import main
+
+net, report = sys.argv[1:]
+for argv in (
+    ["build", "--d", "2", "--m", "4", "--w", "3", "--offset", "-o", net],
+    ["analyze", net, "--out", report],
+    ["predict", "--d", "2", "--M", "4", "--w", "3"],
+    ["bounds", "--arch", "2,8,5,1"],
+    ["stability", net],
+    ["report", report],
+    ["oracle", net, "--resolution", "48"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+def test_only_the_grid_oracle_imports_numpy(tmp_path):
+    # numpy costs the start-up of every command that loads it, and only the
+    # grid oracle uses it
+    src = Path(topobetti.__file__).parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "f.json"), str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert run.stdout.splitlines() == [
+        "build 0 False",
+        "analyze 0 False",
+        "predict 0 False",
+        "bounds 0 False",
+        "stability 0 False",
+        "report 0 False",
+        "oracle 0 True",
+    ]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -19,6 +20,7 @@ from topobetti.constructions import (
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_scalar
+from topobetti.stability import _perturbed
 from conftest import REFERENCE_INSTANCES
 from helpers import network_and_box, reference_grid_beta0
 from topobetti import verify
@@ -313,14 +315,37 @@ class TestGridSignSample:
         assert 47 * 47 > verify._BLOCK
         _assert_signs_match(_beyond_int64(), BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2), 46)
 
-    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
-    def test_signs_do_not_depend_on_the_block(self, name, reference_networks, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, perturbed",
+        [*((i[0], False) for i in REFERENCE_INSTANCES), ("d2-M4-w3", True)],
+        ids=[*(i[0] for i in REFERENCE_INSTANCES), "d2-M4-w3-perturbed"],
+    )
+    def test_signs_do_not_depend_on_the_block(
+        self, name, perturbed, reference_networks, monkeypatch
+    ):
         net, fold, cut, _ = reference_networks[name]
         N = default_resolution(fold.M, cut.w_vec)
         box = BoxDomain.unit_cube(fold.d)
+        if perturbed:
+            # at δ = 10⁻⁶ the first layer runs in int64 and the next ones in
+            # Python ints, so each block hands its buffered first layer over
+            # to arrays of its own.  N = 100 keeps the Python-int pass short,
+            # and its 101 lines end on a partial block of 20 lines at 8 192
+            # points and of 1 line at 2 048.  On the unit cube the grid
+            # numerators are at most N over the denominator N
+            net = _perturbed(net, Fraction(1, 10**6), random.Random(f"7:{name}"))
+            N = 100
+            bounds = verify._magnitude_bound(verify._scaled_layers(net), N, N)
+            assert [verify._dtype(b) for b in bounds] == [np.int64, object, object]
+            assert [(N + 1) % (block // (N + 1)) for block in (verify._BLOCK, 2048)] == [20, 1]
         assert (N + 1) ** fold.d > verify._BLOCK
         signs = _signs_at_two_blocks(net, box, N, monkeypatch)
         assert np.array_equal(*signs)
+        if perturbed:
+            # the last line, in the partial last block, against exact evaluation
+            for j, s in enumerate(signs[0][N]):
+                v = eval_scalar(net, _grid_point(box, N, (N, j)))
+                assert s == (v > 0) - (v < 0), j
 
     def test_python_int_signs_do_not_depend_on_the_block(self, monkeypatch):
         box = BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2)
