@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import namedtuple
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -33,9 +34,15 @@ from topobetti.arrangement import (
     _Builder,
     _gc_paused,
     _label,
-    _order_points,
 )
-from oracles import active_constraints, cell_vertices, dehomogenize, matrix_rank, sparse_rank
+from oracles import (
+    active_constraints,
+    canonical_ids,
+    cell_vertices,
+    dehomogenize,
+    matrix_rank,
+    sparse_rank,
+)
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import _boundary_rows, order_complex
 from topobetti.relunet import AffineLayer, ReluNetwork
@@ -252,18 +259,22 @@ def build_and_assemble(net, box):
 def complex_digest(sc, tables) -> str:
     """sha256 of the repr of (cells, face pairs, constraints, violations).
 
-    cells is the sorted list of (id, dim, vertices, active constraints,
-    affine map, label) tuples, with the vertices from oracles.cell_vertices,
-    the active constraints from the owner's table in tables
+    Every id is the cell's canonical id (oracles.canonical_ids), so the
+    digest does not depend on how the program numbers the cells.  cells is
+    the list of (id, dim, vertices, active constraints, affine map, label)
+    tuples in id order, with the vertices from oracles.cell_vertices in
+    canonical order, the active constraints from the owner's table in tables
     (oracles.region_tables of the build) by oracles.active_constraints, and
     face pairs the sorted list of (face id, coface id) pairs read from the
     cells' facets.  Vertices enter as tuples of Fractions, affine maps as
     ((grad…,), (const,)) in Fractions and constraints as Hyperplanes, the
     forms the digests were recorded in.
-    The repr is fed to the hash piece by piece, so the whole string is never
-    held in memory.
+    The ids are mapped as the repr is fed to the hash piece by piece, so
+    neither a renumbered complex nor the whole string is ever held in memory.
     """
+    ids = canonical_ids(sc)
     vertices = cell_vertices(sc)
+    rank = {p: ids[v] for v, p in enumerate(sc.points)}
     points = {v: dehomogenize(v) for v in sc.points}
     maps = {m: fraction_map(m) for m in dict.fromkeys(c.affine_map for c in sc.cells.values())}
     constraints = tuple(Hyperplane(row[:-1], row[-1]) for row in sc.constraints)
@@ -278,17 +289,17 @@ def complex_digest(sc, tables) -> str:
     h.update(b"(")
     feed_list(
         (
-            cid,
+            ids[cid],
             c.dim,
-            tuple(map(points.__getitem__, vertices[cid])),
+            tuple(map(points.__getitem__, sorted(vertices[cid], key=rank.__getitem__))),
             active_constraints(sc, c, vertices[cid], tables),
             maps[c.affine_map],
             c.sign_label,
         )
-        for cid, c in sorted(sc.cells.items())
+        for cid, c in sorted(sc.cells.items(), key=lambda item: ids[item[0]])
     )
     h.update(b", ")
-    feed_list(sorted((f, c.id) for c in sc.cells.values() for f in c.facets))
+    feed_list(sorted((ids[f], ids[c.id]) for c in sc.cells.values() for f in c.facets))
     h.update(f", {constraints!r}, {sc.violations!r})".encode("utf-8"))
     return h.hexdigest()
 
@@ -339,19 +350,14 @@ def reference_assemble(b) -> PolyhedralComplex:
                         stack.append((j, dim - 1, sub_tight))
                 incid.add((j, i))
 
-    # cells are ordered by their vertices' rational points, the 0-cells first
-    vids = list(set().union(*(r.vertices for r in regions)))
-    order = _order_points([coords[v] for v in vids])
-    rank = {vids[i]: x for x, i in enumerate(order)}
-    points = [coords[vids[i]] for i in order]
-    ranked = [sorted(map(rank.__getitem__, key)) for key, *_ in found]
-    order = sorted(range(len(found)), key=lambda i: (found[i][1], ranked[i]))
+    # provisional ids by dimension, the 0-cells first, then the oracle's
+    order = sorted(range(len(found)), key=lambda i: found[i][1])
     ids = [0] * len(found)
     for cid, i in enumerate(order):
         ids[i] = cid
-    facets = [[] for _ in found]  # cell id -> its facets' ids
-    for f, c in sorted((ids[f], ids[c]) for f, c in incid):
-        facets[c].append(f)
+    facets = [[] for _ in found]  # provisional cell id -> its facets' ids
+    for f, c in incid:
+        facets[ids[c]].append(ids[f])
     cells = {}
     for cid, i in enumerate(order):
         key, dim, owner = found[i]
@@ -364,12 +370,33 @@ def reference_assemble(b) -> PolyhedralComplex:
             dim=dim,
             affine_map=owner.affine,
             sign_label=_label(0 if on_out else out_sign),
-            facets=tuple(facets[cid]),
+            facets=tuple(sorted(facets[cid])),
         )
-    return PolyhedralComplex(
+    pc = PolyhedralComplex(
         cells=cells,
         ambient_dim=d,
-        points=tuple(points),
+        points=tuple(coords[v] for i in order if found[i][1] == 0 for v in found[i][0]),
         constraints=tuple(b.hids),
         violations=tuple(b.violations),
+    )
+    return relabel(pc, canonical_ids(pc))
+
+
+def relabel(pc, ids) -> PolyhedralComplex:
+    """pc with each cell id x renumbered ids[x].
+
+    The cells come in the new id order, each with its facets renumbered in
+    increasing order, and each point moves with its 0-cell, so the new
+    0-cell ids must be 0 … n − 1, as oracles.canonical_ids gives them.
+    """
+    cells = sorted(
+        (
+            replace(c, id=ids[c.id], facets=tuple(sorted(map(ids.__getitem__, c.facets))))
+            for c in pc.cells.values()
+        ),
+        key=lambda c: c.id,
+    )
+    zero = sorted((ids[c.id], pc.points[c.id]) for c in pc.cells_of_dim(0))
+    return replace(
+        pc, cells={c.id: c for c in cells}, points=tuple(p for _, p in zero)
     )

@@ -201,6 +201,27 @@ def cell_vertices(complex: PolyhedralComplex) -> dict:
     }
 
 
+def canonical_ids(complex: PolyhedralComplex) -> dict:
+    """Cell id -> canonical id, for a complex whose 0-cells hold all its points.
+
+    The 0-cells come first, in the lexicographic order of their rational
+    points, and the other cells follow by (dim, their vertices' canonical
+    ids, sorted).  Faces are deduplicated by vertex set, so no two cells
+    share a key and the numbering depends on the complex alone.
+    """
+    points = complex.points
+    below = _vertex_ids(complex.cells)
+    zero = sorted((c.id for c in complex.cells_of_dim(0)), key=lambda v: dehomogenize(points[v]))
+    ids = {v: x for x, v in enumerate(zero)}
+    keys = {
+        c.id: (c.dim, sorted(map(ids.__getitem__, below[c.id])))
+        for c in complex.cells.values()
+        if c.dim
+    }
+    ids.update((cid, x) for x, cid in enumerate(sorted(keys, key=keys.__getitem__), len(ids)))
+    return ids
+
+
 def cell_volume(complex: PolyhedralComplex, cell_id: int):
     """Exact volume of a full-dimensional cell via a pulling triangulation.
 

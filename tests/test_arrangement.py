@@ -2,7 +2,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,14 @@ from helpers import (
     complex_digest,
     network_and_box,
     reference_assemble,
+    relabel,
+    ring_cubes_2d,
+    shell_cubes_3d,
 )
 from oracles import (
     _det,
     box_volume,
+    canonical_ids,
     cell_vertices,
     cell_volume,
     centroid,
@@ -85,18 +89,32 @@ def _dims(pc):
     return counts
 
 
+def _assert_is_the_halved_grid(pc):
+    # the 2-fold tent folds each axis at 1/2: canonically numbered, its
+    # complex is helpers.box_complex of the 2^d unit cubes, halved
+    d = pc.ambient_dim
+    grid = box_complex(list(product((0, 1), repeat=d)), d)
+    canon = relabel(pc, canonical_ids(pc))
+    assert [(c.id, c.dim, c.facets) for c in canon.cells.values()] == [
+        (c.id, c.dim, c.facets) for c in grid.cells.values()
+    ]
+    assert canon.points == tuple(homogenize([Fraction(x, 2) for x in p[:-1]]) for p in grid.points)
+
+
 class TestCanonicalComplex:
     def test_tent_on_interval(self):
         box = BoxDomain.unit_cube(1)
         pc = signed_complex(_tent(2), box)
         assert _dims(pc) == {0: 3, 1: 2}
         assert validate_complex(pc, box) == []
+        _assert_is_the_halved_grid(pc)
 
     def test_tent_on_square(self):
         box = BoxDomain.unit_cube(2)
         pc = signed_complex(_tent(2, d=2), box)
         assert _dims(pc) == {0: 9, 1: 12, 2: 4}
         assert validate_complex(pc, box) == []
+        _assert_is_the_halved_grid(pc)
 
     def test_affine_maps_reproduce_the_network(self):
         net = _tent(4, d=2)
@@ -225,6 +243,11 @@ class TestNewVertices:
             tuple(half if j == i else 0 for j in range(d)) for i in range(d)
         )
         assert validate_complex(sc, box) == []
+        # canonically the 0-cells are in the lexicographic order of their points
+        canon = relabel(sc, canonical_ids(sc))
+        assert validate_complex(canon, box) == []
+        points = list(map(dehomogenize, canon.points))
+        assert points == sorted(points)
 
 
 class TestAssembly:
@@ -454,6 +477,25 @@ class TestValidateComplex:
         assert validate_complex(broken, self.SQUARE) == [
             f"faces: facets of cell {square.id} are not in increasing id order"
         ]
+
+
+class TestCanonicalIds:
+    @pytest.mark.parametrize(
+        "cubes, d", [(ring_cubes_2d(), 2), (shell_cubes_3d(), 3)], ids=["ring", "shell"]
+    )
+    def test_a_shuffled_complex_is_numbered_back(self, cubes, d):
+        # box_complex numbers its cells canonically, so the oracle keeps its
+        # ids and undoes any renumbering that keeps the 0-cells first
+        pc = box_complex(cubes, d)
+        assert canonical_ids(pc) == {cid: cid for cid in pc.cells}
+        rng = random.Random(0)
+        n = len(pc.points)
+        zero, rest = list(range(n)), list(range(n, len(pc.cells)))
+        rng.shuffle(zero)
+        rng.shuffle(rest)
+        shuffled = relabel(pc, dict(enumerate(zero + rest)))
+        assert shuffled.cells != pc.cells
+        assert relabel(shuffled, canonical_ids(shuffled)) == pc
 
 
 class TestRegionTables:
