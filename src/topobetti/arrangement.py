@@ -36,14 +36,15 @@ it, and faces are deduplicated by their vertex sets, so the construction is
 deterministic.
 
 A split's hyperplane is interned by its primitive row (normal…, offset).
-Vertices are ordered by integer ranks: the first axis's distinct values, as
-reduced (num, den) pairs, are sorted once, and each later axis only among
-the vertices still tied on the earlier ones.  The complex hands out the
-build's own integer data: PolyhedralComplex.points holds the build's
-homogeneous points by 0-cell id, Cell.affine_map the owning region's reduced
-integer output map, Cell.facets the face relation (a cell's vertices are the
-0-cells below it), and PolyhedralComplex.constraints the hyperplane table's
-rows.
+Cells are numbered in build order: a 0-cell's id is its vertex id, in the
+order the build made the vertices, and the other cells follow by dimension
+in the order the walk first reaches them.  The build is deterministic, so
+the numbering is too, and every number the program reports is the same
+under any renumbering.  The complex hands out the build's own integer
+data: PolyhedralComplex.points holds the build's homogeneous points by
+0-cell id, Cell.affine_map the owning region's reduced integer output map,
+Cell.facets the face relation (a cell's vertices are the 0-cells below it),
+and PolyhedralComplex.constraints the hyperplane table's rows.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ import gc
 import itertools
 import math
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cmp_to_key
 from operator import mul
 
 from .exactgeom import BoxDomain, homogenize, sign
@@ -148,8 +147,8 @@ class PolyhedralComplex:
 
     The face relation is each cell's facets.  points are the 0-cells'
     homogeneous integer points (x_1, …, x_d, w), the point x / w with w > 0
-    and gcd 1 (see exactgeom.homogenize), by 0-cell id, which is their
-    lexicographic order.  violations are the stability events the build
+    and gcd 1 (see exactgeom.homogenize), by 0-cell id, in the order the
+    build made them.  violations are the stability events the build
     recorded, as (NeuronId, region-id, reason) triples in build order.
     """
 
@@ -441,45 +440,6 @@ def _label(s: int) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
 
 
-def _compare_ratios(a, b) -> int:
-    """An int with the sign of a[0]/a[1] − b[0]/b[1], for positive denominators."""
-    return a[0] * b[1] - b[0] * a[1]
-
-
-def _order_points(coords):
-    """The lexicographic order of homogeneous integer points.
-
-    Returns the indices of coords sorted by the points' rational coordinates.
-    Axis values are compared as reduced (num, den) pairs by
-    cross-multiplication, and an axis is ranked only among the points that
-    tie on every earlier axis: each point's key is its ranks so far as one
-    mixed-radix integer, and the ranking stops once the keys are distinct.
-    A point with no tie keeps rank 0 on later axes, which cannot reorder it.
-    On perturbed networks the first axis already tells every point apart.
-    No common denominator is formed: there the lcm of the points'
-    denominators runs to 10⁴–10⁵ bits.
-    """
-    ws = [p[-1] for p in coords]
-    columns = [
-        [(x // (g := math.gcd(x, w)), w // g) for x, w in zip(xs, ws)]
-        for xs in list(zip(*coords))[:-1]
-    ]
-    n = len(coords)
-    keys = [0] * n
-    tied = None  # indices of the points whose key another point shares; None for all
-    for values in columns:
-        ranked = set(values) if tied is None else {values[i] for i in tied}
-        by_value = sorted(ranked, key=cmp_to_key(_compare_ratios))
-        rank = dict(zip(by_value, itertools.count(1)))
-        base = len(by_value) + 1
-        keys = [k * base + rank.get(v, 0) for k, v in zip(keys, values)]
-        count = Counter(keys)
-        if len(count) == n:
-            break
-        tied = [i for i, k in enumerate(keys) if count[k] > 1]
-    return sorted(range(n), key=keys.__getitem__)
-
-
 def _assemble(b: _Builder) -> PolyhedralComplex:
     """The face lattice of the build's regions, with each cell's map and label.
 
@@ -503,12 +463,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     """
     regions, cap, d = b.regions, b.cap, b.d
     coords, incidence = b.coords, b.incidence
-    # the 0-cells come first, in the order of their rational points
-    order = _order_points(coords)
-    rank = [0] * len(coords)  # vertex id -> rank
-    for x, v in enumerate(order):
-        rank[v] = x
-    vertex_data = [None] * len(coords)  # rank -> (owner's affine map, label)
+    vertex_data = [None] * len(coords)  # vertex id -> (owner's affine map, label)
     limit = cap - len(coords)  # for the faces of dimension ≥ 1
     overflow = f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
     # faces of dimension ≥ 1 by discovery index
@@ -552,29 +507,25 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
                     by_dim[k].append(j)
                 its_facets.append(j)
         for v in r.vertices:
-            x = rank[v]
-            if vertex_data[x] is None:
-                vertex_data[x] = (affine_map, "zero" if v in touched else label)
+            if vertex_data[v] is None:
+                vertex_data[v] = (affine_map, "zero" if v in touched else label)
 
     # The cells are made in id order, which keeps them together in memory
-    # for the passes over them.  The other cells follow the 0-cells by
-    # dimension, and within one by their ranked vertex lists, so a cell's
-    # facets have ids when it is made.
+    # for the passes over them.  A 0-cell's id is its vertex id, and the
+    # other cells follow by dimension, in the order the walk reached them,
+    # so a cell's facets have ids when it is made.
     cells = [
-        _cell(x, 0, affine_map, label, ()) for x, (affine_map, label) in enumerate(vertex_data)
+        _cell(v, 0, affine_map, label, ()) for v, (affine_map, label) in enumerate(vertex_data)
     ]
     ids = [0] * len(found)  # discovery index -> cell id
     for dim in range(1, d + 1):
-        bucket = by_dim[dim]
-        ranked = [sorted(map(rank.__getitem__, found[i][0])) for i in bucket]
-        for x in sorted(range(len(bucket)), key=ranked.__getitem__):
-            i = bucket[x]
+        for i in by_dim[dim]:
             ids[i] = cid = len(cells)
-            _, affine_map, label = found[i]
+            vertices, affine_map, label = found[i]
             if dim == 1:
-                # an edge's facets are its vertices, whose ids are their ranks;
-                # the 0-cells' own id objects keep one int per id
-                facets = tuple(cells[y].id for y in ranked[x])
+                # an edge's facets are its vertices; the 0-cells' own id
+                # objects keep one int per id
+                facets = tuple(cells[v].id for v in sorted(vertices))
             else:
                 # for d ≥ 4 the walk may reach a facet through more than one hid
                 facets = tuple(sorted({ids[j] for j in below[i]}))
@@ -582,7 +533,7 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     return PolyhedralComplex(
         cells={c.id: c for c in cells},
         ambient_dim=d,
-        points=tuple(map(coords.__getitem__, order)),
+        points=tuple(coords),
         constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )

@@ -9,7 +9,10 @@
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
 - One build that hands out both its _Builder and its signed complex.
-- The digest that pins a signed complex's cells, facets and constraints.
+- The digest that pins a signed complex's cells, facets and constraints,
+  read in the canonical numbering of oracles.canonical_ids.
+- relabel, which renumbers a complex's cells, for the tests that read a
+  complex in that numbering.
 - The face-lattice assembly as it was before the walk settled labels and
   expanded edges straight to their vertices: the reference that
   arrangement._assemble is checked against.
@@ -308,7 +311,8 @@ def reference_assemble(b) -> PolyhedralComplex:
     """The face lattice of the build's regions, with each cell's map and label.
 
     A face's owner is the first region, in build order, that holds it; the
-    face takes its affine map and label from the owner.
+    face takes its affine map and label from the owner.  The cells are
+    numbered by oracles.canonical_ids.
     """
     regions, cap, d = b.regions, b.cap, b.d
     coords, incidence = b.coords, b.incidence
@@ -397,6 +401,4 @@ def relabel(pc, ids) -> PolyhedralComplex:
         key=lambda c: c.id,
     )
     zero = sorted((ids[c.id], pc.points[c.id]) for c in pc.cells_of_dim(0))
-    return replace(
-        pc, cells={c.id: c for c in cells}, points=tuple(p for _, p in zero)
-    )
+    return replace(pc, cells={c.id: c for c in cells}, points=tuple(p for _, p in zero))

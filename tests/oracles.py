@@ -7,19 +7,25 @@ over into its check.
 - cell_vertices gives each cell's vertices: the ids of the 0-cells below
   it, the union of its facets' taken by increasing dimension, sorted and
   mapped through the complex's points.
+- canonical_ids numbers a complex's cells by the complex alone: the 0-cells
+  first, in the lexicographic order of their rational points, and then the
+  other cells by (dimension, their vertices' canonical ids, sorted), a key
+  no two cells share, as faces are deduplicated by vertex set.  The program
+  numbers cells in the order its build reaches them, which any change to
+  the build may reorder; the pinned digests and collapse survivors are read
+  through this numbering instead, which is the one the program used before.
 - validate_complex checks the invariants of a complex the arrangement hands
   out against the box it was built on, and returns a list of violation
   strings, empty when all hold. A point is a homogeneous integer point
   (x_1, …, x_d, w), the point x / w with w > 0 and gcd 1 (homogenize's
   form), so it first reports any point not in that form, any 0-cell whose
-  id does not index the points, and any two points not distinct and in
-  increasing lexicographic order, which the cells' vertex order rests on.
-  It then checks each cell's facets (known ids, one dimension down,
-  contained and in increasing id order), that no (d−1)-cell lies in more
-  than two d-cells, each cell's dimension and its facet count. A cell's
-  dimension is checked as the rank of its homogeneous vertices, which with
-  w > 0 is the affine rank plus 1, by sparse_rank on the integer vertices
-  directly. Last, the full cells'
+  id does not index the points, and any two equal points; the points may
+  come in any order. It then checks each cell's facets (known ids, one
+  dimension down, contained and in increasing id order), that no
+  (d−1)-cell lies in more than two d-cells, each cell's dimension and its
+  facet count. A cell's dimension is checked as the rank of its
+  homogeneous vertices, which with w > 0 is the affine rank plus 1, by
+  sparse_rank on the integer vertices directly. Last, the full cells'
   volumes must sum to the box's: more means two cells overlap, less that
   the box is not covered.
 - cell_volume sums the simplices of a pulling triangulation: each face is
@@ -263,12 +269,12 @@ def validate_complex(complex: PolyhedralComplex, box: BoxDomain):
     # a 0-cell's point is points[its id]
     stray = [c.id for c in complex.cells_of_dim(0) if not 0 <= c.id < len(points)]
     out.extend(f"points: 0-cell {cid} has no point" for cid in stray)
-    if not bad:
-        # with w, w' > 0, x / w < x' / w' on an axis exactly when x·w' < x'·w,
-        # so comparing the cross-multiplied lists compares the rational points
-        for x, (p, q) in enumerate(zip(points, points[1:])):
-            if [a * q[-1] for a in p[:-1]] >= [a * p[-1] for a in q[:-1]]:
-                out.append(f"points: {x} and {x + 1} are not in increasing lexicographic order")
+    # in homogenize's form, equal points are equal tuples
+    first = {}
+    for x, p in enumerate(points):
+        y = first.setdefault(p, x)
+        if y != x:
+            out.append(f"points: {y} and {x} are the same point")
     below = _vertex_ids(cells)
     for c, cell in cells.items():
         fs = cell.facets

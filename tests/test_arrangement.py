@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +105,27 @@ def _assert_is_the_halved_grid(pc):
     assert canon.points == tuple(homogenize([Fraction(x, 2) for x in p[:-1]]) for p in grid.points)
 
 
+# Prints a sha256 of each raw complex, d2-M8-w4's and perturbed d3-M4-w11's:
+# their points and, for each cell in id order, its id, dimension, facets,
+# label and affine map.
+_RAW_COMPLEXES = """
+import hashlib, random
+from fractions import Fraction
+from topobetti.arrangement import signed_complex
+from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
+from topobetti.exactgeom import BoxDomain
+from topobetti.stability import _perturbed
+
+for d, m_vec, w_vec, delta in ((2, (2, 4), (4,), 0), (3, (2, 2), (1, 1), Fraction(1, 10**6))):
+    net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+    if delta:
+        net = _perturbed(net, delta, random.Random("7:0"))
+    sc = signed_complex(net, BoxDomain.unit_cube(d))
+    cells = [(c.id, c.dim, c.facets, c.sign_label, c.affine_map) for c in sc.cells.values()]
+    print(hashlib.sha256(repr((sc.points, cells)).encode()).hexdigest())
+"""
+
+
 class TestCanonicalComplex:
     def test_tent_on_interval(self):
         box = BoxDomain.unit_cube(1)
@@ -128,6 +153,24 @@ class TestCanonicalComplex:
         assert {cid: c.facets for cid, c in a.cells.items()} == {
             cid: c.facets for cid, c in b.cells.items()
         }
+
+    def test_numbering_does_not_depend_on_the_hash_seed(self):
+        # the raw complexes, with no relabelling, from two fresh interpreters
+        # whose str and bytes hashes differ
+        src = Path(arrangement.__file__).parents[1]
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _RAW_COMPLEXES],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                check=True,
+            ).stdout
+            for seed in ("0", "12345")
+        ]
+        assert len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1]
 
     def test_constant_network_single_region(self):
         box = BoxDomain.unit_cube(2)
@@ -382,17 +425,16 @@ def _with_facets(pc, cell, facets):
 class TestValidateComplex:
     SQUARE, CUBE = BoxDomain.unit_cube(2), BoxDomain.unit_cube(3)
 
-    def test_points_out_of_order_are_reported(self):
-        # the square's corners (0, 1) and (1, 0) swapped: each is still joined
-        # to (0, 0) and (1, 1), so ranks, facets and volume are unchanged, and
-        # only the order check sees it
+    def test_a_point_listed_twice_is_reported(self):
+        # the square's 0-cells alone, the corner (0, 1) given the point (0, 0):
+        # with no edge or full cell to bend, only the check that the points
+        # are distinct sees it
         pc = box_complex([(0, 0)], 2)
-        assert validate_complex(pc, self.SQUARE) == []
-        a, b, c, d = pc.points
-        broken = replace(pc, points=(a, c, b, d))
-        assert validate_complex(broken, self.SQUARE) == [
-            "points: 1 and 2 are not in increasing lexicographic order"
-        ]
+        corners = replace(pc, cells={cid: c for cid, c in pc.cells.items() if c.dim == 0})
+        assert validate_complex(corners, self.SQUARE) == []
+        a, _, c, d = pc.points
+        broken = replace(corners, points=(a, a, c, d))
+        assert validate_complex(broken, self.SQUARE) == ["points: 0 and 1 are the same point"]
 
     def test_zero_cell_without_a_point_is_reported(self):
         # the last corner's point dropped: the ranks and the volume would
@@ -406,8 +448,8 @@ class TestValidateComplex:
     )
     def test_vertex_not_in_homogeneous_form_is_reported(self, point):
         # the corner (1, 1) written otherwise keeps every rank, so only the
-        # form check sees it, and the order and the volume, which would divide
-        # by w = 0 or take the wrong sign, are not checked
+        # form check sees it, and the volume, which would divide by w = 0 or
+        # take the wrong sign, is not checked
         pc = box_complex([(0, 0)], 2)
         points = tuple(point if p == (1, 1, 1) else p for p in pc.points)
         assert validate_complex(replace(pc, points=points), self.SQUARE) == [
@@ -444,8 +486,8 @@ class TestValidateComplex:
     def test_cell_of_the_wrong_rank_is_reported(self):
         # the cube's boundary with its corner (1, 1, 1) raised to (1, 1, 2):
         # the faces on x = 1 and y = 1 stay flat and the one on z = 1 bends.
-        # The corner stays the last point, and without a full cell there is
-        # no volume to change, so only the rank check sees it
+        # Without a full cell there is no volume to change, so only the rank
+        # check sees it
         pc = box_complex([(0, 0, 0)], 3)
         (cube,) = pc.full_cells()
         points = tuple((1, 1, 2, 1) if p == (1, 1, 1, 1) else p for p in pc.points)

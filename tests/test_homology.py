@@ -192,8 +192,9 @@ def _collapse_fixtures(d3_m4_w11_sublevel):
     ]
 
 
-# what _poset_collapse keeps of each sublevel complex: cells by dimension and
-# the first 16 hex digits of sha256(repr(sorted(ids)))
+# what _poset_collapse keeps of each sublevel complex in canonical numbering
+# (oracles.canonical_ids): cells by dimension and the first 16 hex digits of
+# sha256(repr(sorted(ids)))
 _SURVIVORS = {
     "d3-M2-w11": ([4, 0, 0, 0], "a168952d8f34e11d"),
     "d3-M2-w11-perturbed": ([4, 0, 0, 0], "d530f12a1d529df7"),

@@ -27,9 +27,9 @@ from oracles import (
     region_tables,
     validate_complex,
 )
-from topobetti.arrangement import _order_points, _primitive
+from topobetti.arrangement import _primitive
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
-from topobetti.exactgeom import BoxDomain, homogenize, sign, vdot
+from topobetti.exactgeom import BoxDomain, sign, vdot
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
 from topobetti.stability import _perturbed
 
@@ -165,8 +165,7 @@ class TestRandomNetworks:
 
 
 class TestIntegerPathsMatchDefinitions:
-    """The builder's hyperplane normalizer against its definition, and its
-    integer vertex order against the Fraction sort it replaced."""
+    """The builder's hyperplane normalizer against its definition."""
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
@@ -184,23 +183,3 @@ class TestIntegerPathsMatchDefinitions:
         assert next(x for x in row[:-1] if x) > 0
         g = math.gcd(*grad, const)
         assert tuple(orient * g * x for x in row) == (*grad, const)
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_rank_order_matches_fraction_sort(self, data):
-        # coordinates drawn from a small pool repeat; the pool holds negative
-        # values and denominators above 10**6
-        d = data.draw(st.integers(1, 3))
-        pool = data.draw(
-            st.lists(
-                st.builds(Fraction, st.integers(-(10**7), 10**7), st.integers(1, 10**7)),
-                min_size=1,
-                max_size=4,
-            )
-        )
-        points = data.draw(
-            st.lists(st.tuples(*[st.sampled_from(pool)] * d), min_size=1, max_size=12)
-        )
-        coords = [homogenize(p) for p in points]
-        order = _order_points(coords)
-        assert order == sorted(range(len(coords)), key=lambda i: dehomogenize(coords[i]))
