@@ -122,17 +122,21 @@ def _dtype(bound: int):
 
 def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignGrid:
     """Exact network sign at every point of the (N+1)^d grid over the box."""
-    import numpy as np
-
     if resolution < 1:
         raise ValueError("resolution must be ≥ 1")
     if net.output_dim != 1:
         raise ValueError("oracle requires a scalar-output network")
     d = box.dimension
+    # the pass zips the box's axes with the first layer's columns, which
+    # would drop the extra ones of either
+    if net.input_dim != d:
+        raise ValueError(f"box of dimension {d} does not match network input {net.input_dim}")
     if (resolution + 1) ** d > GRID_POINT_CAP:
         raise ValueError(
             f"grid of {(resolution + 1) ** d} points exceeds cap {GRID_POINT_CAP}"
         )
+    import numpy as np
+
     layers = _scaled_layers(net)
     # grid point i: lower + i*(upper−lower)/N, over the common denominator
     # N·lcm(bound denominators), so every step (upper−lower)/N is integral

@@ -1,6 +1,7 @@
 """Every name a topobetti, test or bench module imports is used in that
 module, every public function, class or method of topobetti has a caller
-outside the tests, and every private one a caller in topobetti itself."""
+outside the tests, every private one a caller in topobetti itself, and every
+one of the test oracles and helpers a caller in the tests."""
 
 import ast
 from collections import Counter
@@ -154,3 +155,30 @@ def test_scan_finds_an_uncalled_name():
     assert _uncalled(modules, [bench], private=True) == [
         "a._Hidden", "c._cache", "e.Tree._prune", "e._walk"
     ]
+
+
+def _unused_helpers(modules: dict, tests: list) -> list:
+    """module.name of each public or private definition in modules that
+    neither the test sources nor the rest of modules reference."""
+    return sorted(_uncalled(modules, tests) + _uncalled(modules, tests, private=True))
+
+
+def test_test_helpers_have_a_caller():
+    # an oracle or helper that no test reaches, such as an ordering helper
+    # left over when the program's numbering changed, is dead code
+    paths = (TESTS / "oracles.py", TESTS / "helpers.py")
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in paths}
+    tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py")) if p not in paths]
+    assert _unused_helpers(modules, tests) == []
+
+
+def test_scan_finds_an_unused_helper():
+    # rank, which only a helper calls, counts as called; _order, which only
+    # calls itself, and relabel do not
+    modules = {
+        "oracles": "def rank(pc):\n    return pc\ndef _order(pc):\n    return _order(pc)\n",
+        "helpers": "from oracles import rank\ndef digest(pc):\n    return rank(pc)\n"
+        "def relabel(pc):\n    pass\n",
+    }
+    tests = ["from helpers import digest\ndigest(1)\n"]
+    assert _unused_helpers(modules, tests) == ["helpers.relabel", "oracles._order"]

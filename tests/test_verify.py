@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -372,6 +373,36 @@ class TestGridSignSample:
         assert signs.size >= 10**6
         assert peak - signs.nbytes < 2 * 2**20
 
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_blocks_run_in_the_one_buffer_allocation(self, name, reference_networks):
+        # beyond the int8 signs, a pass allocates two buffers at once, each as
+        # large as the widest int32/int64 array of a full block.  The rest of
+        # its peak is numpy's iterator buffers (the first layer's sum casts
+        # through 8 192 entries of 8 bytes) and arrays of a line, 80-84 KiB.
+        # An array of block size made outside the buffers adds to it: an
+        # einsum's copy of an input it would overwrite, 95-181 KiB, or the
+        # last block's own first layer, 79-236 KiB, but only 12 KiB on
+        # d2-M8-w4, whose last block holds three lines
+        net, fold, cut, _ = reference_networks[name]
+        N = default_resolution(fold.M, cut.w_vec)
+        n = N + 1
+        layers = verify._scaled_layers(net)
+        # on the unit cube the grid numerators are at most N over N
+        bounds = verify._magnitude_bound(layers, N, N)
+        itemsizes = [np.dtype(verify._dtype(b)).itemsize for b in bounds]
+        widest = max(
+            len(layers[0][0]) * itemsizes[0],
+            *(max(len(w), len(w[0])) * size for (w, _, _), size in zip(layers[1:], itemsizes[1:])),
+        )
+        buffers = 2 * widest * (verify._BLOCK // n) * n
+        tracemalloc.start()
+        try:
+            signs = grid_sign_sample(net, BoxDomain.unit_cube(fold.d), N).signs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - signs.nbytes - buffers < 128 * 2**10
+
     def test_signs_match_exact_evaluation(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         _assert_signs_match(net, BoxDomain.unit_cube(2), 12)
@@ -398,6 +429,17 @@ class TestGridSignSample:
 
         with pytest.raises(ValueError):
             grid_sign_sample(build_folding_network(FoldingSpec(2, (2,))), box, 4)
+
+    @pytest.mark.parametrize("d", [2, 4], ids=["box-too-small", "box-too-large"])
+    def test_box_of_the_wrong_dimension_is_rejected(self, d, monkeypatch):
+        # the pass zips the box's axes with the first layer's columns, so
+        # unchecked it signed x₁ + x₂ − 1/2 on the square and ignored the
+        # 4-cube's last axis, each with no error.  The check comes before
+        # numpy is even imported
+        net = _linear((1, 1, 1), Fraction(-1, 2))
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match=f"box of dimension {d} does not match network input 3"):
+            grid_sign_sample(net, BoxDomain.unit_cube(d), 4)
 
 
 @st.composite
