@@ -25,8 +25,8 @@ layer, the output layer included, is split neuron by neuron and then
 composed into each region's map; only the hidden layers apply the ReLU.
 Each region carries its tight sets (constraint → its vertices on it), which
 the split updates and the face lattice is read from.  The assembly walks each
-region's faces down from those sets and does each face's bookkeeping once,
-when it first reaches it: its label, the output's sign on the owning region
+region's faces down from those sets and makes each face's cell once, right
+after its facets' cells: its label is the output's sign on the owning region
 or "zero" when all the face's vertices lie on the output's hyperplane.  Every
 cell of a region shares the region's output map.  No constraint's sign is
 stored: the side of a facet's hyperplane that the region lies on is the
@@ -36,15 +36,15 @@ it, and faces are deduplicated by their vertex sets, so the construction is
 deterministic.
 
 A split's hyperplane is interned by its primitive row (normal…, offset).
-Cells are numbered in build order: a 0-cell's id is its vertex id, in the
-order the build made the vertices, and the other cells follow by dimension
-in the order the walk first reaches them.  The build is deterministic, so
-the numbering is too, and every number the program reports is the same
-under any renumbering.  The complex hands out the build's own integer
-data: PolyhedralComplex.points holds the build's homogeneous points by
-0-cell id, Cell.affine_map the owning region's reduced integer output map,
-Cell.facets the face relation (a cell's vertices are the 0-cells below it),
-and PolyhedralComplex.constraints the hyperplane table's rows.
+Cells are numbered in build order: a 0-cell's id is its vertex id, and
+every other cell takes the next id as the walk makes it, so each facet's id
+is below its cell's.  The build is deterministic, so the numbering is too,
+and every number the program reports is the same under any renumbering.
+The complex hands out the build's own integer data: PolyhedralComplex.points
+holds the build's homogeneous points by 0-cell id, Cell.affine_map the
+owning region's reduced integer output map, Cell.facets the face relation (a
+cell's vertices are the 0-cells below it), and PolyhedralComplex.constraints
+the hyperplane table's rows.
 """
 
 from __future__ import annotations
@@ -445,95 +445,76 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
 
     A face's owner is the first region, in build order, that holds it; the
     face shares the owner's affine map and takes its label from the owner.
-    The walk does each face's bookkeeping once, when it first reaches it.
-    A face of dimension ≥ 2 finds its facets among its tight sets, which it
-    intersects down from its coface's, and the walk records them.  An
-    edge's facets are its two vertices, so edges are expanded straight to
-    them.  The cap is checked as each new face, full cells included, is
-    found, so an oversized lattice stops part-way through a walk.  After a
-    region's walk, each of its vertices that no earlier region holds takes
-    the region's map and label.  A split hands every vertex of its region,
-    and every new one, to a child, so every vertex the build made is a
-    0-cell; and distinct regions are distinct polytopes, so each region is
-    one full cell.
+    Each region's walk starts at its full cell.  A face of dimension ≥ 2
+    finds its facets among its tight sets, which it intersects down from
+    its coface's, and an edge's facets are its two vertices.  The walk
+    makes a face's cell when it first reaches the face, right after its
+    facets' cells, and gives it the next id; the 0-cells are ids 0 … V − 1,
+    their vertex ids, and are made last.  The cap is checked as each cell
+    is made, so an oversized lattice stops part-way through a walk.  After
+    a region's walk, each of its vertices that no earlier region holds
+    takes the region's map and label.  A split hands every vertex of its
+    region, and every new one, to a child, so every vertex the build made
+    is a 0-cell; and distinct regions are distinct polytopes, so each
+    region is one full cell.
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
     hyperplane, which incidence, complete on every region's vertices, tells.
     """
-    regions, cap, d = b.regions, b.cap, b.d
-    coords, incidence = b.coords, b.incidence
-    vertex_data = [None] * len(coords)  # vertex id -> (owner's affine map, label)
-    limit = cap - len(coords)  # for the faces of dimension ≥ 1
-    overflow = f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}"
-    # faces of dimension ≥ 1 by discovery index
-    index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> discovery index
-    found = []  # discovery index -> (vertex ids, owner's affine map, label)
-    by_dim = [[] for _ in range(d + 1)]  # dim -> discovery indices
-    below = {}  # discovery index of a face of dim ≥ 2 -> its facets' discovery indices
-    for r in regions:
-        out_sign, out_hid = r.activations[0]
-        affine_map, label = r.affine, _label(out_sign)
-        # the owner's vertices on the output's hyperplane
-        touched = {v for v in r.vertices if out_hid in incidence[v]}
-        i = len(found)
-        if i >= limit:
-            raise ComplexSizeError(overflow)
-        found.append((r.vertices, affine_map, label))
-        by_dim[d].append(i)
-        # a face to expand: its index and dimension, and for each hid that
-        # meets it without holding it, its vertices on that hid.  Those sets
-        # hold the face's facets, and _facets picks them out.
-        stack = [(i, d, r.tight)] if d > 1 else []
-        while stack:
-            i, dim, tight = stack.pop()
-            k = dim - 1
-            its_facets = below[i] = []
-            for group in _facets(tight, k).values():
+    cap, d, incidence = b.cap, b.d, b.incidence
+    vids = list(range(len(b.coords)))  # the 0-cells' ids: edges' facets are these objects
+    vertex_data = [None] * len(vids)  # vertex id -> (owner's affine map, label)
+    index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> cell id
+    cells = []  # the cells of dim ≥ 1, in id order
+
+    # make(vertices, …) makes the owner's cell on vertices after its facets'
+    # cells and returns its id.  tight holds, for each hid that meets the face
+    # without holding it, the face's vertices on it; _facets picks the facets
+    def make(vertices, dim, tight, label) -> int:
+        if dim == 1:
+            facets = tuple(vids[v] for v in sorted(vertices))
+        else:
+            # for d ≥ 4 the walk may reach a facet through more than one hid
+            facet_ids = set()
+            for group in _facets(tight, dim - 1).values():
                 sub = frozenset(group)
                 j = index.get(sub)
                 if j is None:
-                    j = index[sub] = len(found)
-                    if j >= limit:
-                        raise ComplexSizeError(overflow)
-                    if k > 1:
+                    sub_tight = None
+                    if dim > 2:
                         sub_tight = {
                             hid: meet
                             for hid, other in tight.items()
                             if 0 < len(meet := other & sub) < len(sub)
                         }
-                        stack.append((j, k, sub_tight))
-                    found.append((sub, affine_map, "zero" if sub <= touched else label))
-                    by_dim[k].append(j)
-                its_facets.append(j)
+                    sub_label = "zero" if sub <= touched else owner_label
+                    j = index[sub] = make(sub, dim - 1, sub_tight, sub_label)
+                facet_ids.add(j)
+            facets = tuple(sorted(facet_ids))
+        cid = len(vids) + len(cells)
+        if cid >= cap:
+            raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
+        cells.append(_cell(cid, dim, affine_map, label, facets))
+        return cid
+
+    for r in b.regions:
+        out_sign, out_hid = r.activations[0]
+        affine_map, owner_label = r.affine, _label(out_sign)
+        # the owner's vertices on the output's hyperplane
+        touched = {v for v in r.vertices if out_hid in incidence[v]}
+        make(r.vertices, d, r.tight, owner_label)
         for v in r.vertices:
             if vertex_data[v] is None:
-                vertex_data[v] = (affine_map, "zero" if v in touched else label)
-
-    # The cells are made in id order, which keeps them together in memory
-    # for the passes over them.  A 0-cell's id is its vertex id, and the
-    # other cells follow by dimension, in the order the walk reached them,
-    # so a cell's facets have ids when it is made.
-    cells = [
-        _cell(v, 0, affine_map, label, ()) for v, (affine_map, label) in enumerate(vertex_data)
-    ]
-    ids = [0] * len(found)  # discovery index -> cell id
-    for dim in range(1, d + 1):
-        for i in by_dim[dim]:
-            ids[i] = cid = len(cells)
-            vertices, affine_map, label = found[i]
-            if dim == 1:
-                # an edge's facets are its vertices; the 0-cells' own id
-                # objects keep one int per id
-                facets = tuple(cells[v].id for v in sorted(vertices))
-            else:
-                # for d ≥ 4 the walk may reach a facet through more than one hid
-                facets = tuple(sorted({ids[j] for j in below[i]}))
-            cells.append(_cell(cid, dim, affine_map, label, facets))
+                vertex_data[v] = (affine_map, "zero" if v in touched else owner_label)
+    # make refers to itself through its closure: dropping the name breaks the
+    # cycle, so reference counting frees it (after a size error the collector does)
+    del make
+    zero_cells = [_cell(v, 0, amap, label, ()) for v, (amap, label) in zip(vids, vertex_data)]
     return PolyhedralComplex(
-        cells={c.id: c for c in cells},
+        cells={c.id: c for c in itertools.chain(zero_cells, cells)},
         ambient_dim=d,
-        points=tuple(coords),
+        points=tuple(b.coords),
         constraints=tuple(b.hids),
         violations=tuple(b.violations),
     )

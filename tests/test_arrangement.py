@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -38,6 +39,9 @@ from topobetti import arrangement
 from topobetti.arrangement import (
     Cell,
     ComplexSizeError,
+    _assemble,
+    _Builder,
+    _gc_paused,
     linear_region_count,
     signed_complex,
     sublevel_subcomplex,
@@ -103,6 +107,16 @@ def _assert_is_the_halved_grid(pc):
         (c.id, c.dim, c.facets) for c in grid.cells.values()
     ]
     assert canon.points == tuple(homogenize([Fraction(x, 2) for x in p[:-1]]) for p in grid.points)
+
+
+def _assert_numbered_in_build_order(pc):
+    """Build-order numbering: the 0-cells are ids 0 … V − 1, their vertex ids,
+    the cells lie in increasing id order, and every facet's id is below its
+    cell's."""
+    assert [c.id for c in pc.cells.values() if c.dim == 0] == list(range(len(pc.points)))
+    assert all(cid == c.id for cid, c in pc.cells.items())
+    assert list(pc.cells) == sorted(pc.cells)
+    assert all(f < c.id for c in pc.cells.values() for f in c.facets)
 
 
 # Prints a sha256 of each raw complex, d2-M8-w4's and perturbed d3-M4-w11's:
@@ -218,7 +232,9 @@ class TestCanonicalComplex:
             with pytest.raises(ComplexSizeError):
                 signed_complex(net, BoxDomain.unit_cube(1))
         else:
-            assert len(signed_complex(net, BoxDomain.unit_cube(1)).cells) == 9
+            sc = signed_complex(net, BoxDomain.unit_cube(1))
+            assert len(sc.cells) == 9
+            _assert_numbered_in_build_order(sc)
 
     def test_non_scalar_output_rejected(self):
         with pytest.raises(ValueError):
@@ -415,6 +431,36 @@ class TestAssembly:
         sc, _, digest, expected = self._both(net, box)
         assert validate_complex(sc, box) == []
         assert digest == expected
+        _assert_numbered_in_build_order(sc)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_cells_are_numbered_in_build_order(self, name, perturbed, reference_networks):
+        net, fold, _, _ = reference_networks[name]
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        _assert_numbered_in_build_order(signed_complex(net, BoxDomain.unit_cube(fold.d)))
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("name, bound", [("d2-M8-w4", 210), ("d3-M4-w11", 280)])
+    def test_transient_memory_per_cell(self, name, bound, perturbed, reference_networks):
+        # what the assembly allocates beyond the complex it returns: the face
+        # keys and the walk's sets, but no record of each face.  Per cell,
+        # 164-219 B here; 224-355 B when each face's record was kept and its
+        # cell made in a second pass
+        net, fold, _, _ = reference_networks[name]
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        with _gc_paused():
+            b = _Builder(net, BoxDomain.unit_cube(fold.d))
+            b.run()
+            tracemalloc.start()
+            try:
+                sc = _assemble(b)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (peak - kept) / len(sc.cells) <= bound
 
 
 def _with_facets(pc, cell, facets):
