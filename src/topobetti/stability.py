@@ -114,6 +114,9 @@ def perturbation_test(
     unstable network gets no trials.  analyze_network is read off its module
     at each call, so a wrapper set there (the benchmark's trace) sees each one.
     """
+    # a float delta would enter the exact certificate, and a bool is an int
+    if type(trials) is not int or type(delta) not in (int, Fraction):
+        raise ValueError(f"trials {trials!r} must be an int, delta {delta!r} an int or Fraction")
     if trials <= 0:
         raise ValueError("trials must be positive")
     if delta < 0:

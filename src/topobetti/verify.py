@@ -122,6 +122,8 @@ def _dtype(bound: int):
 
 def grid_sign_sample(net: ReluNetwork, box: BoxDomain, resolution: int) -> SignGrid:
     """Exact network sign at every point of the (N+1)^d grid over the box."""
+    if type(resolution) is not int:  # rejects True, a bool, and 10.0
+        raise ValueError(f"resolution must be an int, got {resolution!r}")
     if resolution < 1:
         raise ValueError("resolution must be ≥ 1")
     if net.output_dim != 1:

@@ -146,3 +146,29 @@ class TestPerturbationTest:
             perturbation_test(net, box, Fraction(1, 100), trials=0, seed=0)
         with pytest.raises(ValueError):
             perturbation_test(net, box, Fraction(-1), trials=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "delta, trials",
+        [
+            # a float delta certified 4722366482869645/4722366482869645213696
+            (1e-6, 1),
+            # a string raised TypeError, and so did a float trial count
+            ("1/10", 1),
+            (Fraction(1, 10), 1.5),
+            # bools are ints
+            (True, 1),
+            (Fraction(1, 10), True),
+        ],
+    )
+    def test_inexact_arguments_are_rejected_before_any_build(self, delta, trials, monkeypatch):
+        builds = []
+        monkeypatch.setattr(arrangement._Builder, "run", lambda self: builds.append(self))
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        with pytest.raises(ValueError, match="must be an int"):
+            perturbation_test(net, BoxDomain.unit_cube(2), delta, trials, seed=7)
+        assert builds == []
+
+    def test_an_int_delta_is_exact(self):
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        report = perturbation_test(net, BoxDomain.unit_cube(2), 0, trials=1, seed=7)
+        assert report.certified_delta == 0 and type(report.certified_delta) is Fraction

@@ -430,6 +430,14 @@ class TestGridSignSample:
         with pytest.raises(ValueError):
             grid_sign_sample(build_folding_network(FoldingSpec(2, (2,))), box, 4)
 
+    @pytest.mark.parametrize("resolution", [True, 10.0, "10"])
+    def test_a_resolution_that_is_not_an_int_is_rejected(self, resolution, monkeypatch):
+        # True made a 2 × 2 grid and 10.0 a numpy TypeError; the check comes
+        # before numpy is imported
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="resolution must be an int"):
+            grid_sign_sample(_linear((1, 0), 0), BoxDomain.unit_cube(2), resolution)
+
     @pytest.mark.parametrize("d", [2, 4], ids=["box-too-small", "box-too-large"])
     def test_box_of_the_wrong_dimension_is_rejected(self, d, monkeypatch):
         # the pass zips the box's axes with the first layer's columns, so
