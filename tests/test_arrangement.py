@@ -439,7 +439,10 @@ class TestAssembly:
         net, fold, _, _ = reference_networks[name]
         if perturbed:
             net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
-        _assert_numbered_in_build_order(signed_complex(net, BoxDomain.unit_cube(fold.d)))
+        sc = signed_complex(net, BoxDomain.unit_cube(fold.d))
+        _assert_numbered_in_build_order(sc)
+        # each vertex is made once: a new one is shared through the edge it cuts
+        assert len(set(sc.points)) == len(sc.points)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
     @pytest.mark.parametrize("name, bound", [("d2-M8-w4", 210), ("d3-M4-w11", 280)])

@@ -1,22 +1,24 @@
 """Properties of the integer arrangement kernel on random small networks.
 
-The arrangement builds on homogeneous integer vertices with hyperplane
-incidence sets, and its complex hands out those points and the hyperplanes'
-integer rows; everything here is checked against code that reads only those
-and shares no code with the build (each constraint evaluated at each vertex
-as a Fraction point, region_tables, which reads constraint signs off the
-regions' homogeneous vertices, validate_complex, which checks ranks on them,
-the network evaluated at each cell's Fraction centroid, and a forward pass
-written out below).
+The arrangement builds on homogeneous integer vertices and each region's
+tight sets (hyperplane id → its vertices on it), and its complex hands out
+those points and the hyperplanes' integer rows; everything here is checked
+against code that reads only those and shares no code with the build (each
+constraint evaluated at each vertex as a Fraction point, region_tables,
+which reads constraint signs off the regions' homogeneous vertices,
+validate_complex, which checks ranks on them, the network evaluated at each
+cell's Fraction centroid, and a forward pass written out below).
 """
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REFERENCE_INSTANCES
 from helpers import build_and_assemble, network_and_box, networks, weights
 from oracles import (
     active_constraints,
@@ -73,14 +75,18 @@ def _check_kernel_invariants(net, box):
 
 
 def _check_carried_tight_sets(net, box):
-    # the tight sets each region carries out of the splits, against the vertex
-    # incidence sets regrouped by their hids, and each one against the rank of
-    # its points: every kept constraint is a facet, whose homogeneous points
-    # have rank d (affine rank d − 1)
+    # the tight sets each region carries out of the splits, against the
+    # region's vertices whose hyperplane row vanishes at their homogeneous
+    # point, and each one against the rank of its points: every kept
+    # constraint is a facet, whose homogeneous points have rank d (affine
+    # rank d − 1)
     b, _ = build_and_assemble(net, box)
+    rows = list(b.hids)  # by hid
     for r in b.regions:
-        regrouped = {hid: {v for v in r.vertices if hid in b.incidence[v]} for hid in r.tight}
-        assert r.tight == regrouped
+        on = {
+            hid: {v for v in r.vertices if vdot(rows[hid], b.coords[v]) == 0} for hid in r.tight
+        }
+        assert r.tight == on
         for group in r.tight.values():
             assert matrix_rank([b.coords[v] for v in group]) == box.dimension
 
@@ -149,6 +155,14 @@ class TestRandomNetworks:
 
     def test_carried_tight_sets_drop_a_square_face(self):
         _check_carried_tight_sets(*_square_face_case())
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_reference_regions_carry_their_tight_sets(self, name, perturbed, reference_networks):
+        net, fold, _, _ = reference_networks[name]
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        _check_carried_tight_sets(net, BoxDomain.unit_cube(fold.d))
 
     @given(networks(), st.lists(weights, min_size=3, max_size=3))
     @settings(max_examples=30, deadline=None)
