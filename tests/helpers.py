@@ -5,6 +5,8 @@
   arrangement pipeline, so homology tests run against an independently
   constructed face lattice.
 - Hypothesis strategies for small random rational networks and boxes.
+- A seeded generator of generic networks: a random head after a fold,
+  every parameter perturbed.
 - The uncollapsed homology path, the reference that betti_numbers and its
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
@@ -21,6 +23,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
@@ -46,9 +49,11 @@ from oracles import (
     matrix_rank,
     sparse_rank,
 )
-from topobetti.exactgeom import BoxDomain
+from topobetti.constructions import FoldingSpec, build_folding_network
+from topobetti.exactgeom import BoxDomain, vdot
 from topobetti.homology import _boundary_rows, order_complex
-from topobetti.relunet import AffineLayer, ReluNetwork
+from topobetti.relunet import AffineLayer, ReluNetwork, compose
+from topobetti.stability import _perturbed
 from topobetti.verify import SignGrid
 
 
@@ -174,6 +179,37 @@ def boxes(draw, d):
 def network_and_box(draw, **shape):
     net = draw(networks(**shape))
     return net, draw(boxes(net.input_dim))
+
+
+def generic_network(seed: int, d: int, m: int = 2, max_width: int = 3) -> ReluNetwork:
+    """A seeded random network on [0, 1]^d whose arrangement is generic.
+
+    A random rational head, one hidden layer of width ≤ max_width and a
+    scalar output, runs after one m-fold folding stage, which maps each
+    cube of side 1/m onto [0, 1]^d, so the head's decision region is
+    mirrored into m^d copies that meet along the folds.  Each hidden
+    hyperplane, and the output's zero set, passes through a random point of
+    [0, 1]^d.  Every parameter of the composite is then perturbed at
+    δ = 10⁻⁶ (stability._perturbed), which breaks the coincidences of the
+    folds and of the small weights.
+    """
+    rng = random.Random(f"generic:{d}:{seed}")
+
+    def frac(bound):
+        return Fraction(rng.randint(-4 * bound, 4 * bound), rng.randint(1, 4))
+
+    def point():
+        return [Fraction(rng.randint(1, 7), 8) for _ in range(d)]
+
+    width = rng.randint(1, max_width)
+    rows = [tuple(frac(3) for _ in range(d)) for _ in range(width)]
+    bias = [-vdot(row, point()) for row in rows]
+    coefs = tuple(frac(2) for _ in range(width))
+    p = point()
+    value = vdot(coefs, [max(0, vdot(row, p) + c) for row, c in zip(rows, bias)])
+    head = ReluNetwork((AffineLayer(tuple(rows), tuple(bias)), AffineLayer((coefs,), (-value,))))
+    net = compose(head, build_folding_network(FoldingSpec(d, (m,))))
+    return _perturbed(net, Fraction(1, 10**6), rng)
 
 
 def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:
