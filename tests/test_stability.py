@@ -148,24 +148,31 @@ class TestPerturbationTest:
             perturbation_test(net, box, Fraction(-1), trials=1, seed=0)
 
     @pytest.mark.parametrize(
-        "delta, trials",
+        "delta, trials, seed",
         [
             # a float delta certified 4722366482869645/4722366482869645213696
-            (1e-6, 1),
+            (1e-6, 1, 7),
             # a string raised TypeError, and so did a float trial count
-            ("1/10", 1),
-            (Fraction(1, 10), 1.5),
+            ("1/10", 1, 7),
+            (Fraction(1, 10), 1.5, 7),
             # bools are ints
-            (True, 1),
-            (Fraction(1, 10), True),
+            (True, 1, 7),
+            (Fraction(1, 10), True, 7),
+            # a float seed was reported as given, and True seeded the trials
+            # "True:0", … where 1 seeds "1:0", …
+            (Fraction(1, 10), 1, 1.5),
+            (Fraction(1, 10), 1, True),
+            (Fraction(1, 10), 1, "1"),
         ],
     )
-    def test_inexact_arguments_are_rejected_before_any_build(self, delta, trials, monkeypatch):
+    def test_inexact_arguments_are_rejected_before_any_build(
+        self, delta, trials, seed, monkeypatch
+    ):
         builds = []
         monkeypatch.setattr(arrangement._Builder, "run", lambda self: builds.append(self))
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
-        with pytest.raises(ValueError, match="must be an int"):
-            perturbation_test(net, BoxDomain.unit_cube(2), delta, trials, seed=7)
+        with pytest.raises(ValueError, match="must each be an int"):
+            perturbation_test(net, BoxDomain.unit_cube(2), delta, trials, seed)
         assert builds == []
 
     def test_an_int_delta_is_exact(self):
