@@ -151,18 +151,18 @@ class TestPerturbationTest:
         "delta, trials, seed",
         [
             # a float delta certified 4722366482869645/4722366482869645213696
-            (1e-6, 1, 7),
+            pytest.param(1e-6, 1, 7, id="1e-06-1"),
             # a string raised TypeError, and so did a float trial count
-            ("1/10", 1, 7),
-            (Fraction(1, 10), 1.5, 7),
+            pytest.param("1/10", 1, 7, id="1/10-1"),
+            pytest.param(Fraction(1, 10), 1.5, 7, id="delta2-1.5"),
             # bools are ints
-            (True, 1, 7),
-            (Fraction(1, 10), True, 7),
+            pytest.param(True, 1, 7, id="True-1"),
+            pytest.param(Fraction(1, 10), True, 7, id="delta4-True"),
             # a float seed was reported as given, and True seeded the trials
             # "True:0", … where 1 seeds "1:0", …
-            (Fraction(1, 10), 1, 1.5),
-            (Fraction(1, 10), 1, True),
-            (Fraction(1, 10), 1, "1"),
+            pytest.param(Fraction(1, 10), 1, 1.5, id="seed-1.5"),
+            pytest.param(Fraction(1, 10), 1, True, id="seed-True"),
+            pytest.param(Fraction(1, 10), 1, "1", id="seed-str"),
         ],
     )
     def test_inexact_arguments_are_rejected_before_any_build(
