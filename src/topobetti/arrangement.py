@@ -11,19 +11,20 @@ zero-set yields a signed complex whose negative/zero part is the decision
 region F⁻¹((−∞,0]) ∩ box.
 
 Everything is exact and runs on integers: hyperplanes are primitive-integer,
-vertices are homogeneous integer points that carry the ids of the hyperplanes
-they lie on, and affine maps are integer columns over a common denominator.  A
-split needs only the functional's values at the region's vertices: each new
-vertex is the point where it vanishes on an edge between a positive and a
-negative vertex.  A functional is restricted to a region's map once per
+vertices are homogeneous integer points, and affine maps are integer columns
+over a common denominator.  A split needs only the functional's values at
+the region's vertices: each new vertex is the point where it vanishes on an
+edge between a positive and a negative vertex, shared by every region that
+holds the edge.  A functional is restricted to a region's map once per
 layer and distinct map: at the layer's start regions with equal maps share
 one table of the layer's functionals, which split children inherit, since
 within a layer every region's map is its ancestor's at the layer's start.
-Each region records every neuron's sign on it, and the layer's composition
-(from the table) and the cell labels are read from that record.  Every
-layer, the output layer included, is split neuron by neuron and then
-composed into each region's map; only the hidden layers apply the ReLU.
-Each region carries its tight sets (constraint → its vertices on it), which
+Each region records every neuron's sign on it and its vertices on the
+neuron's hyperplane; the layer's composition (from the table) and the cell
+labels are read from that record.  Every layer, the output layer included,
+is split neuron by neuron and then composed into each region's map; only
+the hidden layers apply the ReLU.  Each region carries its tight sets
+(constraint → its vertices on it), the build's one incidence record, which
 the split updates and the face lattice is read from.  The assembly walks each
 region's faces down from those sets and makes each face's cell once, right
 after its facets' cells: its label is the output's sign on the owning region
@@ -202,9 +203,9 @@ class _Region:
         # the current layer's neurons restricted to affine, one table shared
         # by every region with an equal map (see _Builder._restrict_layer)
         self.table = table
-        # one (sign, hid) per neuron of the current layer split so far: its
+        # one (sign, zeros) per neuron of the current layer split so far: its
         # sign on the region's interior (0 only where its functional is
-        # identically 0) and its interned hyperplane (None when constant)
+        # identically 0) and the region's vertices on its hyperplane (None if none)
         self.activations = activations
 
 
@@ -240,9 +241,9 @@ class _Builder:
     """Splits the box neuron by neuron into the network's linear regions.
 
     Vertices are stored once, as homogeneous integer coordinates (see
-    exactgeom.homogenize) with the set of hyperplane ids each lies on.  That
-    set holds each constraint through the vertex of each region that has it,
-    so tightness is set membership and the face lattice needs no arithmetic.
+    exactgeom.homogenize).  The regions' tight sets are the one incidence
+    record: each holds all the region's vertices on one of its facets, so
+    tightness is set membership and the face lattice needs no arithmetic.
     """
 
     def __init__(self, net: ReluNetwork, box: BoxDomain):
@@ -252,14 +253,10 @@ class _Builder:
         self.d = box.dimension
         # the hyperplane table: primitive row (normal…, offset) -> hid, in hid order
         self.hids = {}
-        self.coords = []  # vertex id -> homogeneous int coordinates
-        self.incidence = []  # vertex id -> ids of the hyperplanes it lies on
-        self._vertex_ids = {}
+        self.coords = [homogenize(c) for c in box.corners()]  # vertex id -> homogeneous ints
         self.violations = []  # (NeuronId, region id, reason) stability events
         self.cap = _max_cells()
         self._next_rid = 0
-        identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
-        base = self._new_region(None, set(), (identity, (0,) * self.d, 1), None, [])
         # the box is lower_i ≤ x_i ≤ upper_i; a bound p/q (gcd 1) is the
         # primitive row q·x_i − p = 0, so hids 0 … 2d − 1 are lower₀, upper₀,
         # lower₁, …
@@ -267,30 +264,18 @@ class _Builder:
             for bound in bounds:
                 row = tuple(bound.denominator if j == i else 0 for j in range(self.d))
                 self.hids.setdefault((*row, -bound.numerator), len(self.hids))
-        for corner in box.corners():
-            p = homogenize(corner)
-            vid = self._vertex(p)
-            self.incidence[vid].update(k for row, k in self.hids.items() if _dot(row, p) == 0)
-            base.vertices.add(vid)
-        base.tight = {
-            k: {v for v in base.vertices if k in self.incidence[v]} for k in self.hids.values()
+        tight = {
+            k: {v for v, p in enumerate(self.coords) if _dot(row, p) == 0}
+            for row, k in self.hids.items()
         }
-        self.regions = [base]
+        identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
+        vertices = set(range(len(self.coords)))
+        self.regions = [self._new_region(tight, vertices, (identity, (0,) * self.d, 1), None, [])]
 
     def _new_region(self, tight, vertices, affine, table, activations) -> _Region:
         r = _Region(self._next_rid, tight, vertices, affine, table, activations)
         self._next_rid += 1
         return r
-
-    def _vertex(self, coords) -> int:
-        """Id of the vertex with these homogeneous coordinates, new or not."""
-        vid = self._vertex_ids.get(coords)
-        if vid is None:
-            vid = len(self.coords)
-            self.coords.append(coords)
-            self.incidence.append(set())
-            self._vertex_ids[coords] = vid
-        return vid
 
     def run(self):
         """Split by every neuron, layer by layer, composing each layer after its splits.
@@ -332,15 +317,14 @@ class _Builder:
 
     def _split_all(self, nid: NeuronId, i: int, output: bool):
         new_regions = []
+        cuts = {}  # (positive end, negative end) of an edge the neuron cuts -> its new vertex
         for r in self.regions:
-            new_regions.extend(self._split(r, nid, i, output))
+            new_regions.extend(self._split(r, nid, i, output, cuts))
             if len(new_regions) > self.cap:
-                raise ComplexSizeError(
-                    f"arrangement exceeded TOPOBETTI_MAX_CELLS={self.cap}"
-                )
+                raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={self.cap}")
         self.regions = new_regions
 
-    def _split(self, r: _Region, nid: NeuronId, i: int, output: bool):
+    def _split(self, r: _Region, nid: NeuronId, i: int, output: bool, cuts: dict):
         _, const, hrow, orient = r.table[i]
         if hrow is None:
             if const == 0:
@@ -348,7 +332,7 @@ class _Builder:
             r.activations.append((sign(const), None))
             return [r]
         hid = self.hids.setdefault(hrow, len(self.hids))
-        coords, incidence = self.coords, self.incidence
+        coords = self.coords
         pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
         for v in r.vertices:
             t = _dot(hrow, coords[v]) * orient
@@ -358,21 +342,24 @@ class _Builder:
                 neg[v] = t
             else:
                 zeros.add(v)
-                incidence[v].add(hid)
         if zeros and (output or (pos and neg)):
             # a hidden neuron's split through a vertex, or the output zero-set
             # through any vertex whether or not it splits, is a stability event
             self.violations.append((nid, r.rid, "vertex-on-hyperplane"))
         if not (pos and neg):
-            r.activations.append((1 if pos else -1, hid))
+            r.activations.append((1 if pos else -1, zeros or None))
             return [r]
         facet = zeros
         # A positive u and a negative v span an edge, which h cuts, exactly
         # when they are the only vertices tight on every constraint they share:
-        # the constraints are facets and incidence is complete, so those
-        # vertices are the vertices of the smallest face that holds u and v.
+        # each tight set holds all the region's vertices on its facet, so those
+        # are the vertices of the smallest face that holds u and v.  The
+        # pre-activation is continuous, so every region that holds the edge
+        # sees these signs at its ends and the same zero between them, which
+        # no other vertex of the face-to-face partition lies on: the first
+        # such region makes that vertex, the rest take it from cuts.
         on = r.tight
-        facets = {v: on.keys() & incidence[v] for v in itertools.chain(pos, neg)}
+        facets = {v: {k for k, g in on.items() if v in g} for v in itertools.chain(pos, neg)}
         cut = {}  # hid -> the new vertices on it
         for u, tu in pos.items():
             for v, tv in neg.items():
@@ -382,12 +369,14 @@ class _Builder:
                     continue
                 if len(r.vertices.intersection(*(on[k] for k in shared))) != 2:
                     continue
-                # t is linear along the edge, so this point has t = 0; its last
-                # coordinate is positive, so dividing by the gcd gives homogenize's form
-                p = tuple(tu * a - tv * c for a, c in zip(coords[v], coords[u]))
-                g = math.gcd(*p)
-                vid = self._vertex(tuple(x // g for x in p))
-                incidence[vid].update(shared, (hid,))
+                vid = cuts.get((u, v))
+                if vid is None:
+                    # t is linear along the edge, so this point has t = 0; its last
+                    # coordinate is positive, so dividing by the gcd gives homogenize's form
+                    p = tuple(tu * a - tv * c for a, c in zip(coords[v], coords[u]))
+                    g = math.gcd(*p)
+                    vid = cuts[u, v] = len(coords)
+                    coords.append(tuple(x // g for x in p))
                 facet.add(vid)
                 for k in shared:
                     cut.setdefault(k, []).append(vid)
@@ -406,7 +395,7 @@ class _Builder:
                 groups[k] = group
             groups[hid] = facet
             tight = _facets(groups, self.d - 1)
-            activations = r.activations + [(s, hid)]
+            activations = r.activations + [(s, facet)]
             children.append(
                 self._new_region(tight, facet.union(side), r.affine, r.table, activations)
             )
@@ -460,9 +449,9 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
-    hyperplane, which incidence, complete on every region's vertices, tells.
+    hyperplane, that is, lie in the owner's record of its vertices there.
     """
-    cap, d, incidence = b.cap, b.d, b.incidence
+    cap, d = b.cap, b.d
     vids = list(range(len(b.coords)))  # the 0-cells' ids: edges' facets are these objects
     vertex_data = [None] * len(vids)  # vertex id -> (owner's affine map, label)
     index = {}  # frozenset(vertex ids) of a face of dim 1 … d − 1 -> cell id
@@ -499,10 +488,9 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
         return cid
 
     for r in b.regions:
-        out_sign, out_hid = r.activations[0]
+        out_sign, touched = r.activations[0]
         affine_map, owner_label = r.affine, _label(out_sign)
-        # the owner's vertices on the output's hyperplane
-        touched = {v for v in r.vertices if out_hid in incidence[v]}
+        touched = touched or frozenset()  # the owner's vertices on the output's hyperplane
         make(r.vertices, d, r.tight, owner_label)
         for v in r.vertices:
             if vertex_data[v] is None:

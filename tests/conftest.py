@@ -66,7 +66,7 @@ def _large_complex_facts(d, m_vec, w_vec) -> LargeComplexFacts:
         b, sc = build_and_assemble(net, BoxDomain.unit_cube(d))
     tables, faults = region_tables(b)
     assert faults == []
-    # the builder's vertices, incidence and regions go before the digest and
+    # the builder's points, regions and tight sets go before the digest and
     # the homology run, so they are not held through them
     del b
     sub = sublevel_subcomplex(sc)

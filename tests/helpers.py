@@ -351,7 +351,7 @@ def reference_assemble(b) -> PolyhedralComplex:
     numbered by oracles.canonical_ids.
     """
     regions, cap, d = b.regions, b.cap, b.d
-    coords, incidence = b.coords, b.incidence
+    coords = b.coords
     index = {}  # frozenset(vertex ids) -> discovery index
     found = []  # discovery index -> (vertex ids, dim, owner)
     incid = set()  # (face index, coface index)
@@ -403,8 +403,8 @@ def reference_assemble(b) -> PolyhedralComplex:
         key, dim, owner = found[i]
         # the output has one sign on the owner, and vanishes on a face of it
         # only if the face lies on the output's hyperplane
-        out_sign, out_hid = owner.activations[0]
-        on_out = all(out_hid in incidence[v] for v in key)
+        out_sign, zero = owner.activations[0]
+        on_out = zero is not None and key <= zero
         cells[cid] = Cell(
             id=cid,
             dim=dim,

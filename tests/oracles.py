@@ -323,17 +323,15 @@ def nerve_betti(b) -> tuple:
     """β_0 … β_{d−1} of a finished build's sublevel set, by the nerve of its cover.
 
     b is a _Builder after run: each region's one activation is the output's
-    (sign, hid), and incidence is complete on every region's vertices.
+    (sign, the region's vertices on its hyperplane, or None if there are none).
     """
     members = set()
     for r in b.regions:
-        s, hid = r.activations[0]
+        s, zero = r.activations[0]
         if s <= 0:
             members.add(frozenset(r.vertices))
-        elif hid is not None:
-            zero = frozenset(v for v in r.vertices if hid in b.incidence[v])
-            if zero:
-                members.add(zero)
+        elif zero:
+            members.add(frozenset(zero))
     holding = {}  # vertex -> the members that hold it
     for m in members:
         for v in m:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -464,6 +465,28 @@ class TestAssembly:
             finally:
                 tracemalloc.stop()
         assert (peak - kept) / len(sc.cells) <= bound
+
+    @pytest.mark.parametrize("name, bound", [("d2-M8-w4", 1950), ("d3-M4-w11", 2550)])
+    def test_kept_memory_per_vertex(self, name, bound, reference_networks):
+        # what the split keeps for the assembly: the regions with their tight
+        # sets and records, the points and the hyperplane table, but no set of
+        # hyperplanes per vertex and no index of the points.  Per vertex,
+        # 1 766-1 844 and 2 284 B here; 2 038-2 117 and 2 793 B with both
+        net, fold, _, _ = reference_networks[name]
+        for layer in net.layers:
+            layer.scaled  # the network's own integer form, made once
+        with _gc_paused():
+            tracemalloc.start()
+            try:
+                b = _Builder(net, BoxDomain.unit_cube(fold.d))
+                b.run()
+                # a full collection empties the interpreter's free lists, whose
+                # objects are no part of the build but would count as kept
+                gc.collect()
+                kept, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert kept / len(b.coords) <= bound
 
 
 def _with_facets(pc, cell, facets):
