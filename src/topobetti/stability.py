@@ -114,8 +114,7 @@ def perturbation_test(
     unstable network gets no trials.  analyze_network is read off its module
     at each call, so a wrapper set there (the benchmark's trace) sees each one.
     """
-    # a float delta would enter the exact certificate, a bool is an int, and
-    # the seed names each trial's generator by its text
+    # a float delta would enter the exact certificate, and a bool is an int
     if type(trials) is not int or type(seed) is not int or type(delta) not in (int, Fraction):
         raise ValueError(
             f"trials {trials!r} and seed {seed!r} must each be an int, "
