@@ -181,10 +181,10 @@ def network_and_box(draw, **shape):
     return net, draw(boxes(net.input_dim))
 
 
-def generic_network(seed: int, d: int, m: int = 2, max_width: int = 3) -> ReluNetwork:
+def generic_network(seed: int, d: int, m: int) -> ReluNetwork:
     """A seeded random network on [0, 1]^d whose arrangement is generic.
 
-    A random rational head, one hidden layer of width ≤ max_width and a
+    A random rational head, one hidden layer of width ≤ 3 and a
     scalar output, runs after one m-fold folding stage, which maps each
     cube of side 1/m onto [0, 1]^d, so the head's decision region is
     mirrored into m^d copies that meet along the folds.  Each hidden
@@ -195,16 +195,16 @@ def generic_network(seed: int, d: int, m: int = 2, max_width: int = 3) -> ReluNe
     """
     rng = random.Random(f"generic:{d}:{seed}")
 
-    def frac(bound):
-        return Fraction(rng.randint(-4 * bound, 4 * bound), rng.randint(1, 4))
+    def frac(n):  # p/q with |p| ≤ n and 1 ≤ q ≤ 4
+        return Fraction(rng.randint(-n, n), rng.randint(1, 4))
 
     def point():
         return [Fraction(rng.randint(1, 7), 8) for _ in range(d)]
 
-    width = rng.randint(1, max_width)
-    rows = [tuple(frac(3) for _ in range(d)) for _ in range(width)]
+    width = rng.randint(1, 3)
+    rows = [tuple(frac(12) for _ in range(d)) for _ in range(width)]
     bias = [-vdot(row, point()) for row in rows]
-    coefs = tuple(frac(2) for _ in range(width))
+    coefs = tuple(frac(8) for _ in range(width))
     p = point()
     value = vdot(coefs, [max(0, vdot(row, p) + c) for row, c in zip(rows, bias)])
     head = ReluNetwork((AffineLayer(tuple(rows), tuple(bias)), AffineLayer((coefs,), (-value,))))
