@@ -36,6 +36,16 @@ two vertices, each 0-cell takes its data from the first region that holds
 it, and faces are deduplicated by their vertex sets, so the construction is
 deterministic.
 
+sublevel_complex makes the sublevel complex alone, from one build and a
+walk that makes no positive cell (see _assemble).  It walks the regions of
+output sign ≤ 0, whose faces are negative or zero, and then a positive
+region only where its touched face (where the output, ≥ 0 on it, vanishes)
+is not yet a cell: the zero set meets that region from the positive side
+alone.  A face shared with a positive region lies in the zero set, so it
+is zero whoever owns it; the cells are sublevel_subcomplex's of the full
+complex, up to their numbering and which region's map a shared zero face
+carries.
+
 A split's hyperplane is interned by its primitive row (normal…, offset).
 Cells are numbered in build order: a 0-cell's id is its vertex id, and
 every other cell takes the next id as the walk makes it, so each facet's id
@@ -429,10 +439,10 @@ def _label(s: int) -> str:
     return "negative" if s < 0 else ("positive" if s > 0 else "zero")
 
 
-def _assemble(b: _Builder) -> PolyhedralComplex:
+def _assemble(b: _Builder, sublevel: bool = False) -> PolyhedralComplex:
     """The face lattice of the build's regions, with each cell's map and label.
 
-    A face's owner is the first region, in build order, that holds it; the
+    A face's owner is the first region, in walk order, that holds it; the
     face shares the owner's affine map and takes its label from the owner.
     Each region's walk starts at its full cell.  A face of dimension ≥ 2
     finds its facets among its tight sets, which it intersects down from
@@ -445,11 +455,26 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     takes the region's map and label.  A split hands every vertex of its
     region, and every new one, to a child, so every vertex the build made
     is a 0-cell; and distinct regions are distinct polytopes, so each
-    region is one full cell.
+    region is one full cell.  The walk visits the regions in build order.
 
     The output has one sign on the owner's interior and vanishes on a face
     of it exactly when all the face's vertices lie on the output's
     hyperplane, that is, lie in the owner's record of its vertices there.
+
+    With sublevel, only the sublevel complex is made: no positive cell is.
+    The walk visits the regions of output sign ≤ 0 first, in build order;
+    their faces are labelled negative or zero.  A positive region then adds
+    sublevel cells only through its touched face, the hull of its vertices
+    in the output's record, where the output (≥ 0 on it) vanishes.  A face
+    it shares with a region of sign ≤ 0 lies there too, so it is zero
+    whichever region owns it: only its map can differ from the full walk's.
+    If the touched face is already a cell (its vertex is a 0-cell, or its
+    vertex set is in the index), so are its faces and the region is
+    skipped.  Otherwise (the output's zero set meets the region only from
+    the positive side) the region is walked whole and its positive cells
+    are dropped, keeping their places in the index but making no Cell and
+    taking no id; only a positive cell has a positive facet.  0-cells are
+    made only for the vertices of walked regions that are not positive.
     """
     cap, d = b.cap, b.d
     vids = list(range(len(b.coords)))  # the 0-cells' ids: edges' facets are these objects
@@ -458,8 +483,9 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
     cells = []  # the cells of dim ≥ 1, in id order
 
     # make(vertices, …) makes the owner's cell on vertices after its facets'
-    # cells and returns its id.  tight holds, for each hid that meets the face
-    # without holding it, the face's vertices on it; _facets picks the facets
+    # cells and returns its id, or -1 for a positive cell that sublevel drops.
+    # tight holds, for each hid that meets the face without holding it, the
+    # face's vertices on it; _facets picks the facets
     def make(vertices, dim, tight, label) -> int:
         if dim == 1:
             facets = tuple(vids[v] for v in sorted(vertices))
@@ -481,24 +507,41 @@ def _assemble(b: _Builder) -> PolyhedralComplex:
                     j = index[sub] = make(sub, dim - 1, sub_tight, sub_label)
                 facet_ids.add(j)
             facets = tuple(sorted(facet_ids))
+        if sublevel and label == "positive":
+            return -1
         cid = len(vids) + len(cells)
         if cid >= cap:
             raise ComplexSizeError(f"arrangement exceeded TOPOBETTI_MAX_CELLS={cap}")
         cells.append(_cell(cid, dim, affine_map, label, facets))
         return cid
 
-    for r in b.regions:
+    regions = b.regions
+    if sublevel:  # a stable sort: the regions of sign ≤ 0 first, each part in build order
+        regions = sorted(regions, key=lambda r: r.activations[0][0] > 0)
+    for r in regions:
         out_sign, touched = r.activations[0]
         affine_map, owner_label = r.affine, _label(out_sign)
         touched = touched or frozenset()  # the owner's vertices on the output's hyperplane
+        walked = r.vertices
+        if sublevel and out_sign > 0:
+            # skip it unless its touched face is not yet a cell
+            if not touched or (
+                vertex_data[min(touched)] is not None
+                if len(touched) == 1
+                else frozenset(touched) in index
+            ):
+                continue
+            walked = touched  # its vertices off the zero set are positive
         make(r.vertices, d, r.tight, owner_label)
-        for v in r.vertices:
+        for v in walked:
             if vertex_data[v] is None:
                 vertex_data[v] = (affine_map, "zero" if v in touched else owner_label)
     # make refers to itself through its closure: dropping the name breaks the
     # cycle, so reference counting frees it (after a size error the collector does)
     del make
-    zero_cells = [_cell(v, 0, amap, label, ()) for v, (amap, label) in zip(vids, vertex_data)]
+    zero_cells = [
+        _cell(v, 0, *data, ()) for v, data in zip(vids, vertex_data) if data is not None
+    ]
     return PolyhedralComplex(
         cells={c.id: c for c in itertools.chain(zero_cells, cells)},
         ambient_dim=d,
@@ -514,6 +557,19 @@ def signed_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
         b = _Builder(net, box)
         b.run()
         return _assemble(b)
+
+
+def sublevel_complex(net: ReluNetwork, box: BoxDomain) -> PolyhedralComplex:
+    """sublevel_subcomplex(signed_complex(net, box)), made without its positive cells.
+
+    One build and _assemble's sublevel walk: the same cells, up to their
+    numbering and which region's map a shared zero face carries, with the
+    same points and violations.
+    """
+    with _gc_paused():
+        b = _Builder(net, box)
+        b.run()
+        return _assemble(b, sublevel=True)
 
 
 def sublevel_subcomplex(sc: PolyhedralComplex) -> PolyhedralComplex:

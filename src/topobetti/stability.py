@@ -12,6 +12,13 @@ Stable networks keep the decision-region topology under small weight
 perturbations, which the perturbation harness confirms empirically by
 recomputing exact Betti vectors for seeded rational perturbations of all
 parameters.
+
+The harness needs only each network's Betti vector and, for the base
+network, its events, so each of its analyses is one build and the sublevel
+walk (arrangement.sublevel_complex) followed by the homology: no positive
+cell, region count or report.  The walk makes the cells of
+sublevel_subcomplex(signed_complex(...)) and the build records the same
+events, so the answers are those of analyze_network.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from . import homology
+from . import arrangement, homology
 from .arrangement import _Builder, _gc_paused
 from .exactgeom import BoxDomain, format_rational
 from .relunet import AffineLayer, ReluNetwork
@@ -109,10 +116,12 @@ def perturbation_test(
     any trial disagrees with the baseline, delta is halved (up to
     DELTA_HALVINGS times) and all trials rerun; the report carries the largest
     delta at which every trial agreed, or no certificate if none was found.
-    The result is evidence at the tested scale, not a proof.  One analysis of
+    The result is evidence at the tested scale, not a proof.  One build of
     the base network gives both its stability events and the baseline; an
-    unstable network gets no trials.  analyze_network is read off its module
-    at each call, so a wrapper set there (the benchmark's trace) sees each one.
+    unstable network gets no homology and no trials.  Each analysis is
+    homology.betti_numbers(arrangement.sublevel_complex(...)), both read off
+    their modules at each call, so a wrapper set there (a trace) sees each
+    one; the collector stays paused throughout.
     """
     # a float delta would enter the exact certificate, and a bool is an int
     if type(trials) is not int or type(seed) is not int or type(delta) not in (int, Fraction):
@@ -124,27 +133,29 @@ def perturbation_test(
         raise ValueError("trials must be positive")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    base = homology.analyze_network(net, box)
-    stability = _classify(net, base.violations)
-    if not stability.topologically_stable:
-        return replace(stability, trials=trials, seed=seed, applicable=False)
-    baseline = base.betti
+    with _gc_paused():
+        base = arrangement.sublevel_complex(net, box)
+        stability = _classify(net, base.violations)
+        if not stability.topologically_stable:
+            return replace(stability, trials=trials, seed=seed, applicable=False)
+        baseline = homology.betti_numbers(base).values
+        del base  # not held through the trials
 
-    def all_agree(cur: Fraction) -> bool:
-        for t in range(trials):
-            rng = random.Random(f"{seed}:{t}")
-            perturbed = _perturbed(net, cur, rng)
-            if homology.analyze_network(perturbed, box).betti.values != baseline.values:
-                return False
-        return True
+        def all_agree(cur: Fraction) -> bool:
+            for t in range(trials):
+                rng = random.Random(f"{seed}:{t}")
+                sub = arrangement.sublevel_complex(_perturbed(net, cur, rng), box)
+                if homology.betti_numbers(sub).values != baseline:
+                    return False
+            return True
 
-    certified = None
-    cur = Fraction(delta)
-    for _ in range(DELTA_HALVINGS + 1):
-        if all_agree(cur):
-            certified = cur
-            break
-        if cur == 0:
-            break
-        cur = cur / 2
+        certified = None
+        cur = Fraction(delta)
+        for _ in range(DELTA_HALVINGS + 1):
+            if all_agree(cur):
+                certified = cur
+                break
+            if cur == 0:
+                break
+            cur = cur / 2
     return replace(stability, certified_delta=certified, trials=trials, seed=seed)

@@ -19,6 +19,7 @@ from helpers import (
     box_complex,
     build_and_assemble,
     complex_digest,
+    generic_network,
     network_and_box,
     reference_assemble,
     relabel,
@@ -45,6 +46,7 @@ from topobetti.arrangement import (
     _gc_paused,
     linear_region_count,
     signed_complex,
+    sublevel_complex,
     sublevel_subcomplex,
 )
 from topobetti.constructions import (
@@ -769,6 +771,135 @@ class TestSignedAndSublevel:
         box = BoxDomain.unit_cube(2)
         sc = signed_complex(net, box)
         assert validate_complex(sc, box) == []
+
+
+def _abs_sum(d, k):
+    """Σ_{i<k} |x_i − 1/2| in d dimensions, each term relu(x_i − ½) + relu(½ − x_i).
+
+    It is ≥ 0 and vanishes only on a face where x_i = 1/2 for i < k, which
+    each region touches from the positive side: no region is negative.
+    """
+    half = Fraction(1, 2)
+    rows, bias = [], []
+    for i in range(k):
+        e = tuple(Fraction(int(j == i)) for j in range(d))
+        rows += [e, tuple(-x for x in e)]
+        bias += [-half, half]
+    return ReluNetwork(
+        (AffineLayer(tuple(rows), tuple(bias)), AffineLayer(((1,) * (2 * k),), (0,)))
+    )
+
+
+def _sublevel_triples(pc):
+    vertices = cell_vertices(pc)
+    return sorted((c.dim, vertices[c.id], c.sign_label) for c in pc.cells.values())
+
+
+def _assert_sublevel_route_matches(net, box):
+    """sublevel_complex against the full route; returns sublevel_complex's."""
+    full = sublevel_subcomplex(signed_complex(net, box))
+    sub = sublevel_complex(net, box)
+    assert _sublevel_triples(sub) == _sublevel_triples(full)
+    assert sub.points == full.points
+    assert sub.violations == full.violations
+    assert sub.constraints == full.constraints
+    assert all(c.sign_label != "positive" for c in sub.cells.values())
+    assert betti_numbers(sub) == betti_numbers(full)
+    return sub
+
+
+_SUBLEVEL_INSTANCES = [(n, d, m, w) for n, d, m, w, _ in REFERENCE_INSTANCES + LARGE_INSTANCES[:1]]
+_GENERIC_CASES = [(2, 4, seed) for seed in range(10)] + [(3, 2, seed) for seed in range(10)]
+
+
+class TestSublevelComplex:
+    """arrangement.sublevel_complex: the sublevel walk equals the full route.
+
+    The cells are compared by (dimension, vertex points, label), since the
+    walk numbers them otherwise and may give a shared zero face another
+    region's map.
+    """
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("name, d, m_vec, w_vec", _SUBLEVEL_INSTANCES,
+                             ids=[i[0] for i in _SUBLEVEL_INSTANCES])
+    def test_constructions(self, name, d, m_vec, w_vec, perturbed):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        _assert_sublevel_route_matches(net, BoxDomain.unit_cube(d))
+
+    @pytest.mark.parametrize("d, m, seed", _GENERIC_CASES,
+                             ids=[f"d{d}-m{m}-{s}" for d, m, s in _GENERIC_CASES])
+    def test_generic_networks(self, d, m, seed):
+        _assert_sublevel_route_matches(generic_network(seed, d, m), BoxDomain.unit_cube(d))
+
+    @pytest.mark.parametrize(
+        "d, k, betti, zero_dim",
+        [
+            (2, 1, (1, 0), 1),  # the segment x₁ = 1/2
+            (2, 2, (1, 0), 0),  # the point (1/2, 1/2)
+            (3, 1, (1, 0, 0), 2),  # the square x₁ = 1/2
+            (3, 3, (1, 0, 0), 0),  # the point (1/2, 1/2, 1/2)
+        ],
+        ids=["segment", "vertex", "square-3d", "vertex-3d"],
+    )
+    def test_zero_set_held_only_by_positive_regions(self, d, k, betti, zero_dim):
+        # every region is positive, so the walk must fall back to walking a
+        # region whole and dropping its positive cells
+        sub = _assert_sublevel_route_matches(_abs_sum(d, k), BoxDomain.unit_cube(d))
+        assert betti_numbers(sub).values == betti
+        assert {c.sign_label for c in sub.cells.values()} == {"zero"}
+        assert max(c.dim for c in sub.cells.values()) == zero_dim
+        # each vertex has x_i = 1/2, homogeneously 2·x_i = w, for i < k
+        points = [sub.points[c.id] for c in sub.cells_of_dim(0)]
+        assert all(2 * p[i] == p[-1] for p in points for i in range(k))
+
+    def test_all_positive_output_is_empty(self):
+        sub = _assert_sublevel_route_matches(_constant(1), BoxDomain.unit_cube(2))
+        assert sub.cells == {}
+        assert betti_numbers(sub).values == (0, 0)
+
+    def test_identically_zero_output_is_the_box(self):
+        box = BoxDomain.unit_cube(2)
+        sub = _assert_sublevel_route_matches(_constant(0), box)
+        assert betti_numbers(sub).values == (1, 0)
+        assert validate_complex(sub, box) == []
+        assert {c.sign_label for c in sub.cells.values()} == {"zero"}
+
+    @pytest.mark.parametrize("name", ["d2-M4-w3", "d3-M2-w11"])
+    def test_makes_no_positive_cell(self, name, reference_networks, monkeypatch):
+        # every Cell the walk makes is one it returns: a walk that made the
+        # positive regions' cells again would make more.  Nor does it walk
+        # their faces: the full walk expands more faces through _facets
+        net, fold, _, _ = reference_networks[name]
+        box = BoxDomain.unit_cube(fold.d)
+        cells, expansions = [], []
+        make, facets = arrangement._cell, arrangement._facets
+        monkeypatch.setattr(arrangement, "_cell", lambda *a: cells.append(1) or make(*a))
+        monkeypatch.setattr(arrangement, "_facets", lambda *a: expansions.append(1) or facets(*a))
+        full = sublevel_subcomplex(signed_complex(net, box))
+        full_expansions = len(expansions)
+        cells.clear()
+        expansions.clear()
+        sub = sublevel_complex(net, box)
+        assert len(cells) == len(sub.cells) == len(full.cells)
+        assert len(expansions) < full_expansions
+
+    def test_cap_counts_the_cells_the_route_makes(self, reference_networks, monkeypatch):
+        # the cap bounds a cell's id, the vertices plus the cells of dim ≥ 1
+        # made so far, so a cap that the sublevel walk fits under stops the
+        # full walk
+        net, fold, _, _ = reference_networks["d2-M4-w3"]
+        box = BoxDomain.unit_cube(fold.d)
+        cap = max(sublevel_complex(net, box).cells) + 1
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", str(cap))
+        sublevel_complex(net, box)
+        with pytest.raises(ComplexSizeError):
+            signed_complex(net, box)
+        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", str(cap - 1))
+        with pytest.raises(ComplexSizeError):
+            sublevel_complex(net, box)
 
 
 # sha256 of complex_digest(signed_complex(...)) for each reference instance,

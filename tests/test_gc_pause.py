@@ -1,10 +1,11 @@
 """The cyclic garbage collector around the exact pipeline.
 
-signed_complex, check_stability, betti_numbers and analyze_network pause the
-collector, since the build and the homology make no reference cycles.  These
-tests check both halves of that: nothing they leave behind needs the
-collector, and the collector's previous state comes back however they exit.  validate_complex
-does not pause the collector, but makes no reference cycles either.
+signed_complex, sublevel_complex, check_stability, betti_numbers,
+analyze_network and perturbation_test pause the collector, since the build
+and the homology make no reference cycles.  These tests check both halves of
+that: nothing they leave behind needs the collector, and the collector's
+previous state comes back however they exit.  validate_complex does not
+pause the collector, but makes no reference cycles either.
 """
 
 import gc
@@ -13,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import REFERENCE_INSTANCES
-from topobetti import homology
+from topobetti import arrangement, homology
 from oracles import validate_complex
-from topobetti.arrangement import ComplexSizeError, _Builder, signed_complex
+from topobetti.arrangement import ComplexSizeError, _Builder, signed_complex, sublevel_complex
 from topobetti.exactgeom import BoxDomain
 from topobetti.homology import analyze_network
 from topobetti.stability import check_stability, perturbation_test
@@ -68,6 +69,22 @@ def test_stability_check_pauses_the_collector(reference_networks, monkeypatch):
     assert gc.isenabled()
 
 
+def test_sublevel_complex_pauses_the_collector(reference_networks, monkeypatch):
+    seen = []
+    real = arrangement._assemble
+
+    def recording(b, sublevel=False):
+        seen.append((gc.isenabled(), sublevel))
+        return real(b, sublevel)
+
+    monkeypatch.setattr(arrangement, "_assemble", recording)
+    net, fold, _, _ = reference_networks["d2-M4-w3"]
+    assert gc.isenabled()
+    sublevel_complex(net, BoxDomain.unit_cube(fold.d))
+    assert seen == [(False, True)]
+    assert gc.isenabled()
+
+
 def test_collector_is_restored_after_a_size_error(reference_networks, monkeypatch):
     monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
     assert gc.isenabled()
@@ -87,10 +104,36 @@ def test_collector_stays_paused_between_nested_calls(reference_networks, monkeyp
         return real(sc)
 
     monkeypatch.setattr(homology, "sublevel_subcomplex", recording)
+    assert gc.isenabled()
+    analyze_network(reference_networks["d2-M4-w3"][0])
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_perturbation_test_keeps_the_collector_paused(reference_networks, monkeypatch):
+    # perturbation_test pauses around every sublevel_complex, which pauses
+    # again; each analysis's homology must still start with it off
+    seen = []
+    real = homology.betti_numbers
+
+    def recording(pc):
+        seen.append(gc.isenabled())
+        return real(pc)
+
+    monkeypatch.setattr(homology, "betti_numbers", recording)
     net, fold, _, _ = reference_networks["d2-M4-w3"]
     assert gc.isenabled()
     perturbation_test(net, BoxDomain.unit_cube(fold.d), Fraction(1, 10**6), trials=2, seed=0)
     assert seen == [False] * 3  # the base analysis and two trials
+    assert gc.isenabled()
+
+
+def test_collector_is_restored_after_a_perturbation_size_error(reference_networks, monkeypatch):
+    monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "4")
+    net, fold, _, _ = reference_networks["d2-M4-w3"]
+    assert gc.isenabled()
+    with pytest.raises(ComplexSizeError):
+        perturbation_test(net, BoxDomain.unit_cube(fold.d), Fraction(1, 10**6), trials=1, seed=0)
     assert gc.isenabled()
 
 
