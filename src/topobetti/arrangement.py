@@ -15,10 +15,16 @@ vertices are homogeneous integer points, and affine maps are integer columns
 over a common denominator.  A split needs only the functional's values at
 the region's vertices: each new vertex is the point where it vanishes on an
 edge between a positive and a negative vertex, shared by every region that
-holds the edge.  A functional is restricted to a region's map once per
-layer and distinct map: at the layer's start regions with equal maps share
-one table of the layer's functionals, which split children inherit, since
-within a layer every region's map is its ancestor's at the layer's start.
+holds the edge.  Two such vertices that share d − 1 of the region's facets
+span an edge at once when either is simple, on exactly d facets; only
+between two non-simple ones does the split check that they are the only
+vertices on every facet they share.  A functional is restricted to a
+region's map once per layer and distinct map: at the layer's start regions
+with equal maps share one table of the layer's functionals, which split
+children inherit, since within a layer every region's map is its ancestor's
+at the layer's start.  Each entry holds the functional's hyperplane as its
+primitive row, the interning key, and as that row times its orientation,
+whose dot product with a homogeneous vertex has the functional's sign there.
 Each region records every neuron's sign on it and its vertices on the
 neuron's hyperplane; the layer's composition (from the table) and the cell
 labels are read from that record.  Every layer, the output layer included,
@@ -247,6 +253,12 @@ def _facets(groups, k: int) -> dict:
     return {hid: group for hid, group in big.items() if not any(group < g for g in big.values())}
 
 
+def _spans_edge(r, shared) -> bool:
+    """Whether r's only vertices on every facet in shared are two: an edge's ends."""
+    on = r.tight
+    return len(r.vertices.intersection(*(on[k] for k in shared))) == 2
+
+
 class _Builder:
     """Splits the box neuron by neuron into the network's linear regions.
 
@@ -309,10 +321,12 @@ class _Builder:
         Within a layer every region's map is its ancestor's at the layer's
         start, so one table per distinct map serves every split of the
         layer, and split children inherit their parent's.  The table holds
-        one (grad, const, hrow, orient) per neuron: its functional on the
+        one (grad, const, hrow, orow) per neuron: its functional on the
         region (see _restrict_functional) and, unless that is constant, its
-        primitive row and orientation (see _primitive); hrow is None for a
-        constant.
+        primitive row hrow (see _primitive), the hyperplane's interning key,
+        and orow, hrow times its orientation, so that sign(orow·(x, w)) ==
+        sign(grad·x + const·w) at a homogeneous point; hrow and orow are None
+        for a constant.
         """
         tables = {}
         for r in self.regions:
@@ -321,8 +335,12 @@ class _Builder:
                 table = tables[r.affine] = []
                 for wrow, b in zip(weights, bias):
                     grad, const = _restrict_functional(r.affine, wrow, b)
-                    hrow, orient = _primitive(grad, const) if any(grad) else (None, 0)
-                    table.append((grad, const, hrow, orient))
+                    if any(grad):
+                        hrow, orient = _primitive(grad, const)
+                        orow = hrow if orient > 0 else tuple(-x for x in hrow)
+                    else:
+                        hrow = orow = None
+                    table.append((grad, const, hrow, orow))
             r.table = table
 
     def _split_all(self, nid: NeuronId, i: int, output: bool):
@@ -335,7 +353,7 @@ class _Builder:
         self.regions = new_regions
 
     def _split(self, r: _Region, nid: NeuronId, i: int, output: bool, cuts: dict):
-        _, const, hrow, orient = r.table[i]
+        _, const, hrow, orow = r.table[i]
         if hrow is None:
             if const == 0:
                 self.violations.append((nid, r.rid, "degenerate-pullback"))
@@ -345,7 +363,7 @@ class _Builder:
         coords = self.coords
         pos, neg, zeros = {}, {}, set()  # pos and neg: vertex id -> value t
         for v in r.vertices:
-            t = _dot(hrow, coords[v]) * orient
+            t = _dot(orow, coords[v])
             if t > 0:
                 pos[v] = t
             elif t < 0:
@@ -363,21 +381,34 @@ class _Builder:
         # A positive u and a negative v span an edge, which h cuts, exactly
         # when they are the only vertices tight on every constraint they share:
         # each tight set holds all the region's vertices on its facet, so those
-        # are the vertices of the smallest face that holds u and v.  The
-        # pre-activation is continuous, so every region that holds the edge
-        # sees these signs at its ends and the same zero between them, which
-        # no other vertex of the face-to-face partition lies on: the first
-        # such region makes that vertex, the rest take it from cuts.
+        # are the vertices of the smallest face that holds u and v.  That test
+        # (_spans_edge) runs only when neither end is simple.  A simple vertex
+        # lies on exactly d facets, which meet like a simplex's, so any d − 1
+        # of them meet in an edge at it; a vertex on those d − 1 is that
+        # edge's other end (only the simple vertex lies on all d).  d − 1
+        # distinct facets meet in at most an edge for d ≤ 4, so the test can
+        # reject a pair only from d = 5 on.  The pre-activation is
+        # continuous, so every region that holds the edge sees these signs at
+        # its ends and the same zero between them, which no other vertex of
+        # the face-to-face partition lies on: the first such region makes
+        # that vertex, the rest take it from cuts.
         on = r.tight
-        facets = {v: {k for k, g in on.items() if v in g} for v in itertools.chain(pos, neg)}
+        facets = {v: set() for v in r.vertices}  # vertex id -> the facets it lies on
+        for k, group in on.items():
+            for v in group:
+                facets[v].add(k)
+        d = self.d
         cut = {}  # hid -> the new vertices on it
         for u, tu in pos.items():
+            fu = facets[u]
+            simple = len(fu) == d
             for v, tv in neg.items():
-                shared = facets[u] & facets[v]
+                fv = facets[v]
+                shared = fu & fv
                 # an edge lies on at least d − 1 facets
-                if len(shared) < self.d - 1:
+                if len(shared) < d - 1:
                     continue
-                if len(r.vertices.intersection(*(on[k] for k in shared))) != 2:
+                if not (simple or len(fv) == d or _spans_edge(r, shared)):
                     continue
                 vid = cuts.get((u, v))
                 if vid is None:
@@ -419,20 +450,26 @@ class _Builder:
         are 0 and the record is cleared for the next layer; without (the
         output layer) every row and the record are kept.
         """
-        zero = (0,) * self.d
+        dead = ((0,) * self.d, 0)  # what a neuron of nonpositive sign adds through the ReLU
         for r in self.regions:
             den = layer_den * r.affine[2]
-            live = [s > 0 or not relu for s, _ in r.activations]
-            rows = [f[0] if kept else zero for f, kept in zip(r.table, live)]
-            consts = [f[1] if kept else 0 for f, kept in zip(r.table, live)]
+            kept = r.table
             if relu:
+                kept = [f if s > 0 else dead for f, (s, _) in zip(kept, r.activations)]
                 r.activations = []
+            rows = [f[0] for f in kept]
+            consts = [f[1] for f in kept]
             g = math.gcd(den, *consts, *itertools.chain.from_iterable(rows))
-            r.affine = (
-                tuple(tuple(x // g for x in col) for col in zip(*rows)),
-                tuple(c // g for c in consts),
-                den // g,
-            )
+            # a new tuple even where maps are equal: a region's cells share
+            # its map object (see Cell), which names their owner
+            if g == 1:
+                r.affine = (tuple(zip(*rows)), tuple(consts), den)
+            else:
+                r.affine = (
+                    tuple(tuple(x // g for x in col) for col in zip(*rows)),
+                    tuple(c // g for c in consts),
+                    den // g,
+                )
 
 
 def _label(s: int) -> str:
@@ -488,7 +525,8 @@ def _assemble(b: _Builder, sublevel: bool = False) -> PolyhedralComplex:
     # face's vertices on it; _facets picks the facets
     def make(vertices, dim, tight, label) -> int:
         if dim == 1:
-            facets = tuple(vids[v] for v in sorted(vertices))
+            u, v = vertices
+            facets = (vids[u], vids[v]) if u < v else (vids[v], vids[u])
         else:
             # for d ≥ 4 the walk may reach a facet through more than one hid
             facet_ids = set()

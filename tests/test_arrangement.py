@@ -312,6 +312,141 @@ class TestNewVertices:
         assert points == sorted(points)
 
 
+def _prism_over_pyramid():
+    """A d = 5 network on [0, 1]^5 whose split needs the tight-set edge test.
+
+    Its first four neurons, 2x₃ − x₅, 2 − 2x₃ − x₅, 2x₄ − x₅ and
+    2 − 2x₄ − x₅, are nonnegative together on a square pyramid in
+    (x₃, x₄, x₅) times the square of (x₁, x₂).  The apex times that square
+    lies on all four pyramid facets, so its opposite corners share
+    d − 1 = 4 facets without spanning an edge, and both are non-simple:
+    each also lies on two faces of the box.  The fifth neuron x₁ + x₂ − 1
+    separates them.  The output is the sum of the first four ReLUs, less
+    the fifth's, less 1/3.
+    """
+    rows = (
+        (0, 0, 2, 0, -1),
+        (0, 0, -2, 0, -1),
+        (0, 0, 0, 2, -1),
+        (0, 0, 0, -2, -1),
+        (1, 1, 0, 0, 0),
+    )
+    hidden = AffineLayer(
+        tuple(tuple(map(Fraction, row)) for row in rows), tuple(map(Fraction, (0, 2, 0, 2, -1)))
+    )
+    head = AffineLayer((tuple(map(Fraction, (1, 1, 1, 1, -1))),), (Fraction(-1, 3),))
+    return ReluNetwork((hidden, head)), BoxDomain.unit_cube(5)
+
+
+# complex_digest of _prism_over_pyramid's signed complex, recorded from the
+# build that ran the tight-set edge test on every candidate pair
+PRISM_DIGEST = "e346ff500425b0d1bcf00db949e2f22233ff61d8de54febd436a0805c0cb7969"
+
+
+def _count_edge_tests(monkeypatch) -> list:
+    """The answers of every arrangement._spans_edge call from now on, in call order."""
+    answers = []
+    spans = arrangement._spans_edge
+    monkeypatch.setattr(
+        arrangement, "_spans_edge", lambda *a: answers.append(spans(*a)) or answers[-1]
+    )
+    return answers
+
+
+def _check_cuts_by_the_full_rule(net, box) -> int:
+    """Every cut of the build against the edges the full tight-set rule finds.
+
+    For each split that cuts a region, the functional is evaluated at the
+    region's vertices from its (grad, const), and a positive u and a
+    negative v span an edge when the region's vertices on every facet that
+    holds both are u and v alone.  Each such edge must be a key of cuts, and
+    each child's facet on the new hyperplane, less the region's vertices on
+    it, must be exactly those edges' new vertices.  Returns the number of
+    cutting splits checked.
+    """
+    checked = []
+    split = _Builder._split
+
+    def checked_split(self, r, nid, i, output, cuts):
+        grad, const, hrow, _ = r.table[i]
+        children = split(self, r, nid, i, output, cuts)
+        if len(children) == 2:
+            values = {}
+            for v in r.vertices:
+                *x, w = self.coords[v]
+                values[v] = sign(sum(g * t for g, t in zip(grad, x)) + const * w)
+            edges = [
+                (u, v)
+                for u in r.vertices
+                if values[u] > 0
+                for v in r.vertices
+                if values[v] < 0
+                and r.vertices.intersection(*(g for g in r.tight.values() if u in g and v in g))
+                == {u, v}
+            ]
+            assert all(e in cuts for e in edges)
+            zeros = {v for v, t in values.items() if t == 0}
+            new = {cuts[e] for e in edges}
+            hid = self.hids[hrow]
+            assert [c.tight[hid] - zeros for c in children] == [new, new]
+            checked.append(1)
+        return children
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "_split", checked_split)
+        signed_complex(net, box)
+    return len(checked)
+
+
+class TestEdgeRule:
+    """_split runs the tight-set edge test (_spans_edge) only between two non-simple ends.
+
+    A pair that shares d − 1 facets spans an edge at once when either end
+    lies on exactly d facets; the test can reject a pair only from d = 5 on.
+    """
+
+    def test_non_simple_ends_need_the_tight_set_test(self, monkeypatch):
+        answers = _count_edge_tests(monkeypatch)
+        net, box = _prism_over_pyramid()
+        b, sc = build_and_assemble(net, box)
+        assert validate_complex(sc, box) == []
+        assert (len(sc.cells), len(sc.points)) == (1879, 104)
+        assert betti_numbers(sublevel_subcomplex(sc)).values == (1, 0, 0, 0, 0)
+        tables, faults = region_tables(b)
+        assert faults == []
+        assert complex_digest(sc, tables) == PRISM_DIGEST
+        # the opposite corners of the apex square are each rejected
+        assert False in answers
+
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_reference_instances_never_run_the_test(self, name, reference_networks, monkeypatch):
+        # every candidate pair there has a simple end, so the saving holds
+        answers = _count_edge_tests(monkeypatch)
+        net, fold, _, _ = reference_networks[name]
+        signed_complex(net, BoxDomain.unit_cube(fold.d))
+        assert answers == []
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize(
+        "name, d, m_vec, w_vec", [i[:4] for i in REFERENCE_INSTANCES + LARGE_INSTANCES[:1]]
+    )
+    def test_cuts_match_the_full_rule_on_constructions(self, name, d, m_vec, w_vec, perturbed):
+        net = build_topo_network(FoldingSpec(d, m_vec), CuttingSpec(d, w_vec))
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        assert _check_cuts_by_the_full_rule(net, BoxDomain.unit_cube(d)) > 0
+
+    @pytest.mark.parametrize(
+        "d, m, seed", [(2, 4, s) for s in range(10)] + [(3, 2, s) for s in range(10)]
+    )
+    def test_cuts_match_the_full_rule_on_generic_networks(self, d, m, seed):
+        net = generic_network(seed, d, m)
+        assert _check_cuts_by_the_full_rule(net, BoxDomain.unit_cube(d)) > 0
+
+    def test_cuts_match_the_full_rule_between_non_simple_ends(self):
+        assert _check_cuts_by_the_full_rule(*_prism_over_pyramid()) > 0
+
+
 class TestAssembly:
     """_assemble against helpers.reference_assemble, the assembly it replaced."""
 

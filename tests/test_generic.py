@@ -6,9 +6,12 @@ perturbed, has regions that share an edge yet differ in their maps, where a
 new vertex must be the same point for every region that cuts the edge.
 Each complex is checked against its box (oracles.validate_complex), for
 distinct points, for its Euler characteristic against the Betti vector's,
-and for its Betti vector against oracles.nerve_betti, which reads only the
-build.
+for its Betti vector against oracles.nerve_betti, which reads only the
+build, and against the complement bound that verify.reconcile checks
+(β_k at most the positive (k + 1)-cells, plus 1 for β₀).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -34,3 +37,8 @@ def test_generic_network_pipeline(d, m, seed):
     betti = betti_numbers(sub)
     assert sub.euler_cells() == euler_characteristic(betti)
     assert nerve_betti(b) == betti.values
+    # the complement bound (see verify.reconcile): β_k ≤ the positive
+    # (k + 1)-cells, plus 1 for β₀, which is 1 where no cell is positive
+    positive = Counter(c.dim for c in sc.cells.values() if c.sign_label == "positive")
+    for k, beta in enumerate(betti.values):
+        assert beta <= positive[k + 1] + (k == 0), k

@@ -10,6 +10,7 @@ validate_complex, which checks ranks on them, the network evaluated at each
 cell's Fraction centroid, and a forward pass written out below).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from oracles import (
     region_tables,
     validate_complex,
 )
-from topobetti.arrangement import _primitive
+from topobetti.arrangement import _Builder, _primitive
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain, sign, vdot
 from topobetti.relunet import AffineLayer, ReluNetwork, eval_network, eval_scalar
@@ -179,7 +180,7 @@ class TestRandomNetworks:
 
 
 class TestIntegerPathsMatchDefinitions:
-    """The builder's hyperplane normalizer against its definition."""
+    """The builder's hyperplane normalizer and its layer tables' oriented rows."""
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any),
@@ -197,3 +198,60 @@ class TestIntegerPathsMatchDefinitions:
         assert next(x for x in row[:-1] if x) > 0
         g = math.gcd(*grad, const)
         assert tuple(orient * g * x for x in row) == (*grad, const)
+
+    @given(network_and_box(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_oriented_rows_give_the_functionals_signs(self, case, data):
+        # each layer table's (grad, const, hrow, orow): orow is the interning
+        # row hrow or its negation, and its sign at a homogeneous point
+        # (x, w), w > 0, is the functional's, at random points and at the
+        # build's vertices, many of which lie on the hyperplanes
+        tables = []
+
+        class Recording(_Builder):
+            def _restrict_layer(self, weights, bias):
+                super()._restrict_layer(weights, bias)
+                tables.extend({id(r.table): r.table for r in self.regions}.values())
+
+        net, box = case
+        b = Recording(net, box)
+        b.run()
+        d = box.dimension
+        coords = st.lists(st.integers(-50, 50), min_size=d, max_size=d)
+        points = data.draw(st.lists(st.tuples(coords, st.integers(1, 50)), max_size=8))
+        points = [(*x, w) for x, w in points] + b.coords
+        for grad, const, hrow, orow in itertools.chain.from_iterable(tables):
+            if hrow is None:
+                assert orow is None and not any(grad)
+                continue
+            assert orow in (hrow, tuple(-x for x in hrow))
+            for *x, w in points:
+                assert sign(vdot(orow, (*x, w))) == sign(vdot(grad, x) + const * w)
+
+
+class TestReducedMaps:
+    """Each region's map after every layer's composition, not only the final cells'."""
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("name", [i[0] for i in REFERENCE_INSTANCES])
+    def test_every_composition_leaves_reduced_maps(self, name, perturbed, reference_networks):
+        # the composition divides by the gcd only when it is not 1, which
+        # must still leave den > 0 and gcd 1; and every region keeps a map
+        # object of its own, which oracles.region_tables finds owners by
+        layers = []
+
+        class Checked(_Builder):
+            def _compose(self, layer_den, relu):
+                super()._compose(layer_den, relu)
+                for r in self.regions:
+                    cols, consts, den = r.affine
+                    assert den > 0
+                    assert math.gcd(den, *consts, *itertools.chain.from_iterable(cols)) == 1
+                assert len({id(r.affine) for r in self.regions}) == len(self.regions)
+                layers.append(relu)
+
+        net, fold, _, _ = reference_networks[name]
+        if perturbed:
+            net = _perturbed(net, Fraction(1, 10**6), random.Random("7:0"))
+        Checked(net, BoxDomain.unit_cube(fold.d)).run()
+        assert layers == [True] * (len(net.layers) - 1) + [False]
