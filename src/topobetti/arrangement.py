@@ -10,58 +10,25 @@ adjacent pieces with equal affine maps), and a final refinement by the output
 zero-set yields a signed complex whose negative/zero part is the decision
 region F⁻¹((−∞,0]) ∩ box.
 
-Everything is exact and runs on integers: hyperplanes are primitive-integer,
-vertices are homogeneous integer points, and affine maps are integer columns
-over a common denominator.  A split needs only the functional's values at
-the region's vertices: each new vertex is the point where it vanishes on an
-edge between a positive and a negative vertex, shared by every region that
-holds the edge.  Two such vertices that share d − 1 of the region's facets
-span an edge at once when either is simple, on exactly d facets; only
-between two non-simple ones does the split check that they are the only
-vertices on every facet they share.  A functional is restricted to a
-region's map once per layer and distinct map: at the layer's start regions
-with equal maps share one table of the layer's functionals, which split
-children inherit, since within a layer every region's map is its ancestor's
-at the layer's start.  Each entry holds the functional's hyperplane as its
-primitive row, the interning key, and as that row times its orientation,
-whose dot product with a homogeneous vertex has the functional's sign there.
-Each region records every neuron's sign on it and its vertices on the
-neuron's hyperplane; the layer's composition (from the table) and the cell
-labels are read from that record.  Every layer, the output layer included,
-is split neuron by neuron and then composed into each region's map; only
-the hidden layers apply the ReLU.  Each region carries its tight sets
-(constraint → its vertices on it), the build's one incidence record, which
-the split updates and the face lattice is read from.  The assembly walks each
-region's faces down from those sets and makes each face's cell once, right
-after its facets' cells: its label is the output's sign on the owning region
-or "zero" when all the face's vertices lie on the output's hyperplane.  Every
-cell of a region shares the region's output map.  No constraint's sign is
-stored: the side of a facet's hyperplane that the region lies on is the
-sign there of any of its vertices off it.  Edges expand straight to their
-two vertices, each 0-cell takes its data from the first region that holds
-it, and faces are deduplicated by their vertex sets, so the construction is
-deterministic.
+Everything is exact and runs on integers: hyperplanes are primitive-integer
+rows, interned by the row, vertices are homogeneous integer points, and
+affine maps are integer columns over a common denominator.  A split reads
+only the functional's values at the region's vertices (_Builder._split), and
+a layer's functionals are restricted once per distinct region map
+(_Builder._restrict_layer).  Every layer, the output layer included, is split
+neuron by neuron and then composed into each region's map; only the hidden
+layers apply the ReLU.  Each region carries its tight sets (constraint → its
+vertices on it), the build's one incidence record, which the split updates
+and the face lattice is read from (_assemble).  No constraint's sign is
+stored: the side of a facet's hyperplane that the region lies on is the sign
+there of any of its vertices off it.
 
-sublevel_complex makes the sublevel complex alone, from one build and a
-walk that makes no positive cell (see _assemble).  It walks the regions of
-output sign ≤ 0, whose faces are negative or zero, and then a positive
-region only where its touched face (where the output, ≥ 0 on it, vanishes)
-is not yet a cell: the zero set meets that region from the positive side
-alone.  A face shared with a positive region lies in the zero set, so it
-is zero whoever owns it; the cells are sublevel_subcomplex's of the full
-complex, up to their numbering and which region's map a shared zero face
-carries.
-
-A split's hyperplane is interned by its primitive row (normal…, offset).
 Cells are numbered in build order: a 0-cell's id is its vertex id, and
 every other cell takes the next id as the walk makes it, so each facet's id
 is below its cell's.  The build is deterministic, so the numbering is too,
 and every number the program reports is the same under any renumbering.
-The complex hands out the build's own integer data: PolyhedralComplex.points
-holds the build's homogeneous points by 0-cell id, Cell.affine_map the
-owning region's reduced integer output map, Cell.facets the face relation (a
-cell's vertices are the 0-cells below it), and PolyhedralComplex.constraints
-the hyperplane table's rows.
+The complex hands out the build's own integer data (see PolyhedralComplex
+and Cell).
 """
 
 from __future__ import annotations
@@ -278,7 +245,7 @@ class _Builder:
         self.coords = [homogenize(c) for c in box.corners()]  # vertex id -> homogeneous ints
         self.violations = []  # (NeuronId, region id, reason) stability events
         self.cap = _max_cells()
-        self._next_rid = 0
+        self._rids = itertools.count()  # region ids, in the order regions are made
         # the box is lower_i ≤ x_i ≤ upper_i; a bound p/q (gcd 1) is the
         # primitive row q·x_i − p = 0, so hids 0 … 2d − 1 are lower₀, upper₀,
         # lower₁, …
@@ -292,12 +259,8 @@ class _Builder:
         }
         identity = tuple(tuple(int(i == j) for j in range(self.d)) for i in range(self.d))
         vertices = set(range(len(self.coords)))
-        self.regions = [self._new_region(tight, vertices, (identity, (0,) * self.d, 1), None, [])]
-
-    def _new_region(self, tight, vertices, affine, table, activations) -> _Region:
-        r = _Region(self._next_rid, tight, vertices, affine, table, activations)
-        self._next_rid += 1
-        return r
+        affine = (identity, (0,) * self.d, 1)
+        self.regions = [_Region(next(self._rids), tight, vertices, affine, None, [])]
 
     def run(self):
         """Split by every neuron, layer by layer, composing each layer after its splits.
@@ -438,7 +401,9 @@ class _Builder:
             tight = _facets(groups, self.d - 1)
             activations = r.activations + [(s, facet)]
             children.append(
-                self._new_region(tight, facet.union(side), r.affine, r.table, activations)
+                _Region(
+                    next(self._rids), tight, facet.union(side), r.affine, r.table, activations
+                )
             )
         return children
 

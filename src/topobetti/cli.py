@@ -59,9 +59,11 @@ def _parse_box(text: str | None, d: int) -> BoxDomain:
     return BoxDomain(lower, upper)
 
 
-def _print_json(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _print_json(obj, f=None):
+    """Write obj as the CLI's JSON to f, or to the current sys.stdout."""
+    f = sys.stdout if f is None else f
+    json.dump(obj, f, indent=2, sort_keys=True)
+    f.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -89,7 +91,7 @@ def cmd_analyze(args) -> int:
     predicted = None
     if args.predict is not None:
         vals = _int_list(args.predict)
-        if len(vals) != 1 + net.input_dim - 1:
+        if len(vals) != net.input_dim:
             raise CliError(
                 f"--predict needs M and {net.input_dim - 1} widths, got {args.predict!r}"
             )
@@ -100,7 +102,8 @@ def cmd_analyze(args) -> int:
         oracle_beta0 = grid_beta0(sg)
     report = analyze_network(net, box, predicted=predicted, oracle_beta0=oracle_beta0)
     if args.out is not None:
-        report.dump(args.out)
+        with open(args.out, "w", encoding="utf-8") as f:
+            _print_json(report.to_json(), f)
     rec = reconcile(report)
     out = report.to_json()
     out["reconciliation"] = rec.to_json()

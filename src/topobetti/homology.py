@@ -205,5 +205,4 @@ def analyze_network(
         euler=euler_characteristic(betti),
         euler_cells=sub.euler_cells(),
         oracle_beta0=oracle_beta0,
-        violations=sc.violations,
     )

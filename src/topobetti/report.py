@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,9 +27,6 @@ class AnalysisReport:
     euler: int
     euler_cells: int  # alternating cell count of the sublevel subcomplex
     oracle_beta0: Optional[int]
-    # stability events of the arrangement build, (NeuronId, region-id, reason);
-    # they stay out of the JSON, so reports keep their schema
-    violations: tuple
 
     @property
     def bounds_satisfied(self) -> bool:
@@ -74,8 +70,3 @@ class AnalysisReport:
             # no timings are recorded; the key keeps the schema-1 layout
             "timings": None,
         }
-
-    def dump(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")

@@ -12,13 +12,6 @@ Stable networks keep the decision-region topology under small weight
 perturbations, which the perturbation harness confirms empirically by
 recomputing exact Betti vectors for seeded rational perturbations of all
 parameters.
-
-The harness needs only each network's Betti vector and, for the base
-network, its events, so each of its analyses is one build and the sublevel
-walk (arrangement.sublevel_complex) followed by the homology: no positive
-cell, region count or report.  The walk makes the cells of
-sublevel_subcomplex(signed_complex(...)) and the build records the same
-events, so the answers are those of analyze_network.
 """
 
 from __future__ import annotations
@@ -154,8 +147,6 @@ def perturbation_test(
         for _ in range(DELTA_HALVINGS + 1):
             if all_agree(cur):
                 certified = cur
-                break
-            if cur == 0:
                 break
             cur = cur / 2
     return replace(stability, certified_delta=certified, trials=trials, seed=seed)

@@ -2,45 +2,23 @@
 
 The oracle never touches the arrangement machinery: it evaluates the network
 exactly at every point of a regular rational grid and estimates β₀ of the
-nonpositive set under grid adjacency.  The evaluation is a scaled-integer
-forward pass, so even the oracle is float-free: each layer is cleared to an
-integer matrix, and numpy runs the pass one layer at a time over blocks of
-8 192 grid points, made of whole grid lines along the last axis.  numpy is
-imported inside the functions that use it, not with the module, so that no
-other command pays for its import, which costs more than a whole analysis of
-a reference network.  A block pays some twenty numpy calls, about 35 µs,
-before any integer work; at 2 048 points per block that fixed cost was about
-a third of the pass.  Under GRID_POINT_CAP a line in d ≥ 2 has at most 7 071
-points, so only in d = 1 is a line cut into chunks.  The first layer is
-affine in the grid index, so it is summed from a constant column and one
-table per axis: each block gathers its lines' leading-axis terms, with index
-arithmetic once per line, and adds the last axis's table by broadcasting;
-the other layers multiply with ``einsum('ij,jk->ik')``, as numpy runs
-integer ``@`` in a plain loop, not in BLAS (on Python ints ``@`` is the
-faster of the two and is kept).  Before it runs, a bound on every integer
-each layer can form is proved in Python ints, as a running maximum over the
-layers.  Each layer's arrays take the narrowest type its bound allows: int32
-below 2^30, int64 below 2^62 and Python ints (dtype object) otherwise, in
-the same code path; an array is widened where the bound crosses a tier,
-never narrowed.  The reference instances run in int32, but for an int64
-output layer on one of them; perturbed networks start in int64 and widen to
-Python ints.  A block's int32 and int64 arrays are views of two buffers that
-one allocation per pass provides: the first layer's sum is written with
-``np.add(out=)``, each widening cast with ``np.copyto`` and each einsum into
-its ``out``, each into the buffer that does not hold its input, and the
-signs go straight into the int8 grid.  Python-int layers allocate per block.
-Blocks that allocated their own arrays made the C allocator hand pages back
-and fault them in again, up to about 3 000 minor faults a grid in some
-processes; the buffers leave next to none.  Beyond the signs, the working
-memory is under 0.9 MiB on the 10⁶-point grids of the tests.  β₀ is counted
-by run labelling in numpy: the nonpositive points, as sorted flat indices,
-are cut into maximal runs along the last axis, each other axis joins the
-runs of neighbouring points (found by binary search), and the runs are
-merged by min-label hooking and pointer jumping.  Its integer arrays are
-sized by the nonpositive points, never by the grid.  For the constructed
-classifier family the smallest feature has ℓ₁-diameter 1/(4wM), so any
-resolution above 8·w·M resolves every component; the default used by
-callers is 16·w_max·M.
+nonpositive set under grid adjacency (grid_beta0).  The evaluation is a
+scaled-integer forward pass, so even the oracle is float-free: each layer is
+cleared to an integer matrix, and numpy runs the pass one layer at a time
+over blocks of whole grid lines (see grid_sign_sample).  numpy is imported
+inside the functions that use it, not with the module, so that no other
+command pays for its import, which costs more than a whole analysis of a
+reference network.  Before the pass runs, a bound on every integer each
+layer can form is proved in Python ints (_magnitude_bound).  Each layer's
+arrays take the narrowest type its bound allows: int32 below 2^30, int64
+below 2^62 and Python ints (dtype object) otherwise, in the same code path;
+an array is widened where the bound crosses a tier, never narrowed.  The
+reference instances run in int32, but for an int64 output layer on one of
+them; perturbed networks start in int64 and widen to Python ints.  Beyond
+the signs, the working memory is under 0.9 MiB on the 10⁶-point grids of
+the tests.  For the constructed classifier family the smallest feature has
+ℓ₁-diameter 1/(4wM), so any resolution above 8·w·M resolves every
+component; the default used by callers is 16·w_max·M.
 """
 
 from __future__ import annotations
@@ -57,7 +35,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 GRID_POINT_CAP = 50_000_000
-_BLOCK = 1 << 13  # grid points per block of the vectorised pass (see the module docstring)
+_BLOCK = 1 << 13  # grid points per block of the vectorised pass (see grid_sign_sample)
 
 
 @dataclass(frozen=True)
@@ -80,12 +58,7 @@ def _scaled_layers(net: ReluNetwork):
     """Clear each layer to integer matrices: (Wint, bint, t) with W = Wint/t."""
     out = []
     for layer in net.layers:
-        den = 1
-        for row in layer.weights:
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        for v in layer.bias:
-            den = den * v.denominator // math.gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for row in (*layer.weights, layer.bias) for v in row))
         wint = [[int(v * den) for v in row] for row in layer.weights]
         bint = [int(v * den) for v in layer.bias]
         out.append((wint, bint, den))

@@ -244,9 +244,14 @@ class TestCanonicalComplex:
             signed_complex(build_folding_layer(2, 2), BoxDomain.unit_cube(2))
 
     def test_bad_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("TOPOBETTI_MAX_CELLS", "zero")
-        with pytest.raises(ValueError):
-            signed_complex(_tent(2), BoxDomain.unit_cube(1))
+        for raw, message in (("zero", "must be an integer"), ("0", "must be positive")):
+            monkeypatch.setenv("TOPOBETTI_MAX_CELLS", raw)
+            with pytest.raises(ValueError, match=f"TOPOBETTI_MAX_CELLS {message}"):
+                signed_complex(_tent(2), BoxDomain.unit_cube(1))
+
+    def test_box_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="box dimension does not match network input"):
+            signed_complex(_tent(2), BoxDomain.unit_cube(2))
 
 
 class TestLayerTables:

@@ -134,13 +134,15 @@ class TestSmallCommands:
         assert out["certified_delta"] == "1/1000000"
 
     def test_oracle_with_dumps(self, small_net, tmp_path, capsys):
-        pgm = tmp_path / "grid.pgm"
+        pgm, csv = tmp_path / "grid.pgm", tmp_path / "grid.csv"
         code = main(
-            ["oracle", str(small_net), "--resolution", "32", "--pgm", str(pgm)]
+            ["oracle", str(small_net), "--resolution", "32", "--pgm", str(pgm), "--csv", str(csv)]
         )
         assert code == EXIT_OK
         assert _last_json(capsys)["beta0"] == 2
         assert pgm.read_text().startswith("P2")
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert len(rows) == 33 and all(len(r) == 33 for r in rows)
 
     def test_report_round_trip(self, small_net, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -235,6 +237,12 @@ class TestErrorMessages:
             (["analyze", "{tmp}/no-chain.json"], "layer dimensions do not chain: 1 -> 2"),
             (["analyze", "{tmp}/one-input.json", "--predict", "2"],
              "cutting requires dimension ≥ 2"),
+            (["analyze", "{net}", "--predict", "2"], "--predict needs M and 1 widths, got '2'"),
+            (
+                ["analyze", "{tmp}/bad.json"],
+                "malformed network file {tmp}/bad.json: "
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
             (["analyze", "{tmp}/one-input.json", "--box", "0,1,2"],
              "--box needs 2 rationals for dimension 1"),
             (["analyze", "{tmp}/three-input.json", "--box", "0,1,0,1"],
@@ -246,6 +254,7 @@ class TestErrorMessages:
             (["predict", "--d", "2", "--M", "3", "--w", "1"], "M must be even and ≥ 2"),
             (["predict", "--d", "2", "--M", "2", "--w", "0"], "cut counts must be ≥ 1"),
             (["bounds", "--arch", "2,3,2"], "scalar output required"),
+            (["bounds", "--arch", "2,0,1"], "invalid architecture '2,0,1'"),
             (["stability", "{net}", "--delta", "0.5"], "non-canonical rational string: '0.5'"),
             (["oracle", "{net}", "--resolution", "0"], "resolution must be ≥ 1"),
             (
@@ -257,9 +266,10 @@ class TestErrorMessages:
                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
             ),
         ],
-        ids=["box", "string-row", "no-layers", "no-chain", "predict-d1", "box-count-d1",
-             "box-count-d3", "build", "predict", "predict-zero-width", "bounds", "stability",
-             "oracle", "report-missing", "report-not-json"],
+        ids=["box", "string-row", "no-layers", "no-chain", "predict-d1", "predict-count",
+             "network-not-json", "box-count-d1", "box-count-d3", "build", "predict",
+             "predict-zero-width", "bounds", "bounds-zero-width", "stability", "oracle",
+             "report-missing", "report-not-json"],
     )
     def test_stderr(self, argv, message, small_net, tmp_path, capsys):
         (tmp_path / "bad.json").write_text("{not json")

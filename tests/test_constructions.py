@@ -12,6 +12,7 @@ from topobetti.constructions import (
     FoldingSpec,
     betti_upper_bound,
     build_carving_network,
+    build_folding_layer,
     build_folding_network,
     build_topo_network,
     closure_offset,
@@ -47,6 +48,15 @@ class TestSpecs:
 
 
 class TestFolding:
+    @pytest.mark.parametrize(
+        "m, d, message",
+        [(3, 1, "folding factor must be even and ≥ 2, got 3"), (2, 0, "dimension must be ≥ 1")],
+        ids=["odd-m", "d0"],
+    )
+    def test_layer_validation(self, m, d, message):
+        with pytest.raises(ValueError, match=message):
+            build_folding_layer(m, d)
+
     @pytest.mark.parametrize("d,m_vec", [(1, (2,)), (2, (4,)), (2, (2, 2)), (3, (2,))])
     def test_matches_closed_form_on_sampled_cubes(self, d, m_vec):
         spec = FoldingSpec(d, m_vec)

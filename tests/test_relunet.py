@@ -38,6 +38,10 @@ class TestLayersAndNetworks:
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
             AffineLayer(((Fraction(1), Fraction(2)), (Fraction(3),)), (Fraction(0),) * 2)
+        with pytest.raises(ValueError, match="weights row count must equal bias length"):
+            AffineLayer(((Fraction(1),),), (Fraction(0),) * 2)
+        with pytest.raises(ValueError, match="empty layer"):
+            AffineLayer((), ())
         with pytest.raises(ValueError, match="layer has no inputs"):
             AffineLayer(((),), (Fraction(0),))
         with pytest.raises(ValueError):
@@ -94,6 +98,10 @@ class TestEvaluation:
     def test_wrong_input_dimension_rejected(self):
         with pytest.raises(ValueError):
             eval_network(_tent(2), (Fraction(0), Fraction(0)))
+
+    def test_eval_scalar_rejects_a_vector_output(self):
+        with pytest.raises(ValueError, match="network output is not scalar"):
+            eval_scalar(build_folding_layer(2, 2), (Fraction(0), Fraction(0)))
 
     @pytest.mark.parametrize("x", [(0.1, 0.2), ("1", "2")], ids=["float", "str"])
     def test_non_exact_input_is_rejected(self, x):

@@ -5,7 +5,6 @@ import pytest
 from topobetti import arrangement, stability
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
-from topobetti.homology import analyze_network
 from topobetti.relunet import AffineLayer, ReluNetwork
 from topobetti.stability import check_stability, perturbation_test
 
@@ -84,8 +83,10 @@ class TestCheckStability:
         ids=["offset", "output-through-corners", "no-offset"],
     )
     def test_violations_match_the_analysis_build(self, net):
+        # signed_complex is the build analyze_network runs
         box = BoxDomain.unit_cube(2)
-        assert check_stability(net, box).violations == analyze_network(net, box).violations
+        built = arrangement.signed_complex(net, box)
+        assert check_stability(net, box).violations == built.violations
 
     def test_report_serializes(self):
         report = check_stability(_linear((1, 0)), BoxDomain.unit_cube(2))
@@ -94,7 +95,37 @@ class TestCheckStability:
         assert data["violations"]
 
 
+def _notch(eps):
+    """F(x, y) = ε − relu(x − ½) − relu(½ − x): nonpositive on two strips, β = (2, 0)."""
+    half = Fraction(1, 2)
+    return ReluNetwork(
+        (
+            AffineLayer(((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))), (-half, half)),
+            AffineLayer(((Fraction(-1), Fraction(-1)),), (eps,)),
+        )
+    )
+
+
 class TestPerturbationTest:
+    def test_halves_delta_until_every_trial_agrees(self):
+        # the positive band between the strips is 1/50 wide: some trial
+        # changes the Betti vector at every delta from 1/4 to 1/128, and all
+        # four agree at 1/256, six halvings down
+        net, box = _notch(Fraction(1, 100)), BoxDomain.unit_cube(2)
+        assert check_stability(net, box).topologically_stable
+        report = perturbation_test(net, box, Fraction(1, 4), trials=4, seed=0)
+        assert report.applicable
+        assert report.certified_delta == Fraction(1, 256)
+
+    def test_no_certificate_after_the_last_halving(self):
+        # a band 2·10⁻⁶ wide: some trial changes the Betti vector at every
+        # delta from 1/4 to the last, 1/4 / 2⁸ = 1/1024
+        net, box = _notch(Fraction(1, 10**6)), BoxDomain.unit_cube(2)
+        report = perturbation_test(net, box, Fraction(1, 4), trials=4, seed=0)
+        assert report.applicable and report.topologically_stable
+        assert report.certified_delta is None
+        assert stability.DELTA_HALVINGS == 8
+
     def test_certifies_small_delta(self):
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         report = perturbation_test(

@@ -211,6 +211,20 @@ class TestGridSignSample:
         assert abs(96 * c - 2**30) < 96
         assert [dtype for _, dtype in taken] == tiers
 
+    def test_python_int_first_layer(self, monkeypatch):
+        # weights ±2⁷⁰ take even the first layer's bound past 2^62, so its sum
+        # runs on Python ints and takes no buffer.  F vanishes where
+        # |x₁ − x₂| = 3/4, on grid points at N = 12
+        big = Fraction(2**70)
+        net = ReluNetwork(
+            (
+                AffineLayer(((big, -big), (-big, big)), (-big / 4, -big / 4)),
+                AffineLayer(((Fraction(1), Fraction(1)),), (-big / 2,)),
+            )
+        )
+        taken = _signs_match_on_tiers(net, BoxDomain.unit_cube(2), 12, monkeypatch)
+        assert [dtype for _, dtype in taken] == [object, object]
+
     def test_int32_to_int64_to_python_ints(self, monkeypatch):
         box = BoxDomain((Fraction(-1),) * 2, (Fraction(1),) * 2)
         taken = _signs_match_on_tiers(_three_tiers(), box, 12, monkeypatch)
@@ -430,6 +444,14 @@ class TestGridSignSample:
         with pytest.raises(ValueError):
             grid_sign_sample(build_folding_network(FoldingSpec(2, (2,))), box, 4)
 
+    def test_a_grid_over_the_point_cap_is_rejected(self, monkeypatch):
+        # 7 072² points exceed the cap; the check comes before numpy is
+        # imported, so nothing is allocated
+        assert 7071**2 <= verify.GRID_POINT_CAP < 7072**2
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="grid of 50013184 points exceeds cap 50000000"):
+            grid_sign_sample(_linear((1, 0), 0), BoxDomain.unit_cube(2), 7071)
+
     @pytest.mark.parametrize("resolution", [True, 10.0, "10"])
     def test_a_resolution_that_is_not_an_int_is_rejected(self, resolution, monkeypatch):
         # True made a 2 × 2 grid and 10.0 a numpy TypeError; the check comes
@@ -639,7 +661,10 @@ class TestDumps:
         write_pgm(SignGrid(resolution=2, d=2, signs=signs), str(path))
         assert path.read_text().splitlines()[3:] == ["0 127 255", "255 127 0", "127 127 127"]
 
-    def test_rejects_non_2d(self):
+    def test_rejects_non_2d(self, tmp_path):
         sg = SignGrid(resolution=2, d=3, signs=np.ones((3, 3, 3), dtype=np.int8))
-        with pytest.raises(ValueError):
-            write_pgm(sg, "/tmp/never.pgm")
+        with pytest.raises(ValueError, match="PGM dump requires a 2-d grid"):
+            write_pgm(sg, str(tmp_path / "never.pgm"))
+        with pytest.raises(ValueError, match="CSV dump requires a 2-d grid"):
+            write_csv(sg, str(tmp_path / "never.csv"))
+        assert list(tmp_path.iterdir()) == []
