@@ -1,7 +1,8 @@
 """Command-line front end: build networks, analyze, predict, bound, certify.
 
 Exit codes form a stable contract: 0 on success/agreement, 1 on usage or
-input errors, 2 when a requested reconciliation disagrees.  All numeric
+input errors, 2 when a requested reconciliation disagrees, including a
+perturbation test that certifies no delta.  All numeric
 inputs accept rational strings ("1/1000000") so the pipeline stays exact
 end to end.
 """
@@ -134,10 +135,12 @@ def cmd_stability(args) -> int:
     box = _parse_box(args.box, net.input_dim)
     if args.delta is None:
         rep = check_stability(net, box)
+        ok = rep.topologically_stable
     else:
         rep = perturbation_test(net, box, parse_rational(args.delta), args.trials, args.seed)
+        ok = rep.certified_delta is not None  # an unstable network certifies none
     _print_json(rep.to_json())
-    return EXIT_OK if rep.topologically_stable else EXIT_DISAGREE
+    return EXIT_OK if ok else EXIT_DISAGREE
 
 
 def cmd_oracle(args) -> int:

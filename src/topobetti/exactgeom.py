@@ -45,10 +45,7 @@ def parse_rational(s: str) -> Fraction:
 
 def format_rational(x) -> str:
     """Serialize a rational as "p/q" with q>0 in lowest terms, or "p" if integral."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def vdot(a: Sequence, b: Sequence):

@@ -55,9 +55,7 @@ class AffineLayer:
 
         weights·x + bias == (int weights·x + int bias) / den, with den > 0.
         """
-        entries = [Fraction(v) for row in self.weights for v in row]
-        entries += [Fraction(v) for v in self.bias]
-        den = math.lcm(*(v.denominator for v in entries))
+        den = math.lcm(*(v.denominator for v in itertools.chain(*self.weights, self.bias)))
         return (
             tuple(tuple(int(v * den) for v in row) for row in self.weights),
             tuple(int(v * den) for v in self.bias),

@@ -7,6 +7,7 @@ from typing import Optional
 
 from .constructions import BettiVector
 from .exactgeom import BoxDomain, format_rational
+from .verify import reconcile
 
 SCHEMA_VERSION = 1
 
@@ -28,25 +29,8 @@ class AnalysisReport:
     euler_cells: int  # alternating cell count of the sublevel subcomplex
     oracle_beta0: Optional[int]
 
-    @property
-    def bounds_satisfied(self) -> bool:
-        if self.region_count > self.serra_bound:
-            return False
-        return all(b <= bound for b, bound in zip(self.betti.values, self.binomial_bounds))
-
-    @property
-    def predicted_agrees(self) -> Optional[bool]:
-        if self.predicted is None:
-            return None
-        return self.betti.values == self.predicted.values
-
-    @property
-    def oracle_agrees(self) -> Optional[bool]:
-        if self.oracle_beta0 is None:
-            return None
-        return self.betti.values[0] == self.oracle_beta0
-
     def to_json(self) -> dict:
+        rec = reconcile(self)
         return {
             "schema": SCHEMA_VERSION,
             "architecture": list(self.architecture),
@@ -64,9 +48,9 @@ class AnalysisReport:
             "euler": self.euler,
             "euler_cells": self.euler_cells,
             "oracle_beta0": self.oracle_beta0,
-            "bounds_satisfied": self.bounds_satisfied,
-            "predicted_agrees": self.predicted_agrees,
-            "oracle_agrees": self.oracle_agrees,
+            "bounds_satisfied": rec.serra_ok and all(rec.binomial_ok),
+            "predicted_agrees": None if rec.predicted is None else rec.predicted == rec.betti,
+            "oracle_agrees": rec.oracle_agrees,
             # no timings are recorded; the key keeps the schema-1 layout
             "timings": None,
         }

@@ -32,12 +32,19 @@ DELTA_HALVINGS = 8  # times perturbation_test may halve delta before it gives up
 @dataclass(frozen=True)
 class StabilityReport:
     combinatorially_stable: bool
-    topologically_stable: bool
     violations: tuple  # (NeuronId, region-id, reason)
     certified_delta: Optional[Fraction] = None
     trials: int = 0
     seed: int = 0
-    applicable: bool = True
+
+    @property
+    def topologically_stable(self) -> bool:
+        return not self.violations
+
+    @property
+    def applicable(self) -> bool:
+        """False when trials were asked of a network that perturbation_test refused."""
+        return self.topologically_stable or not self.trials
 
     def to_json(self) -> dict:
         return {
@@ -59,10 +66,8 @@ class StabilityReport:
 def _classify(net: ReluNetwork, violations) -> StabilityReport:
     """Stability verdicts from the build's (NeuronId, region-id, reason) events."""
     output_layer = len(net.layers)
-    comb = all(nid.layer == output_layer for nid, _, _ in violations)
     return StabilityReport(
-        combinatorially_stable=comb,
-        topologically_stable=comb and not violations,
+        combinatorially_stable=all(nid.layer == output_layer for nid, _, _ in violations),
         violations=tuple(violations),
     )
 
@@ -130,7 +135,7 @@ def perturbation_test(
         base = arrangement.sublevel_complex(net, box)
         stability = _classify(net, base.violations)
         if not stability.topologically_stable:
-            return replace(stability, trials=trials, seed=seed, applicable=False)
+            return replace(stability, trials=trials, seed=seed)
         baseline = homology.betti_numbers(base).values
         del base  # not held through the trials
 

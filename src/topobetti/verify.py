@@ -29,10 +29,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactgeom import BoxDomain
 from .relunet import ReluNetwork
-from .report import AnalysisReport
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .report import AnalysisReport
 
 GRID_POINT_CAP = 50_000_000
 _BLOCK = 1 << 13  # grid points per block of the vectorised pass (see grid_sign_sample)
@@ -320,7 +321,9 @@ def reconcile(report: AnalysisReport) -> Reconciliation:
         predicted_agreement=(
             None if predicted is None else tuple(a == b for a, b in zip(betti, predicted))
         ),
-        oracle_agrees=report.oracle_agrees,
+        oracle_agrees=(
+            None if report.oracle_beta0 is None else betti[0] == report.oracle_beta0
+        ),
         serra_ok=report.region_count <= report.serra_bound,
         binomial_ok=tuple(
             b <= bound for b, bound in zip(betti, report.binomial_bounds)

@@ -133,6 +133,20 @@ class TestSmallCommands:
         out = _last_json(capsys)
         assert out["certified_delta"] == "1/1000000"
 
+    def test_stability_with_no_certified_delta_exits_two(self, tmp_path, capsys):
+        # the notch ε − relu(x − ½) − relu(½ − x) at ε = 10⁻⁶ has no stability
+        # event, but some trial changes its Betti vector at every delta tried
+        path = tmp_path / "notch.json"
+        layers = [
+            {"weights": [["1", "0"], ["-1", "0"]], "bias": ["-1/2", "1/2"]},
+            {"weights": [["-1", "-1"]], "bias": ["1/1000000"]},
+        ]
+        path.write_text(json.dumps({"layers": layers}))
+        argv = ["stability", str(path), "--delta", "1/4", "--trials", "4", "--seed", "0"]
+        assert main(argv) == EXIT_DISAGREE
+        out = _last_json(capsys)
+        assert out["certified_delta"] is None and out["topologically_stable"] is True
+
     def test_oracle_with_dumps(self, small_net, tmp_path, capsys):
         pgm, csv = tmp_path / "grid.pgm", tmp_path / "grid.csv"
         code = main(
@@ -365,3 +379,23 @@ def test_only_the_grid_oracle_imports_numpy(tmp_path):
         "report 0 False",
         "oracle 0 True",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bounds", "--arch", "2,0,1"], EXIT_USAGE),
+        (["predict", "--d", "2", "--M", "8", "--w", "4"], EXIT_OK),
+    ],
+    ids=["bounds-invalid", "predict"],
+)
+def test_python_m_entry_point(argv, code):
+    src = Path(topobetti.__file__).parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-m", "topobetti.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == code, run.stderr

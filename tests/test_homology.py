@@ -139,8 +139,8 @@ class TestPipelineHomology:
         net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
         report = analyze_network(net, predicted=predict_betti(2, (1,), 2))
         assert report.betti.values == (2, 0)
-        assert report.predicted_agrees
-        assert report.bounds_satisfied
+        out = report.to_json()
+        assert out["predicted_agrees"] is True and out["bounds_satisfied"] is True
         assert report.euler == report.euler_cells == 2
         assert report.region_count <= report.serra_bound
 

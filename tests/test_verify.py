@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from topobetti.constructions import (
+    BettiVector,
     CuttingSpec,
     FoldingSpec,
     build_topo_network,
@@ -625,6 +626,27 @@ class TestReconcile:
         assert not rec.euler_ok
         assert not rec.all_agree
         assert rec.to_json()["euler_ok"] is False
+
+    def test_region_count_over_serra_bound_fails(self):
+        # bounds hold on every real network, so the failures are made by hand
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        report = analyze_network(net)
+        report = dataclasses.replace(report, region_count=report.serra_bound + 1)
+        rec = reconcile(report)
+        assert not rec.serra_ok and all(rec.binomial_ok)
+        assert not rec.all_agree
+        assert report.to_json()["bounds_satisfied"] is False
+
+    def test_betti_over_binomial_bound_fails(self):
+        net = build_topo_network(FoldingSpec(2, (2,)), CuttingSpec(2, (1,)))
+        report = analyze_network(net)
+        values = list(report.betti.values)
+        values[1] = report.binomial_bounds[1] + 1
+        report = dataclasses.replace(report, betti=BettiVector(tuple(values)))
+        rec = reconcile(report)
+        assert rec.serra_ok and rec.binomial_ok == (True, False)
+        assert not rec.all_agree
+        assert report.to_json()["bounds_satisfied"] is False
 
     @given(network_and_box())
     @example((ReluNetwork((AffineLayer(((1, 1),), (-3,)),)), BoxDomain.unit_cube(2)))
