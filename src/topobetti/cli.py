@@ -2,9 +2,11 @@
 
 Exit codes form a stable contract: 0 on success/agreement, 1 on usage or
 input errors, 2 when a requested reconciliation disagrees, including a
-perturbation test that certifies no delta.  All numeric
-inputs accept rational strings ("1/1000000") so the pipeline stays exact
-end to end.
+perturbation test that certifies no delta.  `stability --trials` and
+`--seed` set up that perturbation test, so without `--delta` they are a
+usage error.  All numeric inputs accept rational strings ("1/1000000") so
+the pipeline stays exact end to end.  Every JSON the CLI writes, to stdout
+or to a file, goes through _print_json.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .constructions import (
 )
 from .exactgeom import BoxDomain, parse_rational
 from .homology import analyze_network
-from .relunet import load_network, save_network
-from .report import SCHEMA_VERSION
+from .relunet import load_network, network_to_json
 from .stability import check_stability, perturbation_test
-from .verify import grid_beta0, grid_sign_sample, reconcile, write_csv, write_pgm
+from .verify import SCHEMA_VERSION, grid_beta0, grid_sign_sample, reconcile, write_csv, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +74,8 @@ def cmd_build(args) -> int:
     fold = FoldingSpec(args.d, m_vec)
     cut = CuttingSpec(args.d, w_vec)
     net = build_topo_network(fold, cut, with_offset=args.offset)
-    save_network(net, args.output)
+    with open(args.output, "w", encoding="utf-8") as f:
+        _print_json(network_to_json(net), f)
     _print_json(
         {
             "architecture": list(net.architecture),
@@ -102,11 +104,12 @@ def cmd_analyze(args) -> int:
         sg = grid_sign_sample(net, box, args.oracle)
         oracle_beta0 = grid_beta0(sg)
     report = analyze_network(net, box, predicted=predicted, oracle_beta0=oracle_beta0)
+    out = report.to_json()
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as f:
-            _print_json(report.to_json(), f)
+            _print_json(out, f)
+    # the report file holds no reconciliation; stdout does
     rec = reconcile(report)
-    out = report.to_json()
     out["reconciliation"] = rec.to_json()
     _print_json(out)
     return EXIT_OK if rec.all_agree else EXIT_DISAGREE
@@ -131,13 +134,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    if args.delta is None and (args.trials is not None or args.seed is not None):
+        raise CliError("--trials and --seed need --delta")
     net = load_network(args.network)
     box = _parse_box(args.box, net.input_dim)
     if args.delta is None:
         rep = check_stability(net, box)
         ok = rep.topologically_stable
     else:
-        rep = perturbation_test(net, box, parse_rational(args.delta), args.trials, args.seed)
+        trials = 16 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        rep = perturbation_test(net, box, parse_rational(args.delta), trials, seed)
         ok = rep.certified_delta is not None  # an unstable network certifies none
     _print_json(rep.to_json())
     return EXIT_OK if ok else EXIT_DISAGREE
@@ -210,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("network", help="network JSON path")
     st.add_argument("--box", help="box as lo,hi or per-dim list")
     st.add_argument("--delta", help="perturbation radius (rational); omit for static check")
-    st.add_argument("--trials", type=int, default=16)
-    st.add_argument("--seed", type=int, default=0)
+    st.add_argument("--trials", type=int, help="perturbation trials (default 16); needs --delta")
+    st.add_argument("--seed", type=int, help="perturbation seed (default 0); needs --delta")
     st.set_defaults(func=cmd_stability)
 
     orc = sub.add_parser("oracle", help="independent grid sign oracle")

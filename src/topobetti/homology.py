@@ -37,7 +37,7 @@ from .constructions import (
 )
 from .exactgeom import BoxDomain, sparse_pivots
 from .relunet import ReluNetwork, network_fingerprint
-from .report import AnalysisReport
+from .verify import AnalysisReport
 
 
 @dataclass(frozen=True)

@@ -187,12 +187,6 @@ def network_from_json(obj: dict) -> ReluNetwork:
     return net
 
 
-def save_network(net: ReluNetwork, path: str):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(network_to_json(net), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def load_network(path: str) -> ReluNetwork:
     with open(path, "r", encoding="utf-8") as f:
         try:

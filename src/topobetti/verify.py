@@ -1,4 +1,4 @@
-"""Independent grid oracle and reconciliation harness.
+"""Independent grid oracle, the analysis report and its reconciliation.
 
 The oracle never touches the arrangement machinery: it evaluates the network
 exactly at every point of a regular rational grid and estimates β₀ of the
@@ -19,22 +19,29 @@ the signs, the working memory is under 0.9 MiB on the 10⁶-point grids of
 the tests.  For the constructed classifier family the smallest feature has
 ℓ₁-diameter 1/(4wM), so any resolution above 8·w·M resolves every
 component; the default used by callers is 16·w_max·M.
+
+The analysis report (AnalysisReport) is what an exact pipeline run hands
+back: the Betti vector with its region count, upper bounds, Euler counts and
+the optional closed-form prediction and oracle β₀.  reconcile compares them
+all (Reconciliation), and the report's JSON, schema SCHEMA_VERSION, carries
+the verdicts.  The report needs only the Betti vector type and the rational
+format, so the oracle still shares no code with the arrangement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .exactgeom import BoxDomain
+from .constructions import BettiVector
+from .exactgeom import BoxDomain, format_rational
 from .relunet import ReluNetwork
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .report import AnalysisReport
-
+SCHEMA_VERSION = 1
 GRID_POINT_CAP = 50_000_000
 _BLOCK = 1 << 13  # grid points per block of the vectorised pass (see grid_sign_sample)
 
@@ -259,6 +266,50 @@ def default_resolution(M: int, w_vec: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
+class AnalysisReport:
+    architecture: tuple
+    fingerprint: str
+    box: BoxDomain
+    betti: BettiVector
+    region_count: int
+    serra_bound: int
+    binomial_bounds: tuple  # per k, betti_upper_bound
+    # per k, #(k+1)-cells labeled positive: β_k ≤ this for k ≥ 1 and β₀ ≤ this + 1,
+    # since H̃_k(sublevel set) ≅ H_{k+1}(box, sublevel set) (see reconcile)
+    complement_cell_bounds: tuple
+    predicted: Optional[BettiVector]
+    euler: int
+    euler_cells: int  # alternating cell count of the sublevel subcomplex
+    oracle_beta0: Optional[int]
+
+    def to_json(self) -> dict:
+        rec = reconcile(self)
+        return {
+            "schema": SCHEMA_VERSION,
+            "architecture": list(self.architecture),
+            "fingerprint": self.fingerprint,
+            "box": {
+                "lower": [format_rational(v) for v in self.box.lower],
+                "upper": [format_rational(v) for v in self.box.upper],
+            },
+            "betti": list(self.betti.values),
+            "region_count": self.region_count,
+            "serra_bound": self.serra_bound,
+            "binomial_bounds": list(self.binomial_bounds),
+            "complement_cell_bounds": list(self.complement_cell_bounds),
+            "predicted": None if self.predicted is None else list(self.predicted.values),
+            "euler": self.euler,
+            "euler_cells": self.euler_cells,
+            "oracle_beta0": self.oracle_beta0,
+            "bounds_satisfied": rec.serra_ok and all(rec.binomial_ok),
+            "predicted_agrees": None if rec.predicted is None else rec.predicted == rec.betti,
+            "oracle_agrees": rec.oracle_agrees,
+            # no timings are recorded; the key keeps the schema-1 layout
+            "timings": None,
+        }
+
+
+@dataclass(frozen=True)
 class Reconciliation:
     betti: tuple
     predicted: Optional[tuple]
@@ -280,20 +331,9 @@ class Reconciliation:
         return all(checks)
 
     def to_json(self) -> dict:
-        return {
-            "betti": list(self.betti),
-            "predicted": None if self.predicted is None else list(self.predicted),
-            "oracle_beta0": self.oracle_beta0,
-            "predicted_agreement": (
-                None if self.predicted_agreement is None else list(self.predicted_agreement)
-            ),
-            "oracle_agrees": self.oracle_agrees,
-            "serra_ok": self.serra_ok,
-            "binomial_ok": list(self.binomial_ok),
-            "complement_ok": list(self.complement_ok),
-            "euler_ok": self.euler_ok,
-            "all_agree": self.all_agree,
-        }
+        # every field is a bool, an int, None or a tuple of them, which JSON
+        # writes as a list
+        return {**asdict(self), "all_agree": self.all_agree}
 
 
 def reconcile(report: AnalysisReport) -> Reconciliation:

@@ -133,6 +133,11 @@ class TestSmallCommands:
         out = _last_json(capsys)
         assert out["certified_delta"] == "1/1000000"
 
+    def test_stability_perturbation_defaults(self, small_net, capsys):
+        assert main(["stability", str(small_net), "--delta", "1/1000000"]) == EXIT_OK
+        out = _last_json(capsys)
+        assert out["trials"] == 16 and out["seed"] == 0
+
     def test_stability_with_no_certified_delta_exits_two(self, tmp_path, capsys):
         # the notch ε − relu(x − ½) − relu(½ − x) at ε = 10⁻⁶ has no stability
         # event, but some trial changes its Betti vector at every delta tried
@@ -270,6 +275,10 @@ class TestErrorMessages:
             (["bounds", "--arch", "2,3,2"], "scalar output required"),
             (["bounds", "--arch", "2,0,1"], "invalid architecture '2,0,1'"),
             (["stability", "{net}", "--delta", "0.5"], "non-canonical rational string: '0.5'"),
+            # without --delta no perturbation test runs for them to set up
+            (["stability", "{net}", "--trials", "4", "--seed", "3"],
+             "--trials and --seed need --delta"),
+            (["stability", "{net}", "--seed", "0"], "--trials and --seed need --delta"),
             (["oracle", "{net}", "--resolution", "0"], "resolution must be ≥ 1"),
             (
                 ["report", "{tmp}/missing.json"],
@@ -282,7 +291,8 @@ class TestErrorMessages:
         ],
         ids=["box", "string-row", "no-layers", "no-chain", "predict-d1", "predict-count",
              "network-not-json", "box-count-d1", "box-count-d3", "build", "predict",
-             "predict-zero-width", "bounds", "bounds-zero-width", "stability", "oracle",
+             "predict-zero-width", "bounds", "bounds-zero-width", "stability",
+             "stability-trials-without-delta", "stability-seed-without-delta", "oracle",
              "report-missing", "report-not-json"],
     )
     def test_stderr(self, argv, message, small_net, tmp_path, capsys):
