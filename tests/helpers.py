@@ -7,6 +7,8 @@
 - Hypothesis strategies for small random rational networks and boxes.
 - A seeded generator of generic networks: a random head after a fold,
   every parameter perturbed.
+- corner_split_network, whose hidden hyperplane splits the unit square
+  through two of its corners, so it is not combinatorially stable.
 - The uncollapsed homology path, the reference that betti_numbers and its
   face-poset collapse are checked against.
 - The per-point union-find, the reference that grid_beta0 is checked against.
@@ -210,6 +212,18 @@ def generic_network(seed: int, d: int, m: int) -> ReluNetwork:
     head = ReluNetwork((AffineLayer(tuple(rows), tuple(bias)), AffineLayer((coefs,), (-value,))))
     net = compose(head, build_folding_network(FoldingSpec(d, (m,))))
     return _perturbed(net, Fraction(1, 10**6), rng)
+
+
+def corner_split_network() -> ReluNetwork:
+    """relu(x₁ − x₂) − 1/3: the hidden hyperplane x₁ = x₂ splits the unit
+    square through its corners (0, 0) and (1, 1), and the output's zero-set
+    x₁ − x₂ = 1/3 meets no vertex of a region."""
+    return ReluNetwork(
+        (
+            AffineLayer(((Fraction(1), Fraction(-1)),), (Fraction(0),)),
+            AffineLayer(((Fraction(1),),), (Fraction(-1, 3),)),
+        )
+    )
 
 
 def uncollapsed_betti(pc: PolyhedralComplex) -> tuple:

@@ -20,7 +20,8 @@ from oracles import nerve_betti, validate_complex
 from topobetti.arrangement import sublevel_subcomplex
 from topobetti.constructions import euler_characteristic
 from topobetti.exactgeom import BoxDomain
-from topobetti.homology import betti_numbers
+from topobetti.homology import analyze_network, betti_numbers
+from topobetti.verify import reconcile
 
 # d = 2 folds 4-fold, so a corner the head cuts off lands inside the box
 # and can enclose a hole; d = 3 folds 2-fold, which keeps each build small
@@ -30,7 +31,8 @@ _CASES = [(2, 4, seed) for seed in range(24)] + [(3, 2, seed) for seed in range(
 @pytest.mark.parametrize("d, m, seed", _CASES, ids=[f"d{d}-m{m}-{s}" for d, m, s in _CASES])
 def test_generic_network_pipeline(d, m, seed):
     box = BoxDomain.unit_cube(d)
-    b, sc = build_and_assemble(generic_network(seed, d, m), box)
+    net = generic_network(seed, d, m)
+    b, sc = build_and_assemble(net, box)
     assert validate_complex(sc, box) == []
     assert len(set(sc.points)) == len(sc.points)
     sub = sublevel_subcomplex(sc)
@@ -42,3 +44,4 @@ def test_generic_network_pipeline(d, m, seed):
     positive = Counter(c.dim for c in sc.cells.values() if c.sign_label == "positive")
     for k, beta in enumerate(betti.values):
         assert beta <= positive[k + 1] + (k == 0), k
+    assert reconcile(analyze_network(net)).all_agree

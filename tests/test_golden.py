@@ -7,9 +7,15 @@ the golden files hold the bytes of `analyze`'s report file and stdout, of
 `oracle`'s stdout, and exit_codes.json holds every command's exit code.  For
 each reference network they also hold the network file that `build -o`
 writes, and the report file and stdout of `analyze` against the closed form
-and a 64-step grid oracle, whose exit codes are kept in this module.  Every
-file under the golden directory belongs to one of these runs.  A change that
-must keep every output as it is passes these unedited.
+and a 64-step grid oracle; for the d = 2 ones, the stdout and the PGM and
+CSV files of `oracle --resolution 64 --pgm … --csv …`; and for each of the
+four instances, the stdout of `predict` and `bounds`.  The network that
+helpers.corner_split_network builds, which is not combinatorially stable,
+has `stability`'s stdout with and without the perturbation test.  This
+module keeps the exit codes of all these runs, and `report` must print each
+saved `analyze` report unchanged.  Every file under the golden directory
+belongs to one of these runs.  A change that must keep every output as it
+is passes these unedited.
 
 After a change that alters an output on purpose, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REFERENCE_INSTANCES
+from helpers import corner_split_network
 from topobetti.cli import main
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.relunet import network_to_json
@@ -59,6 +66,23 @@ PREDICTED_EXIT_CODES = {
     "d3-M4-w11-offset": 0,
 }
 
+# exit codes of the other runs that exit_codes.json does not hold, by command
+OWN_EXIT_CODES = {"build": 0, "predict": 0, "bounds": 0, "oracle-dumps": 0, "report": 0}
+
+# exit codes of `stability`, with and without the perturbation test, on the
+# network that is not combinatorially stable: it is not topologically stable
+# either, so neither run certifies, and the test is not applicable
+UNSTABLE_EXIT_CODES = {"stability": 2, "stability-delta": 2}
+UNSTABLE = "corner-split"
+
+# command -> the extensions of the files it writes besides its stdout
+WRITES = {
+    "analyze": ["out"],
+    "analyze-predict": ["out"],
+    "build": ["out"],
+    "oracle-dumps": ["pgm", "csv"],
+}
+
 
 def _specs():
     """name -> (FoldingSpec, CuttingSpec, offset) of each reference network."""
@@ -75,7 +99,7 @@ SPECS = _specs()
 
 
 def _networks():
-    """name -> network, for every network the golden files cover."""
+    """name -> network, for every network that COMMANDS run on."""
     nets = {name: build_topo_network(*spec) for name, spec in SPECS.items()}
     nets["d2-M4-w3-offset-perturbed"] = _perturbed(
         nets["d2-M4-w3-offset"], Fraction(1, 10**6), random.Random("7:0")
@@ -84,50 +108,70 @@ def _networks():
 
 
 NETWORKS = _networks()
+# the d = 2 networks whose oracle grids are dumped
+DUMPED = [name for name, (fold, _, _) in SPECS.items() if fold.d == 2]
 
 
 def _csv(values) -> str:
     return ",".join(map(str, values))
 
 
-def _argv(name, command, net: str, out: str) -> list:
-    """command's command line on the network name, read from net; out is the
-    file that `analyze --out` or `build -o` writes."""
+def _argv(name, command, net: str, tmp: Path) -> list:
+    """command's command line on the network name, read from net; each file
+    it writes goes to tmp, named by its golden suffix."""
     if command == "build":
         fold, cut, offset = SPECS[name]
         return [
             "build", "--d", str(fold.d), "--m", _csv(fold.m_vec), "--w", _csv(cut.w_vec),
-            *(["--offset"] if offset else []), "-o", out,
+            *(["--offset"] if offset else []), "-o", str(tmp / "build.out"),
         ]
     if command == "analyze-predict":
         fold, cut, _ = SPECS[name]
         predict = _csv((fold.M, *cut.w_vec))
-        return ["analyze", net, "--predict", predict, "--oracle", "64", "--out", out]
+        return [
+            "analyze", net, "--predict", predict, "--oracle", "64",
+            "--out", str(tmp / "analyze-predict.out"),
+        ]
+    if command == "predict":
+        fold, cut, _ = SPECS[name]
+        return ["predict", "--d", str(fold.d), "--M", str(fold.M), "--w", _csv(cut.w_vec)]
+    if command == "bounds":
+        return ["bounds", "--arch", _csv(NETWORKS[name].architecture)]
+    if command == "oracle-dumps":
+        return [
+            "oracle", net, "--resolution", "64",
+            "--pgm", str(tmp / "oracle-dumps.pgm"), "--csv", str(tmp / "oracle-dumps.csv"),
+        ]
     argv = [COMMANDS[command][0], net, *COMMANDS[command][1:]]
-    return argv + ["--out", out] if command == "analyze" else argv
+    return argv + ["--out", str(tmp / "analyze.out")] if command == "analyze" else argv
 
 
 def _suffixes(command) -> list:
     """The golden files a command's run is compared with, by suffix: its
-    stdout, but for build's, which names a temporary path, and the file that
-    `analyze --out` or `build -o` writes."""
+    stdout, but for build's, which names a temporary path, and the files it
+    writes."""
     stdout = [] if command == "build" else [f"{command}.stdout"]
-    writes = command in ("analyze", "analyze-predict", "build")
-    return stdout + ([f"{command}.out"] if writes else [])
+    return stdout + [f"{command}.{ext}" for ext in WRITES.get(command, [])]
 
 
 def _run(name, command, tmp: Path) -> tuple:
     """command's exit code and output files, suffix -> bytes, on the network name."""
-    net, out = tmp / "net.json", tmp / "out.json"
-    net.write_text(json.dumps(network_to_json(NETWORKS[name])), encoding="utf-8")
-    out.unlink(missing_ok=True)
+    net = tmp / "net.json"
+    network = corner_split_network() if name == UNSTABLE else NETWORKS[name]
+    net.write_text(json.dumps(network_to_json(network)), encoding="utf-8")
+    suffixes = _suffixes(command)
+    for suffix in suffixes:
+        (tmp / suffix).unlink(missing_ok=True)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(_argv(name, command, str(net), str(out)))
-    data = {f"{command}.stdout": stdout.getvalue().encode("utf-8")}
-    if out.exists():
-        data[f"{command}.out"] = out.read_bytes()
-    return code, {suffix: data[suffix] for suffix in _suffixes(command)}
+        code = main(_argv(name, command, str(net), tmp))
+    return code, {
+        suffix: (
+            stdout.getvalue().encode("utf-8") if suffix.endswith(".stdout")
+            else (tmp / suffix).read_bytes()
+        )
+        for suffix in suffixes
+    }
 
 
 def _cases() -> list:
@@ -135,6 +179,9 @@ def _cases() -> list:
     return [
         *((name, command) for name in NETWORKS for command in COMMANDS),
         *((name, command) for name in SPECS for command in ("build", "analyze-predict")),
+        *((name, "oracle-dumps") for name in DUMPED),
+        *((name, command) for name, *_ in REFERENCE_INSTANCES for command in ("predict", "bounds")),
+        *((UNSTABLE, command) for command in UNSTABLE_EXIT_CODES),
     ]
 
 
@@ -158,12 +205,39 @@ def test_output_is_unchanged(name, command, tmp_path):
 
 @pytest.mark.parametrize("name", list(SPECS))
 def test_built_network_file_is_unchanged(name, tmp_path):
-    assert _unchanged(name, "build", tmp_path) == 0
+    assert _unchanged(name, "build", tmp_path) == OWN_EXIT_CODES["build"]
 
 
 @pytest.mark.parametrize("name", list(SPECS))
 def test_analysis_against_prediction_and_oracle_is_unchanged(name, tmp_path):
     assert _unchanged(name, "analyze-predict", tmp_path) == PREDICTED_EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("name", DUMPED)
+def test_oracle_grid_dumps_are_unchanged(name, tmp_path):
+    assert _unchanged(name, "oracle-dumps", tmp_path) == OWN_EXIT_CODES["oracle-dumps"]
+
+
+@pytest.mark.parametrize("command", ["predict", "bounds"])
+@pytest.mark.parametrize("name", [name for name, *_ in REFERENCE_INSTANCES])
+def test_closed_form_output_is_unchanged(name, command, tmp_path):
+    assert _unchanged(name, command, tmp_path) == OWN_EXIT_CODES[command]
+
+
+@pytest.mark.parametrize("command", list(UNSTABLE_EXIT_CODES))
+def test_combinatorially_unstable_output_is_unchanged(command, tmp_path):
+    assert _unchanged(UNSTABLE, command, tmp_path) == UNSTABLE_EXIT_CODES[command]
+    stdout = (GOLDEN / f"{UNSTABLE}.{command}.stdout").read_text(encoding="utf-8")
+    assert '"combinatorially_stable": false' in stdout
+    assert ('"applicable": false' in stdout) == (command == "stability-delta")
+
+
+@pytest.mark.parametrize(
+    "report", sorted(p.name for p in GOLDEN.glob("*.out") if not p.name.endswith(".build.out"))
+)
+def test_report_prints_a_saved_report_unchanged(report, capsys):
+    assert main(["report", str(GOLDEN / report)]) == OWN_EXIT_CODES["report"]
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / report).read_bytes()
 
 
 def test_every_golden_file_is_read():
@@ -182,7 +256,7 @@ def _regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in _cases():
             code, files = _run(name, command, Path(tmp))
-            if command in COMMANDS:
+            if name in NETWORKS and command in COMMANDS:
                 codes[name][command] = code
             for suffix, data in files.items():
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import corner_split_network
 from topobetti import arrangement, stability
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.exactgeom import BoxDomain
@@ -65,6 +66,32 @@ class TestCheckStability:
         )
         report = check_stability(net, BoxDomain.unit_cube(2))
         assert not report.topologically_stable
+
+    def test_hidden_split_through_corners_is_combinatorially_unstable(self):
+        report = check_stability(corner_split_network(), BoxDomain.unit_cube(2))
+        assert not report.combinatorially_stable
+        assert not report.topologically_stable
+        events = [(nid.layer, nid.index, reason) for nid, _, reason in report.violations]
+        assert events == [(1, 1, "vertex-on-hyperplane")]
+        assert report.to_json()["combinatorially_stable"] is False
+
+    def test_degenerate_second_layer_is_combinatorially_unstable(self):
+        # h₁ = relu(x₁ − ½) is 0 on the region x₁ < ½, so there the second
+        # layer's neuron relu(h₁) has an identically zero pullback; x₁ = ½
+        # splits the square through no corner, and the output h₂ − ¼ is
+        # zero on x₁ = ¾, through no vertex
+        half = Fraction(1, 2)
+        net = ReluNetwork(
+            (
+                AffineLayer(((Fraction(1), Fraction(0)),), (-half,)),
+                AffineLayer(((Fraction(1),),), (Fraction(0),)),
+                AffineLayer(((Fraction(1),),), (Fraction(-1, 4),)),
+            )
+        )
+        report = check_stability(net, BoxDomain.unit_cube(2))
+        assert not report.combinatorially_stable
+        events = [(nid.layer, nid.index, reason) for nid, _, reason in report.violations]
+        assert events == [(2, 1, "degenerate-pullback")]
 
     def test_vector_output_rejected(self):
         from topobetti.constructions import build_folding_network
@@ -150,6 +177,13 @@ class TestPerturbationTest:
         check = check_stability(net, box)
         assert report.violations == check.violations
         assert not report.topologically_stable and report.combinatorially_stable
+
+    def test_not_applicable_when_combinatorially_unstable(self):
+        net, box = corner_split_network(), BoxDomain.unit_cube(2)
+        report = perturbation_test(net, box, Fraction(1, 10**6), trials=2, seed=7)
+        assert not report.applicable and not report.combinatorially_stable
+        assert report.certified_delta is None
+        assert report.violations == check_stability(net, box).violations
 
     def test_stable_network_builds_base_once(self, monkeypatch):
         # one build for the base network (stability and baseline) and one per
