@@ -29,12 +29,7 @@ from .arrangement import (
     signed_complex,
     sublevel_subcomplex,
 )
-from .constructions import (
-    BettiVector,
-    betti_upper_bound,
-    euler_characteristic,
-    serra_region_bound,
-)
+from .constructions import BettiVector
 from .exactgeom import BoxDomain, sparse_pivots
 from .relunet import ReluNetwork, network_fingerprint
 from .verify import AnalysisReport
@@ -170,9 +165,10 @@ def analyze_network(
     """End-to-end exact Betti computation of F⁻¹((−∞,0]) ∩ box.
 
     Runs the arrangement pipeline (output-refined signed complex → sublevel
-    subcomplex → homology) and packages region counts and upper
-    bounds; optional closed-form predictions and an oracle β₀ are recorded for
-    reconciliation.  A prediction must have one number per dimension 0 … d−1.
+    subcomplex → homology) and packages what it measured; the report derives
+    the upper bounds and χ.  Optional closed-form predictions and an oracle
+    β₀ are recorded for reconciliation.  A prediction must have one number
+    per dimension 0 … d−1.
     """
     if box is None:
         box = BoxDomain.unit_cube(net.input_dim)
@@ -186,8 +182,6 @@ def analyze_network(
         sub = sublevel_subcomplex(sc)
         betti = betti_numbers(sub)
         regions = linear_region_count(sc)
-    serra = serra_region_bound(net.architecture)
-    binom = [betti_upper_bound(net.architecture, k) for k in range(d)]
     positive = [0] * (d + 1)  # dim -> cells of that dim labelled positive
     for c in sc.cells.values():
         if c.sign_label == "positive":
@@ -198,11 +192,8 @@ def analyze_network(
         box=box,
         betti=betti,
         region_count=regions,
-        serra_bound=serra,
-        binomial_bounds=tuple(binom),
         complement_cell_bounds=tuple(positive[1:]),
         predicted=predicted,
-        euler=euler_characteristic(betti),
         euler_cells=sub.euler_cells(),
         oracle_beta0=oracle_beta0,
     )

@@ -6,8 +6,9 @@ splits the region through one of its vertices ("vertex-on-hyperplane"), and
 on each region where any neuron's pullback is identically zero
 ("degenerate-pullback").  The output neuron records "vertex-on-hyperplane"
 wherever its zero-set passes through a vertex of a final region, whether or
-not it splits it.  A network is combinatorially stable over a box when no
-hidden neuron records an event, and topologically stable when no neuron does.
+not it splits it.  StabilityReport stores the events and derives from them
+that a network is combinatorially stable over a box when no hidden neuron
+records an event, and topologically stable when no neuron does.
 Stable networks keep the decision-region topology under small weight
 perturbations, which the perturbation harness confirms empirically by
 recomputing exact Betti vectors for seeded rational perturbations of all
@@ -17,7 +18,7 @@ parameters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,11 +32,17 @@ DELTA_HALVINGS = 8  # times perturbation_test may halve delta before it gives up
 
 @dataclass(frozen=True)
 class StabilityReport:
-    combinatorially_stable: bool
+    # stored: the events and the test's setup; derived: the three verdicts below
+    output_layer: int  # len(net.layers), the output neuron's layer; not in the JSON
     violations: tuple  # (NeuronId, region-id, reason)
     certified_delta: Optional[Fraction] = None
     trials: int = 0
     seed: int = 0
+
+    @property
+    def combinatorially_stable(self) -> bool:
+        """No hidden neuron recorded an event: every event is the output layer's."""
+        return all(nid.layer == self.output_layer for nid, _, _ in self.violations)
 
     @property
     def topologically_stable(self) -> bool:
@@ -63,17 +70,8 @@ class StabilityReport:
         }
 
 
-def _classify(net: ReluNetwork, violations) -> StabilityReport:
-    """Stability verdicts from the build's (NeuronId, region-id, reason) events."""
-    output_layer = len(net.layers)
-    return StabilityReport(
-        combinatorially_stable=all(nid.layer == output_layer for nid, _, _ in violations),
-        violations=tuple(violations),
-    )
-
-
 def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
-    """Split the box into the network's regions and classify the build's events.
+    """Split the box into the network's regions and report the build's events.
 
     _Builder.run records the events the module docstring lists; a hidden
     neuron's hyperplane that only touches a region's boundary records none,
@@ -83,7 +81,7 @@ def check_stability(net: ReluNetwork, box: BoxDomain) -> StabilityReport:
     with _gc_paused():
         b = _Builder(net, box)
         b.run()
-    return _classify(net, b.violations)
+    return StabilityReport(len(net.layers), tuple(b.violations))
 
 
 def _perturbed(net: ReluNetwork, delta: Fraction, rng: random.Random) -> ReluNetwork:
@@ -133,9 +131,8 @@ def perturbation_test(
         raise ValueError("delta must be nonnegative")
     with _gc_paused():
         base = arrangement.sublevel_complex(net, box)
-        stability = _classify(net, base.violations)
-        if not stability.topologically_stable:
-            return replace(stability, trials=trials, seed=seed)
+        if base.violations:  # not topologically stable
+            return StabilityReport(len(net.layers), base.violations, trials=trials, seed=seed)
         baseline = homology.betti_numbers(base).values
         del base  # not held through the trials
 
@@ -154,4 +151,4 @@ def perturbation_test(
                 certified = cur
                 break
             cur = cur / 2
-    return replace(stability, certified_delta=certified, trials=trials, seed=seed)
+    return StabilityReport(len(net.layers), (), certified, trials, seed)

@@ -20,12 +20,13 @@ the tests.  For the constructed classifier family the smallest feature has
 ℓ₁-diameter 1/(4wM), so any resolution above 8·w·M resolves every
 component; the default used by callers is 16·w_max·M.
 
-The analysis report (AnalysisReport) is what an exact pipeline run hands
-back: the Betti vector with its region count, upper bounds, Euler counts and
-the optional closed-form prediction and oracle β₀.  reconcile compares them
-all (Reconciliation), and the report's JSON, schema SCHEMA_VERSION, carries
-the verdicts.  The report needs only the Betti vector type and the rational
-format, so the oracle still shares no code with the arrangement.
+The analysis report (AnalysisReport) stores what an exact pipeline run
+measured and the optional closed-form prediction and oracle β₀; the Serra
+and binomial bounds and χ are properties read off its architecture and
+Betti vector.  reconcile compares them all (Reconciliation), and the
+report's JSON, schema SCHEMA_VERSION, carries the verdicts.  The report
+needs only constructions and the rational format, so the oracle still
+shares no code with the arrangement.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .constructions import BettiVector
+from .constructions import BettiVector, betti_upper_bound, euler_characteristic, serra_region_bound
 from .exactgeom import BoxDomain, format_rational
 from .relunet import ReluNetwork
 
@@ -267,20 +268,30 @@ def default_resolution(M: int, w_vec: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    # stored: what the pipeline measured; derived: the bounds and χ below
     architecture: tuple
     fingerprint: str
     box: BoxDomain
     betti: BettiVector
     region_count: int
-    serra_bound: int
-    binomial_bounds: tuple  # per k, betti_upper_bound
     # per k, #(k+1)-cells labeled positive: β_k ≤ this for k ≥ 1 and β₀ ≤ this + 1,
     # since H̃_k(sublevel set) ≅ H_{k+1}(box, sublevel set) (see reconcile)
     complement_cell_bounds: tuple
     predicted: Optional[BettiVector]
-    euler: int
     euler_cells: int  # alternating cell count of the sublevel subcomplex
     oracle_beta0: Optional[int]
+
+    @property
+    def serra_bound(self) -> int:
+        return serra_region_bound(self.architecture)
+
+    @property
+    def binomial_bounds(self) -> tuple:  # per k < d
+        return tuple(betti_upper_bound(self.architecture, k) for k in range(self.box.dimension))
+
+    @property
+    def euler(self) -> int:  # χ of the Betti vector
+        return euler_characteristic(self.betti)
 
     def to_json(self) -> dict:
         rec = reconcile(self)
