@@ -6,7 +6,8 @@ perturbation test that certifies no delta.  `stability --trials` and
 `--seed` set up that perturbation test, so without `--delta` they are a
 usage error.  All numeric inputs accept rational strings ("1/1000000") so
 the pipeline stays exact end to end.  Every JSON the CLI writes, to stdout
-or to a file, goes through _print_json.
+or to a file, goes through _print_json.  `analyze`, `stability` and `oracle`
+share one argument set, the network and `--box`, read by _network_and_box.
 """
 
 from __future__ import annotations
@@ -46,19 +47,19 @@ def _int_list(text: str) -> tuple:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _parse_box(text: str | None, d: int) -> BoxDomain:
-    """The --box argument for dimension d; the unit cube when it is omitted."""
-    if text is None:
-        return BoxDomain.unit_cube(d)
-    vals = [parse_rational(tok) for tok in text.split(",")]
+def _network_and_box(args) -> tuple:
+    """The network file args.network and its --box, the unit cube when omitted."""
+    net = load_network(args.network)
+    d = net.input_dim
+    if args.box is None:
+        return net, BoxDomain.unit_cube(d)
+    vals = [parse_rational(tok) for tok in args.box.split(",")]
     if len(vals) == 2:
         vals = vals * d
     if len(vals) != 2 * d:
         counts = "2" if d == 1 else f"2 or {2 * d}"
         raise CliError(f"--box needs {counts} rationals for dimension {d}")
-    lower = tuple(vals[0::2])
-    upper = tuple(vals[1::2])
-    return BoxDomain(lower, upper)
+    return net, BoxDomain(tuple(vals[0::2]), tuple(vals[1::2]))
 
 
 def _print_json(obj, f=None):
@@ -89,8 +90,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    net = load_network(args.network)
-    box = _parse_box(args.box, net.input_dim)
+    net, box = _network_and_box(args)
     predicted = None
     if args.predict is not None:
         vals = _int_list(args.predict)
@@ -136,8 +136,7 @@ def cmd_bounds(args) -> int:
 def cmd_stability(args) -> int:
     if args.delta is None and (args.trials is not None or args.seed is not None):
         raise CliError("--trials and --seed need --delta")
-    net = load_network(args.network)
-    box = _parse_box(args.box, net.input_dim)
+    net, box = _network_and_box(args)
     if args.delta is None:
         rep = check_stability(net, box)
         ok = rep.topologically_stable
@@ -151,8 +150,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    net = load_network(args.network)
-    box = _parse_box(args.box, net.input_dim)
+    net, box = _network_and_box(args)
     # the dumps take only 2-d grids: refuse before sampling, not after
     for path, kind in ((args.pgm, "PGM"), (args.csv, "CSV")):
         if path is not None and box.dimension != 2:
@@ -186,6 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Betti-number analysis of small ReLU classifiers.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("network", help="network JSON path")
+    network.add_argument(
+        "--box",
+        help="box as lo,hi (uniform) or per-dim lo1,hi1,...; write --box=-1,1 if it starts with -",
+    )
 
     b = sub.add_parser("build", help="construct a folding+cutting network")
     b.add_argument("--d", type=int, required=True, help="input dimension")
@@ -195,9 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", required=True, help="output network JSON path")
     b.set_defaults(func=cmd_build)
 
-    a = sub.add_parser("analyze", help="exact Betti analysis of a network file")
-    a.add_argument("network", help="network JSON path")
-    a.add_argument("--box", help="box as lo,hi (uniform) or per-dim lo1,hi1,...")
+    a = sub.add_parser("analyze", parents=[network], help="exact Betti analysis of a network file")
     a.add_argument("--predict", help="closed-form comparison: M,w1,...,w_{d-1}")
     a.add_argument("--oracle", type=int, help="grid oracle resolution N")
     a.add_argument("--out", help="write the AnalysisReport JSON here")
@@ -213,17 +215,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--arch", required=True, help="architecture as comma list")
     bo.set_defaults(func=cmd_bounds)
 
-    st = sub.add_parser("stability", help="stability check / perturbation test")
-    st.add_argument("network", help="network JSON path")
-    st.add_argument("--box", help="box as lo,hi or per-dim list")
+    st = sub.add_parser("stability", parents=[network], help="stability check / perturbation test")
     st.add_argument("--delta", help="perturbation radius (rational); omit for static check")
     st.add_argument("--trials", type=int, help="perturbation trials (default 16); needs --delta")
     st.add_argument("--seed", type=int, help="perturbation seed (default 0); needs --delta")
     st.set_defaults(func=cmd_stability)
 
-    orc = sub.add_parser("oracle", help="independent grid sign oracle")
-    orc.add_argument("network", help="network JSON path")
-    orc.add_argument("--box", help="box as lo,hi or per-dim list")
+    orc = sub.add_parser("oracle", parents=[network], help="independent grid sign oracle")
     orc.add_argument("--resolution", type=int, required=True)
     orc.add_argument("--pgm", help="dump 2-d sign grid as ASCII PGM")
     orc.add_argument("--csv", help="dump 2-d sign grid as CSV")

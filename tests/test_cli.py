@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,37 @@ class TestSmallCommands:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestNetworkArguments:
+    # analyze, stability and oracle share the network path and --box
+    COMMANDS = {"analyze": [], "stability": [], "oracle": ["--resolution", "64"]}
+
+    def test_help_is_the_same_for_every_command(self, capsys):
+        helps = []
+        for command in self.COMMANDS:
+            assert main([command, "--help"]) == EXIT_OK
+            # each parser sets its own help column, so whitespace is not compared
+            text = " ".join(capsys.readouterr().out.split())
+            network = re.search(r"positional arguments: (.*?) options:", text).group(1)
+            box = re.search(r"(--box BOX .*?) --(?!box)", text).group(1)
+            helps.append((network, box))
+        assert helps[0][0] == "network network JSON path"
+        assert helps == [helps[0]] * len(self.COMMANDS), helps
+
+    def test_a_negative_bound_needs_the_equals_form(self, small_net, capsys):
+        outputs = {}
+        for command, rest in self.COMMANDS.items():
+            argv = [command, str(small_net), *rest]
+            # argparse reads a value that starts with - as an option
+            assert main([*argv, "--box", "-1/2,1"]) == EXIT_USAGE
+            assert "argument --box: expected one argument" in capsys.readouterr().err
+            assert main([*argv, "--box=-1/2,1"]) == EXIT_OK
+            outputs[command] = _last_json(capsys)
+        assert outputs["analyze"]["box"] == {"lower": ["-1/2", "-1/2"], "upper": ["1", "1"]}
+        assert outputs["analyze"]["betti"] == [2, 0]
+        assert outputs["stability"]["topologically_stable"] is True
+        assert outputs["oracle"]["beta0"] == 2
 
 
 class TestMalformedInput:

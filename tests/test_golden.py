@@ -4,18 +4,22 @@ Each network is generated here: the four reference instances with and
 without the closure offset, and d2-M4-w3 perturbed at δ = 10⁻⁶.  For each,
 the golden files hold the bytes of `analyze`'s report file and stdout, of
 `stability`'s stdout with and without a two-trial perturbation test, and of
-`oracle`'s stdout, and exit_codes.json holds every command's exit code.  For
-each reference network they also hold the network file that `build -o`
-writes, and the report file and stdout of `analyze` against the closed form
-and a 64-step grid oracle; for the d = 2 ones, the stdout and the PGM and
-CSV files of `oracle --resolution 64 --pgm … --csv …`; and for each of the
-four instances, the stdout of `predict` and `bounds`.  The network that
+`oracle`'s stdout.  For each reference network they also hold the network
+file that `build -o` writes, and the report file and stdout of `analyze`
+against the closed form and a 64-step grid oracle (the closed form disagrees
+without the offset, and 64 lies below the d = 2 networks'
+default_resolution, so both verdicts of each comparison are pinned); for the
+d = 2 ones, the stdout and the PGM and CSV files of
+`oracle --resolution 64 --pgm … --csv …`; and for each of the four
+instances, the stdout of `predict` and `bounds`.  The network that
 helpers.corner_split_network builds, which is not combinatorially stable,
-has `stability`'s stdout with and without the perturbation test.  This
-module keeps the exit codes of all these runs, and `report` must print each
-saved `analyze` report unchanged.  Every file under the golden directory
-belongs to one of these runs.  A change that must keep every output as it
-is passes these unedited.
+has `stability`'s stdout with and without the perturbation test.
+exit_codes.json holds the exit code of every one of these runs, by network
+and command, and test_output_is_unchanged checks each run's files and code.
+`report` must print each saved `analyze` report unchanged.  Every file under
+the golden directory, and every code in exit_codes.json, belongs to one of
+these runs.  A change that must keep every output as it is passes these
+unedited.
 
 After a change that alters an output on purpose, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
@@ -35,15 +39,14 @@ import pytest
 
 from conftest import REFERENCE_INSTANCES
 from helpers import corner_split_network
-from topobetti.cli import main
+from topobetti.cli import EXIT_OK, main
 from topobetti.constructions import CuttingSpec, FoldingSpec, build_topo_network
 from topobetti.relunet import network_to_json
 from topobetti.stability import _perturbed
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# command name -> its arguments after the network path; each runs on every
-# network, and exit_codes.json holds its exit codes
+# command name -> its arguments after the network path; each runs on every network
 COMMANDS = {
     "analyze": ["analyze"],
     "stability": ["stability"],
@@ -51,28 +54,8 @@ COMMANDS = {
     "oracle": ["oracle", "--resolution", "64"],
 }
 
-# exit codes of `analyze --predict M,w... --oracle 64` on the reference
-# networks.  Without the offset the closed form disagrees, and 64 lies below
-# the d = 2 networks' default_resolution, where the oracle disagrees too, so
-# the files hold both verdicts of each comparison
-PREDICTED_EXIT_CODES = {
-    "d2-M4-w3": 2,
-    "d2-M4-w3-offset": 2,
-    "d2-M8-w4": 2,
-    "d2-M8-w4-offset": 2,
-    "d3-M2-w11": 2,
-    "d3-M2-w11-offset": 0,
-    "d3-M4-w11": 2,
-    "d3-M4-w11-offset": 0,
-}
-
-# exit codes of the other runs that exit_codes.json does not hold, by command
-OWN_EXIT_CODES = {"build": 0, "predict": 0, "bounds": 0, "oracle-dumps": 0, "report": 0}
-
-# exit codes of `stability`, with and without the perturbation test, on the
-# network that is not combinatorially stable: it is not topologically stable
-# either, so neither run certifies, and the test is not applicable
-UNSTABLE_EXIT_CODES = {"stability": 2, "stability-delta": 2}
+# the network that is not combinatorially stable, on which `stability` runs
+# with and without the perturbation test
 UNSTABLE = "corner-split"
 
 # command -> the extensions of the files it writes besides its stdout
@@ -181,7 +164,7 @@ def _cases() -> list:
         *((name, command) for name in SPECS for command in ("build", "analyze-predict")),
         *((name, "oracle-dumps") for name in DUMPED),
         *((name, command) for name, *_ in REFERENCE_INSTANCES for command in ("predict", "bounds")),
-        *((UNSTABLE, command) for command in UNSTABLE_EXIT_CODES),
+        *((UNSTABLE, command) for command in ("stability", "stability-delta")),
     ]
 
 
@@ -189,75 +172,47 @@ def _exit_codes() -> dict:
     return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
 
-def _unchanged(name, command, tmp: Path) -> int:
-    """command's exit code on the network name, once its files match the golden ones."""
-    code, files = _run(name, command, tmp)
+@pytest.mark.parametrize("name, command", _cases(), ids=[f"{n}-{c}" for n, c in _cases()])
+def test_output_is_unchanged(name, command, tmp_path):
+    code, files = _run(name, command, tmp_path)
     for suffix, data in files.items():
         assert data == (GOLDEN / f"{name}.{suffix}").read_bytes(), suffix
-    return code
-
-
-@pytest.mark.parametrize("command", list(COMMANDS))
-@pytest.mark.parametrize("name", list(NETWORKS))
-def test_output_is_unchanged(name, command, tmp_path):
-    assert _unchanged(name, command, tmp_path) == _exit_codes()[name][command]
-
-
-@pytest.mark.parametrize("name", list(SPECS))
-def test_built_network_file_is_unchanged(name, tmp_path):
-    assert _unchanged(name, "build", tmp_path) == OWN_EXIT_CODES["build"]
-
-
-@pytest.mark.parametrize("name", list(SPECS))
-def test_analysis_against_prediction_and_oracle_is_unchanged(name, tmp_path):
-    assert _unchanged(name, "analyze-predict", tmp_path) == PREDICTED_EXIT_CODES[name]
-
-
-@pytest.mark.parametrize("name", DUMPED)
-def test_oracle_grid_dumps_are_unchanged(name, tmp_path):
-    assert _unchanged(name, "oracle-dumps", tmp_path) == OWN_EXIT_CODES["oracle-dumps"]
-
-
-@pytest.mark.parametrize("command", ["predict", "bounds"])
-@pytest.mark.parametrize("name", [name for name, *_ in REFERENCE_INSTANCES])
-def test_closed_form_output_is_unchanged(name, command, tmp_path):
-    assert _unchanged(name, command, tmp_path) == OWN_EXIT_CODES[command]
-
-
-@pytest.mark.parametrize("command", list(UNSTABLE_EXIT_CODES))
-def test_combinatorially_unstable_output_is_unchanged(command, tmp_path):
-    assert _unchanged(UNSTABLE, command, tmp_path) == UNSTABLE_EXIT_CODES[command]
-    stdout = (GOLDEN / f"{UNSTABLE}.{command}.stdout").read_text(encoding="utf-8")
-    assert '"combinatorially_stable": false' in stdout
-    assert ('"applicable": false' in stdout) == (command == "stability-delta")
+    assert code == _exit_codes()[name][command]
+    if name == UNSTABLE:
+        # it is not topologically stable either, so neither run certifies,
+        # and the perturbation test is not applicable
+        stdout = files[f"{command}.stdout"].decode("utf-8")
+        assert '"combinatorially_stable": false' in stdout
+        assert ('"applicable": false' in stdout) == (command == "stability-delta")
 
 
 @pytest.mark.parametrize(
     "report", sorted(p.name for p in GOLDEN.glob("*.out") if not p.name.endswith(".build.out"))
 )
 def test_report_prints_a_saved_report_unchanged(report, capsys):
-    assert main(["report", str(GOLDEN / report)]) == OWN_EXIT_CODES["report"]
+    assert main(["report", str(GOLDEN / report)]) == EXIT_OK
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / report).read_bytes()
 
 
 def test_every_golden_file_is_read():
-    # a case renamed or dropped must not leave its files behind
+    # a case renamed or dropped must leave neither its files nor its exit code behind
     read = {"exit_codes.json"}
     for name, command in _cases():
         read.update(f"{name}.{suffix}" for suffix in _suffixes(command))
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(read)
+    codes = [(name, command) for name, by_command in _exit_codes().items() for command in by_command]
+    assert sorted(codes) == sorted(_cases())
 
 
 def _regenerate():
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    codes = {name: {} for name in NETWORKS}
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in _cases():
             code, files = _run(name, command, Path(tmp))
-            if name in NETWORKS and command in COMMANDS:
-                codes[name][command] = code
+            codes.setdefault(name, {})[command] = code
             for suffix, data in files.items():
                 (GOLDEN / f"{name}.{suffix}").write_bytes(data)
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
